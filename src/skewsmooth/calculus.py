@@ -27,6 +27,7 @@ __all__ = [
     "wedge",
     "differential",
     "kernel_of_d_bounded",
+    "kernel_is_scalars",
     "connected_at",
     "IntegralFormCoefficients",
     "integral_form_coefficients",
@@ -105,6 +106,7 @@ class CalculusContext:
         self.pres = pres
         self.nus = nus
         self._composite_cache: dict = {}
+        self._partial_cache: dict = {}   # (i, monomial) -> coefficient of dx_i in d(monomial)
 
     @property
     def n(self) -> int:
@@ -234,44 +236,55 @@ class CalculusContext:
                 acc = nxt
         return total
 
-    def partial(self, i: int, p: NcPoly) -> NcPoly:
-        """Coefficient of dx_i in d(p): twisted prefix, ladder sum, plain tail."""
+    def _partial_monomial(self, i: int, m) -> dict:
+        """Coefficient of dx_i in d(m) for one monomial m, as exponent -> coeff:
+        twisted prefix, ladder sum, plain tail.  Cached on the context."""
+        li = m[i - 1]
+        if not li:
+            return {}
+        cache_key = (i, m)
+        got = self._partial_cache.get(cache_key)
+        if got is not None:
+            return got
         field = self.pres.field
         nu_i = self.nus[i - 1]
+        pieces = []
+        for j in range(1, i):
+            lj = m[j - 1]
+            if lj:
+                img = apply_endo(nu_i, self.pres.mono(
+                    tuple(lj if g == j else 0 for g in range(1, self.n + 1))), self.pres)
+                pieces.append(img.terms)
+        ladder = self._ladder(i, li)
+        pieces.append({tuple(e if g == i else 0
+                             for g in range(1, self.n + 1)): v
+                       for e, v in ladder.items()})
+        suffix = tuple(m[g - 1] if g > i else 0 for g in range(1, self.n + 1))
+        pieces.append({suffix: field.one})
+        combined = {(0,) * self.n: field.one}
+        for piece in pieces:
+            nxt: dict = {}
+            for e1, c1 in combined.items():
+                for e2, c2 in piece.items():
+                    key = tuple(a + b for a, b in zip(e1, e2))
+                    s = nxt.get(key)
+                    s = c1 * c2 if s is None else s + c1 * c2
+                    if s:
+                        nxt[key] = s
+                    else:
+                        nxt.pop(key, None)
+            combined = nxt
+        self._partial_cache[cache_key] = combined
+        return combined
+
+    def partial(self, i: int, p: NcPoly) -> NcPoly:
+        """Coefficient of dx_i in d(p), combined from the cached images of
+        p's monomials (d is linear over the field)."""
         out: dict = {}
         for m, c in p.terms.items():
-            li = m[i - 1]
-            if not li:
-                continue
-            pieces = [{(0,) * self.n: c}]
-            for j in range(1, i):
-                lj = m[j - 1]
-                if lj:
-                    img = apply_endo(nu_i, self.pres.mono(
-                        tuple(lj if g == j else 0 for g in range(1, self.n + 1))), self.pres)
-                    pieces.append(img.terms)
-            ladder = self._ladder(i, li)
-            pieces.append({tuple(e if g == i else 0
-                                 for g in range(1, self.n + 1)): v
-                           for e, v in ladder.items()})
-            suffix = tuple(m[g - 1] if g > i else 0 for g in range(1, self.n + 1))
-            pieces.append({suffix: field.one})
-            combined = {(0,) * self.n: field.one}
-            for piece in pieces:
-                nxt: dict = {}
-                for e1, c1 in combined.items():
-                    for e2, c2 in piece.items():
-                        key = tuple(a + b for a, b in zip(e1, e2))
-                        s = nxt.get(key)
-                        s = c1 * c2 if s is None else s + c1 * c2
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
-                combined = nxt
-            for e, v in combined.items():
+            for e, v in self._partial_monomial(i, m).items():
                 s = out.get(e)
-                s = v if s is None else s + v
+                s = c * v if s is None else s + c * v
                 if s:
                     out[e] = s
                 else:
@@ -287,16 +300,20 @@ class CalculusContext:
             return DiffForm(1, {(i,): self.partial(i, p)
                                 for i in range(1, self.n + 1)})
         sign = self.pres.field.one if f.degree % 2 == 0 else -self.pres.field.one
-        out = self.zero_form(f.degree + 1)
+        out: dict = {}
         for s, p in f.components.items():
-            dp = self.d(p)
-            for (i,), q in dp.components.items():
+            for i in range(1, self.n + 1):
+                q = self.partial(i, p)
+                if not q:
+                    continue
                 sorted_basis = self.basis_sort(s + (i,))
                 if sorted_basis is None:
                     continue
                 factor, idx = sorted_basis
-                out = out + DiffForm(f.degree + 1, {idx: q.scale(factor * sign)})
-        return out
+                q = q.scale(factor * sign)
+                prev = out.get(idx)
+                out[idx] = q if prev is None else prev + q
+        return DiffForm(f.degree + 1, out)
 
 
 # -- module-level operation names ---------------------------------------------
@@ -328,35 +345,35 @@ def _monomials_up_to(n: int, max_degree: int):
 
 
 def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
-    """Exact kernel basis of d on the polynomials of total degree <= bound."""
+    """Exact kernel basis of d on the polynomials of total degree <= bound.
+
+    The d-matrix has one column per monomial and one row per (i, monomial)
+    pair of an image dx_i * monomial; it is built and eliminated sparse.
+    """
     if max_degree < 1:
         raise MismatchedArityError("the degree bound must be at least 1")
-    field = ctx.pres.field
     cols = _monomials_up_to(ctx.n, max_degree)
-    col_index = {m: c for c, m in enumerate(cols)}
-    row_index: dict = {}
-    rows_data = []
+    rows: dict = {}
     for cidx, m in enumerate(cols):
         image = ctx.d(ctx.pres.mono(m))
         for (i,), q in image.components.items():
             for mono, coeff in q.terms.items():
-                key = (i, mono)
-                ridx = row_index.setdefault(key, len(row_index))
-                rows_data.append((ridx, cidx, coeff))
-    matrix = [[field.zero] * len(cols) for _ in range(max(len(row_index), 1))]
-    for r, c, v in rows_data:
-        matrix[r][c] = matrix[r][c] + v
-    basis = linalg.nullspace(field, matrix, ncols=len(cols))
-    return [NcPoly({cols[c]: v for c, v in enumerate(vec) if v}) for vec in basis]
+                row = rows.get((i, mono))
+                if row is None:
+                    row = rows[(i, mono)] = {}
+                row[cidx] = coeff
+    basis = linalg.sparse_nullspace(ctx.pres.field, list(rows.values()), len(cols))
+    return [NcPoly({cols[c]: v for c, v in vec.items()}) for vec in basis]
+
+
+def kernel_is_scalars(basis, n: int) -> bool:
+    """A kernel basis from ``kernel_of_d_bounded`` spans exactly the scalars."""
+    return len(basis) == 1 and set(basis[0].terms) == {(0,) * n}
 
 
 def connected_at(ctx: CalculusContext, max_degree: int) -> bool:
     """Kernel of d on degree <= bound is exactly the scalars."""
-    basis = kernel_of_d_bounded(ctx, max_degree)
-    if len(basis) != 1:
-        return False
-    poly = basis[0]
-    return set(poly.terms) == {(0,) * ctx.n}
+    return kernel_is_scalars(kernel_of_d_bounded(ctx, max_degree), ctx.n)
 
 
 # -- integral-form coefficients -------------------------------------------------

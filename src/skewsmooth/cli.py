@@ -24,10 +24,6 @@ from .diffusion import DiffusionType
 _CALCULUS_SEED = 20240 + 1  # fixed: the calculus command takes no seed flag
 
 
-def _scalar(value) -> str:
-    return str(value)
-
-
 def _endo_json(pres: Presentation, endo) -> dict:
     images = {}
     for g in range(1, pres.n + 1):
@@ -91,12 +87,12 @@ def _cmd_classify3d(args) -> int:
         "command": "classify3d",
         "name": alg.name,
         "label": cls.label,
-        "parameters": {k: _scalar(v) for k, v in cls.parameters.items()},
+        "parameters": {k: str(v) for k, v in cls.parameters.items()},
         "header_condition": cls.header_ok,
     }
     _emit(payload, args.json,
           [f"class: {cls.label}",
-           *(f"{k} = {_scalar(v)}" for k, v in sorted(cls.parameters.items()))])
+           *(f"{k} = {v}" for k, v in sorted(cls.parameters.items()))])
     return 0
 
 
@@ -147,7 +143,7 @@ def _cmd_calculus(args) -> int:
         if ddm:
             dd_failures.append(m)
     kernel = calc.kernel_of_d_bounded(ctx, bound)
-    connected = calc.connected_at(ctx, bound)
+    connected = calc.kernel_is_scalars(kernel, pres.n)
     coeffs = calc.integral_form_coefficients(ctx)
     normalization_ok = True
     for (k, subset), value in sorted(coeffs.a.items()):
@@ -207,7 +203,7 @@ def _cmd_diffusion_classify(args) -> int:
 def _commutation_json(report: diff.CommutationReport) -> dict:
     counter = None
     if report.counterexample:
-        counter = {k: (v if isinstance(v, (int, str)) else _scalar(v))
+        counter = {k: (v if isinstance(v, (int, str)) else str(v))
                    for k, v in report.counterexample.items()}
     return {
         "status": report.status,

@@ -27,7 +27,7 @@ from .errors import (BadCharacteristicError, DuplicatePairError,
                      PresentationSyntaxError, ZeroQuadCoeffError)
 from .scalars import QQ, field_from_name
 
-__all__ = ["AlgebraFile", "parse", "emit", "parse_file", "scalar_text"]
+__all__ = ["AlgebraFile", "parse", "emit", "parse_file"]
 
 _SCALAR_RE = r"-?\d+(?:/\d+)?"
 _REL_LHS_RE = re.compile(
@@ -218,19 +218,15 @@ def parse_file(path: str) -> AlgebraFile:
         return parse(fh.read())
 
 
-def scalar_text(value) -> str:
-    return str(value)
-
-
 def _linear_text(tail: dict, const, n: int) -> str:
     bits = []
     for g in sorted(tail):
         c = tail[g]
         if not c:
             continue
-        bits.append(f"x{g}" if c == 1 else f"{scalar_text(c)}*x{g}")
+        bits.append(f"x{g}" if c == 1 else f"{c}*x{g}")
     if const:
-        bits.append(scalar_text(const))
+        bits.append(str(const))
     if not bits:
         return "0"
     text = bits[0]
@@ -251,7 +247,7 @@ def emit(alg: AlgebraFile) -> str:
             tail = {g: vec[g - 1] for g in range(1, pres.n + 1) if vec[g - 1]}
             if rule.quad == pres.field.one and not tail and not const:
                 continue
-            lines.append(f"x{i}*x{j} - {scalar_text(rule.quad)}*x{j}*x{i} = "
+            lines.append(f"x{i}*x{j} - {rule.quad}*x{j}*x{i} = "
                          + _linear_text(tail, const, pres.n))
     else:
         dp: DiffusionPresentation = alg.payload
@@ -262,9 +258,9 @@ def emit(alg: AlgebraFile) -> str:
                 v = dp.lam(i, j)
                 default = dp.field.one if i < j else dp.field.zero
                 if v != default:
-                    lines.append(f"lambda {i} {j} = {scalar_text(v)}")
+                    lines.append(f"lambda {i} {j} = {v}")
         if dp.dtype is DiffusionType.TYPE1:
             for i, v in enumerate(dp.x, start=1):
                 if v:
-                    lines.append(f"x {i} = {scalar_text(v)}")
+                    lines.append(f"x {i} = {v}")
     return "\n".join(lines) + "\n"

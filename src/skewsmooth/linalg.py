@@ -1,44 +1,130 @@
-"""Small exact dense linear algebra over an arbitrary field.
+"""Small exact linear algebra over an arbitrary field.
 
-Matrices are lists of row lists of field elements.  All routines are exact;
-there is no pivot-size heuristics because the scalars are exact anyway.
+Everything runs on one sparse routine: Gauss-Jordan elimination on rows
+stored as ``{column: value}`` dicts that never hold a zero value, in the
+manner of structured Gaussian elimination.  The d-matrix of the calculus is
+mostly zeros (1.4 % nonzero at degree 6, 0.4 % at degree 12), and only the
+stored entries are ever touched.
+``rref``, ``rank``, ``nullspace``, ``solve_affine`` and ``det`` take and
+return dense matrices (lists of row lists) and adapt them to that routine.
+All arithmetic is exact; pivots are chosen by position, not by size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["rref", "rank", "nullspace", "solve_affine", "det", "AffineSolutionSet"]
+__all__ = ["eliminate", "sparse_nullspace", "rref", "rank", "nullspace", "solve_affine",
+           "det", "AffineSolutionSet"]
+
+
+def _add_multiple(row: dict, factor, other: dict) -> None:
+    """row += factor * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        s = row.get(c)
+        s = factor * v if s is None else s + factor * v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+
+
+def _forward(field, rows):
+    """Reduce each row against the pivot rows found before it.
+
+    Returns ``(echelon, leads, product)``: ``echelon`` maps each pivot column
+    to a row that is one there and zero in every column left of it; ``leads``
+    lists the pivot column of each independent row, in input order;
+    ``product`` multiplies their pivot values before scaling.  A row that
+    reduces to zero gets no pivot.
+    """
+    one = field.one
+    echelon: dict = {}
+    leads = []
+    product = one
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot_row = echelon.get(lead)
+            if pivot_row is None:
+                break
+            _add_multiple(row, -row[lead], pivot_row)
+        if not row:
+            continue
+        value = row[lead]
+        inv = one / value
+        echelon[lead] = {c: v * inv for c, v in row.items()}
+        leads.append(lead)
+        product = product * value
+    return echelon, leads, product
+
+
+def eliminate(field, rows):
+    """Reduced row echelon form of sparse rows (dicts ``{column: value}``).
+
+    Returns ``(reduced, pivots)``: the nonzero reduced rows in increasing
+    pivot order, each one at its pivot column and zero at every other pivot
+    column, and the list of pivot columns.  The input is not modified.
+    """
+    echelon, _, _ = _forward(field, rows)
+    pivots = sorted(echelon)
+    # back substitution, rightmost pivot first: the rows used are already reduced
+    for p in reversed(pivots):
+        row = echelon[p]
+        for c in [c for c in row if c != p and c in echelon]:
+            _add_multiple(row, -row[c], echelon[c])
+    return [echelon[p] for p in pivots], pivots
+
+
+def _kernel_basis(field, reduced, pivots, ncols: int):
+    """Read the null space basis off reduced rows: one vector per free column
+    below ``ncols``, one there and minus the row entries at the pivots.
+    Entries at columns from ``ncols`` on (an augmented right-hand side) are
+    left out."""
+    pivot_set = set(pivots)
+    basis = {fc: {fc: field.one} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        for c, v in row.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[pc] = -v
+    return [{c: vec[c] for c in sorted(vec)} for vec in basis.values()]
+
+
+def sparse_nullspace(field, rows, ncols: int):
+    """Basis of {v : A v = 0} for sparse rows, one ``{column: value}`` dict
+    per free column, in increasing order of the free column."""
+    reduced, pivots = eliminate(field, rows)
+    return _kernel_basis(field, reduced, pivots, ncols)
+
+
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _dense(field, row: dict, ncols: int) -> list:
+    out = [field.zero] * ncols
+    for c, v in row.items():
+        out[c] = v
+    return out
 
 
 def rref(field, rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns); the zero
+    rows come last, so the row count is unchanged."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    reduced, pivots = eliminate(field, _sparse(rows))
+    out = [_dense(field, r, ncols) for r in reduced]
+    out += [[field.zero] * ncols for _ in range(len(rows) - len(out))]
+    return out, pivots
 
 
 def rank(field, rows) -> int:
-    return len(rref(field, rows)[1])
+    return len(_forward(field, _sparse(rows))[1])
 
 
 def nullspace(field, rows, ncols=None):
@@ -47,18 +133,7 @@ def nullspace(field, rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        rows = [[field.zero] * ncols]
-    red, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return [_dense(field, v, ncols) for v in sparse_nullspace(field, _sparse(rows), ncols)]
 
 
 @dataclass(frozen=True)
@@ -85,33 +160,39 @@ def solve_affine(field, rows, rhs) -> AffineSolutionSet:
     if not rows:
         raise ValueError("empty system; pass explicit trivial rows instead")
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    if ncols in pivots:
+    aug = _sparse(rows)
+    for row, b in zip(aug, rhs):
+        if b:
+            row[ncols] = b
+    reduced, pivots = eliminate(field, aug)
+    if pivots and pivots[-1] == ncols:
         return AffineSolutionSet(None, ())
     part = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        part[pc] = red[r][ncols]
-    hom = nullspace(field, [r[:ncols] for r in red], ncols)
-    return AffineSolutionSet(tuple(part), tuple(tuple(v) for v in hom))
+    for row, pc in zip(reduced, pivots):
+        part[pc] = row.get(ncols, field.zero)
+    hom = _kernel_basis(field, reduced, pivots, ncols)
+    return AffineSolutionSet(tuple(part),
+                             tuple(tuple(_dense(field, v, ncols)) for v in hom))
 
 
 def det(field, rows):
-    """Exact determinant by cofactor expansion (intended for n <= 4)."""
+    """Exact determinant: the product of the pivots, times the sign of the
+    permutation that takes each row to its pivot column."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return field.one
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = field.zero
-    sign = field.one
-    for c in range(n):
-        if rows[0][c]:
-            minor = [[row[j] for j in range(n) if j != c] for row in rows[1:]]
-            total = total + sign * rows[0][c] * det(field, minor)
-        sign = -sign
-    return total
+    _, leads, product = _forward(field, _sparse(rows))
+    if len(leads) < n:
+        return field.zero
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        length, k = 0, start
+        while not seen[k]:
+            seen[k] = True
+            k = leads[k]
+            length += 1
+        if length % 2 == 0:
+            product = -product
+    return product

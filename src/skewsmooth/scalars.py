@@ -17,16 +17,39 @@ from .errors import BadCharacteristicError
 __all__ = ["QQ", "RationalField", "PrimeField", "FpElement", "field_from_name"]
 
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly for every
+# n below this bound, which is the least strong pseudoprime to all of them
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin.  Moduli from ``_MR_LIMIT`` on are rejected
+    with ``BadCharacteristicError``: no fixed base set is proven exact there."""
+    if p >= _MR_LIMIT:
+        raise BadCharacteristicError(
+            f"modulus {p} is too large: primality is only decided exactly below "
+            f"{_MR_LIMIT} (deterministic Miller-Rabin on the first 13 prime bases)")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

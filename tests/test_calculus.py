@@ -8,7 +8,7 @@ from skewsmooth.algebra import NcPoly, Presentation
 from skewsmooth.calculus import (CalculusContext, DiffForm, connected_at,
                                  integral_form_coefficients, kernel_of_d_bounded,
                                  random_form, verify_integrability, _monomials_up_to)
-from skewsmooth.catalog import from_display, three_dim_grid
+from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
 from skewsmooth.endos import AffineEndo, apply_endo, identity_endo
 from skewsmooth.scalars import QQ
 from skewsmooth.smoothness import Verdict, decide
@@ -180,6 +180,17 @@ class TestDSquaredAndLeibniz:
             assert lhs == rhs
 
 
+class TestDifferentialCache:
+    def test_cached_d_matches_a_fresh_context(self):
+        rng = random.Random(8)
+        for entry, ctx in smooth_contexts():
+            for _ in range(6):
+                p = random_poly(ctx.pres, rng, max_degree=4, terms=4)
+                fresh = CalculusContext(ctx.pres, ctx.nus)
+                assert ctx.d(p) == fresh.d(p)
+                assert ctx.d(ctx.d(p)) == CalculusContext(ctx.pres, ctx.nus).d(fresh.d(p))
+
+
 class TestKernel:
     def test_commutative_kernel_is_scalars(self):
         pres = Presentation.commutative(QQ, 2)
@@ -190,6 +201,13 @@ class TestKernel:
     def test_reference_instance_connected(self):
         ctx = reference_context()
         assert connected_at(ctx, 4)
+
+    def test_class_2b_at_degree_12_is_scalars(self):
+        # 1092 x 455 d-matrix with about 2000 nonzeros; out of reach densely
+        pres = three_dim_class("2b", beta=3, b=7)
+        ctx = CalculusContext(pres, decide(pres, 3).witness)
+        basis = kernel_of_d_bounded(ctx, 12)
+        assert basis == [pres.one()]
 
     def test_torsion_twist_blows_up_kernel(self):
         # x -> -x: d(x^2) = dx (x - x) = 0, so even monomials join the kernel

@@ -120,6 +120,22 @@ def test_calculus_report(files, capsys):
     assert calculus["integrability"]["pass"] is True
 
 
+def test_calculus_builds_the_kernel_once(files, capsys, monkeypatch):
+    from skewsmooth import calculus
+    calls = []
+    original = calculus.kernel_of_d_bounded
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "kernel_of_d_bounded", counting)
+    code, out, _ = run(capsys, "calculus", files["reference3"], "--max-degree", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["calculus"]["connected_at_bound"] is True
+    assert len(calls) == 1
+
+
 def test_calculus_without_witness(files, capsys):
     code, out, _ = run(capsys, "calculus", files["class5a"], "--max-degree", "3", "--json")
     assert code == 0

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from skewsmooth.linalg import AffineSolutionSet, det, nullspace, rank, rref, solve_affine
 from skewsmooth.scalars import QQ, PrimeField
 
@@ -75,3 +77,105 @@ def test_prime_field_solve():
 def test_affine_solution_set_api():
     s = AffineSolutionSet(None, ())
     assert s.is_empty and s.dimension == -1
+
+
+# -- sympy oracle for the sparse elimination routine ---------------------------
+
+FIELDS = [QQ, PrimeField(7), PrimeField(2147483647)]
+
+
+def _random_sparse(rng, field, nrows, ncols, density=0.3):
+    def entry():
+        if rng.random() >= density:
+            return field.zero
+        return field.random_nonzero(rng, 5)
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _shapes(rng, field):
+    """Wide, tall, with zero rows, with duplicate rows, and all-zero."""
+    out = []
+    for _ in range(4):
+        out.append(_random_sparse(rng, field, rng.randint(1, 4), rng.randint(5, 9)))
+        out.append(_random_sparse(rng, field, rng.randint(5, 9), rng.randint(1, 4)))
+        m = _random_sparse(rng, field, rng.randint(3, 7), rng.randint(3, 7))
+        m[rng.randrange(len(m))] = [field.zero] * len(m[0])
+        out.append(m)
+        m = _random_sparse(rng, field, rng.randint(3, 6), rng.randint(3, 7), density=0.5)
+        m.append(list(m[rng.randrange(len(m))]))
+        m.append([x * 3 for x in m[rng.randrange(len(m))]])
+        rng.shuffle(m)
+        out.append(m)
+    out.append([[field.zero] * 4 for _ in range(3)])
+    return out
+
+
+def _domain_matrix(field, rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    if field == QQ:
+        dom = sympy.QQ
+        elems = [[dom(x.numerator, x.denominator) for x in r] for r in rows]
+    else:
+        dom = sympy.GF(field.p)
+        elems = [[dom(x.value) for x in r] for r in rows]
+    return DomainMatrix(elems, (len(rows), len(rows[0])), dom)
+
+
+def _from_domain(field, elem):
+    if field == QQ:
+        return F(int(elem.numerator), int(elem.denominator))
+    return field.coerce(int(elem) % field.p)
+
+
+def _matvec(field, rows, v):
+    return [sum((a * b for a, b in zip(r, v)), field.zero) for r in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rref_rank_nullspace_match_sympy(field):
+    rng = random.Random(11)
+    for rows in _shapes(rng, field):
+        dm = _domain_matrix(field, rows)
+        ref, ref_pivots = dm.rref()
+        red, pivots = rref(field, rows)
+        assert pivots == list(ref_pivots)
+        assert red == [[_from_domain(field, x) for x in r] for r in ref.to_list()]
+        assert rank(field, rows) == dm.rank()
+        basis = nullspace(field, rows)
+        assert len(basis) == len(rows[0]) - dm.rank()
+        for v in basis:
+            assert all(not x for x in _matvec(field, rows, v))
+        if basis:
+            assert rank(field, basis) == len(basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_solve_affine_matches_sympy(field):
+    rng = random.Random(12)
+    for rows in _shapes(rng, field):
+        consistent_rhs = _matvec(field, rows, [field.random(rng, 5) for _ in rows[0]])
+        random_rhs = [field.random(rng, 5) for _ in rows]
+        for rhs in (consistent_rhs, random_rhs):
+            aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+            rank_a = _domain_matrix(field, rows).rank()
+            consistent = _domain_matrix(field, aug).rank() == rank_a
+            sol = solve_affine(field, rows, rhs)
+            assert sol.is_empty is not consistent
+            if consistent:
+                assert _matvec(field, rows, sol.particular) == list(rhs)
+                assert sol.dimension == len(rows[0]) - rank_a
+                for v in sol.homogeneous:
+                    assert all(not x for x in _matvec(field, rows, v))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_det_matches_sympy(field):
+    rng = random.Random(13)
+    for n in range(1, 6):
+        for density in (0.3, 0.7, 1.0):
+            for _ in range(4):
+                rows = _random_sparse(rng, field, n, n, density)
+                expected = _from_domain(field, _domain_matrix(field, rows).det())
+                assert det(field, rows) == expected
+    assert det(field, []) == field.one
