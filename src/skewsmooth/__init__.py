@@ -7,11 +7,10 @@ the certifying twist family, and verifies the combinatorial and linear-algebra
 identities used by three-generator diffusion presentations.
 """
 
-from .algebra import (NcPoly, Ordering, Presentation, check_pbw_overlaps,
-                      degree_truncation, multiply, normal_form, relabel)
-from .calculus import (CalculusContext, DiffForm, connected_at, differential,
-                       integral_form_coefficients, kernel_of_d_bounded, left_act,
-                       verify_integrability, wedge)
+from .algebra import NcPoly, Ordering, Presentation, degree_truncation, relabel
+from .calculus import (CalculusContext, DiffForm, connected_at,
+                       integral_form_coefficients, kernel_of_d_bounded,
+                       verify_integrability)
 from .diffusion import (DiffusionPresentation, DiffusionType, build_aut_matrices,
                         check_derivation_constant_terms, classify_diffusion_3,
                         crosswalk_to_3d, encode_presentation, pq_p, pq_q,

@@ -15,7 +15,9 @@ inversion among non-central letters, a tail word either drops total degree or
 (degree-two tails, which must involve a central letter) removes a non-central
 inversion while adding only central-letter inversions, and central swaps fix a
 remaining inversion.  The measure (degree, non-central inversions, all
-inversions) decreases lexicographically at every step.
+inversions) decreases lexicographically at every step.  Each memo entry of the
+rewriting engine waits only for entries whose words lie below its own in this
+measure, so the engine's work stack always empties.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ __all__ = [
     "Presentation",
     "OverlapCheck",
     "OverlapReport",
-    "normal_form",
-    "multiply",
-    "check_pbw_overlaps",
     "degree_truncation",
     "relabel",
 ]
@@ -48,6 +47,17 @@ Word = tuple      # product of 1-based generator indices, leftmost factor first
 class Ordering(str, Enum):
     ASCENDING = "ascending"
     DESCENDING = "descending"
+
+
+def _accumulate(out: dict, terms: Mapping) -> None:
+    """Add ``terms`` into ``out`` in place, dropping coefficients that cancel."""
+    for m, c in terms.items():
+        s = out.get(m)
+        s = c if s is None else s + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
 
 
 class NcPoly:
@@ -78,13 +88,7 @@ class NcPoly:
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        _accumulate(out, other.terms)
         res = NcPoly.__new__(NcPoly)
         res.terms = out
         return res
@@ -168,6 +172,7 @@ class Presentation:
                  pairs: Mapping[tuple, PairRule] | None = None,
                  central: Iterable[int] = (), names: tuple | None = None):
         self.field = field
+        self._one = field.one
         self.n = n
         self.ordering = Ordering(ordering)
         self.central = frozenset(central)
@@ -179,13 +184,18 @@ class Presentation:
         for i, j in combinations(range(1, n + 1), 2):
             rule = pairs.pop((i, j), None)
             if rule is None:
-                rule = PairRule(field.one, ())
+                rule = PairRule(self._one, ())
             self._validate_rule(i, j, rule)
             full[(i, j)] = rule
         if pairs:
             raise MismatchedArityError(f"pair keys out of range: {sorted(pairs)}")
         self.pairs = full
-        self._nf_cache: dict = {}
+        self._memo: dict = {}           # (core monomial, generator) -> {monomial: coeff}
+        self._branch_table: dict = {}   # wrong-order pair (u, v) -> rewrite branches
+        self._core_mask = tuple(0 if g in self.central else 1 for g in range(1, n + 1))
+        # 0-based non-central positions, from the last letter of a normal word
+        scan = range(n - 1, -1, -1) if self.ordering is Ordering.ASCENDING else range(n)
+        self._scan = tuple(i for i in scan if i + 1 not in self.central)
 
     def _validate_rule(self, i, j, rule: PairRule):
         n = self.n
@@ -208,7 +218,7 @@ class Presentation:
                 if u not in self.central and v not in self.central:
                     raise MismatchedArityError(
                         "degree-two tail words must involve a central generator")
-        if (i in self.central or j in self.central) and (rule.quad != self.field.one or rule.tail):
+        if (i in self.central or j in self.central) and (rule.quad != self._one or rule.tail):
             raise MismatchedArityError(
                 f"central pair ({i}, {j}) must be plainly commutative")
 
@@ -286,7 +296,7 @@ class Presentation:
         return NcPoly.zero()
 
     def one(self) -> NcPoly:
-        return NcPoly({(0,) * self.n: self.field.one})
+        return NcPoly({(0,) * self.n: self._one})
 
     def scalar(self, c) -> NcPoly:
         return NcPoly({(0,) * self.n: self.field.coerce(c)})
@@ -296,13 +306,13 @@ class Presentation:
             raise MismatchedArityError(f"generator {i} out of range")
         exps = [0] * self.n
         exps[i - 1] = 1
-        return NcPoly({tuple(exps): self.field.one})
+        return NcPoly({tuple(exps): self._one})
 
     def mono(self, exps, coeff=None) -> NcPoly:
         exps = tuple(exps)
         if len(exps) != self.n or any(e < 0 for e in exps):
             raise MismatchedArityError(f"bad exponent vector {exps}")
-        return NcPoly({exps: self.field.one if coeff is None else self.field.coerce(coeff)})
+        return NcPoly({exps: self._one if coeff is None else self.field.coerce(coeff)})
 
     def poly(self, terms: Mapping) -> NcPoly:
         out = {}
@@ -322,69 +332,175 @@ class Presentation:
         return tuple(g for g in gens for _ in range(m[g - 1]))
 
     # -- rewriting -----------------------------------------------------------
-
-    def _wrong_order(self, u: int, v: int) -> bool:
-        return u > v if self.ordering is Ordering.ASCENDING else u < v
+    #
+    # Every rewrite is a left fold of "monomial times generator".  In the word
+    # of a normal-ordered monomial m followed by x_g the only wrong-order pair
+    # is (last letter h of m, g), so leftmost rewriting of m'.h.g is the sum,
+    # over the branches of (h, g), of the coefficient times the fold of the
+    # branch word into m'.  A word w_1 ... w_k is reduced prefix first by the
+    # leftmost strategy, so folding its letters one by one into 1 gives exactly
+    # the leftmost normal form, whether or not the presentation is PBW.
+    #
+    # Products m . x_g are memoised per (core, g), where the core is m with its
+    # central exponents zeroed: a central letter commutes plainly with every
+    # generator, so m . x_g is core . x_g with the central part of m added back
+    # as an exponent shift, and m . x_c = m + e_c for central c.  Missing memo
+    # entries are computed from an explicit work stack, so the depth of a
+    # rewrite is bounded by the heap and not by the interpreter's recursion
+    # limit.
 
     def _branches(self, u: int, v: int):
-        """Rewrite branches for the adjacent wrong-order product x_u x_v."""
+        """Rewrite branches (coeff, word) for the adjacent wrong-order product
+        x_u x_v, built on first use.  Zero branches are dropped and a
+        coefficient equal to one is the field's one, so products skip it."""
+        out = self._branch_table.get((u, v))
+        if out is not None:
+            return out
+        one = self._one
         if self.ordering is Ordering.ASCENDING:
             rule = self.pairs[(v, u)]
-            inv = self.field.one / rule.quad
-            out = [(inv, (v, u))]
-            out.extend((-(t * inv), w) for t, w in rule.tail)
+            inv = one / rule.quad
+            raw = [(inv, (v, u))] + [(-(t * inv), w) for t, w in rule.tail]
         else:
             rule = self.pairs[(u, v)]
-            out = []
-            if rule.quad:
-                out.append((rule.quad, (v, u)))
-            out.extend(rule.tail)
+            raw = [(rule.quad, (v, u))] + list(rule.tail)
+        out = tuple((one if c == one else c, w) for c, w in raw if c)
+        self._branch_table[(u, v)] = out
         return out
 
-    def _word_to_monomial(self, word: Word) -> Monomial:
-        exps = [0] * self.n
-        for g in word:
-            exps[g - 1] += 1
-        return tuple(exps)
+    def _image(self, m: Monomial, g: int, missing: list):
+        """m . x_g as {monomial: coeff}, or None when it waits for a memo entry;
+        the missing (core, generator) key is then appended to ``missing``.
+        The returned map may be a memo entry and must not be modified."""
+        gi = g - 1
+        if g in self.central:
+            e = list(m)
+            e[gi] += 1
+            return {tuple(e): self._one}
+        core = m
+        if self.central:
+            stripped = tuple(e * k for e, k in zip(m, self._core_mask))
+            if stripped != m:
+                core = stripped
+        normal = not any(core[g:]) if self.ordering is Ordering.ASCENDING \
+            else not any(core[:gi])
+        if normal:
+            e = list(m)
+            e[gi] += 1
+            return {tuple(e): self._one}
+        out = self._memo.get((core, g))
+        if out is None:
+            missing.append((core, g))
+            return None
+        if core is m:
+            return out
+        shift = tuple(a - b for a, b in zip(m, core))
+        return {tuple(a + b for a, b in zip(r, shift)): c for r, c in out.items()}
 
-    def _nf_word(self, word: Word) -> NcPoly:
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        pos = next((t for t in range(len(word) - 1)
-                    if self._wrong_order(word[t], word[t + 1])), None)
-        if pos is None:
-            result = NcPoly({self._word_to_monomial(word): self.field.one})
-        else:
-            u, v = word[pos], word[pos + 1]
-            head, tail = word[:pos], word[pos + 2:]
-            result = NcPoly.zero()
-            for coeff, repl in self._branches(u, v):
-                result = result + self._nf_word(head + repl + tail).scale(coeff)
-        self._nf_cache[word] = result
-        return result
+    def _step(self, terms: dict, g: int, missing: list):
+        """terms . x_g, or None (with the missing memo keys appended to
+        ``missing``) when some product is not memoised yet."""
+        images = []
+        for m, c in terms.items():
+            img = self._image(m, g, missing)
+            if img is not None:
+                images.append((c, img))
+        if len(images) < len(terms):
+            return None
+        one = self._one
+        out: dict = {}
+        for c, img in images:
+            for r, rc in img.items():
+                v = c if rc is one else rc if c is one else c * rc
+                s = out.get(r)
+                if s is None:
+                    out[r] = v
+                else:
+                    s = s + v
+                    if s:
+                        out[r] = s
+                    else:
+                        del out[r]
+        return out
+
+    def _attempt(self, key, missing: list):
+        """The memo entry core . x_g for a wrong-order key, or None when it
+        waits for other entries (appended to ``missing``)."""
+        core, g = key
+        h = next(i for i in self._scan if core[i]) + 1
+        e = list(core)
+        e[h - 1] -= 1
+        rest = tuple(e)
+        out: dict = {}
+        waiting = False
+        for coeff, word in self._branches(h, g):
+            terms = {rest: coeff}
+            for letter in word:
+                terms = self._step(terms, letter, missing)
+                if terms is None:
+                    break
+            if terms is None:
+                waiting = True      # the other branches still report their keys
+            elif not waiting:
+                _accumulate(out, terms)
+        return None if waiting else out
+
+    def _solve(self, keys: list) -> None:
+        """Memoise the given keys and everything they wait for, without
+        recursion: a key whose entry waits for others stays on the work stack
+        below them and is retried once they are done."""
+        memo = self._memo
+        stack = list(keys)
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            out = self._attempt(key, stack)
+            if out is not None:
+                memo[key] = out
+                stack.pop()
+
+    def _fold(self, terms: dict, word) -> dict:
+        """terms . x_{w_1} ... x_{w_k}, one letter at a time."""
+        for g in word:
+            missing: list = []
+            out = self._step(terms, g, missing)
+            if out is None:
+                self._solve(missing)
+                out = self._step(terms, g, missing)
+            terms = out
+        return terms
+
+    def _poly(self, terms: dict) -> NcPoly:
+        res = NcPoly.__new__(NcPoly)
+        res.terms = terms
+        return res
 
     def normal_form(self, word_or_terms) -> NcPoly:
         """PBW normal form of a raw word or of scalar-weighted word terms."""
         if isinstance(word_or_terms, tuple):
-            terms = [(self.field.one, word_or_terms)]
+            terms = [(self._one, word_or_terms)]
         else:
             terms = list(word_or_terms)
-        out = NcPoly.zero()
+        unit = (0,) * self.n
+        out: dict = {}
         for coeff, word in terms:
             for g in word:
                 if not (1 <= g <= self.n):
                     raise MismatchedArityError(f"generator {g} out of range (n={self.n})")
-            out = out + self._nf_word(tuple(word)).scale(self.field.coerce(coeff))
-        return out
+            coeff = self.field.coerce(coeff)
+            if coeff:
+                _accumulate(out, self._fold({unit: coeff}, word))
+        return self._poly(out)
 
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:
-        out = NcPoly.zero()
-        for m1, c1 in p.terms.items():
-            w1 = self.monomial_word(m1)
-            for m2, c2 in q.terms.items():
-                out = out + self._nf_word(w1 + self.monomial_word(m2)).scale(c1 * c2)
-        return out
+        one = self._one
+        out: dict = {}
+        for m2, c2 in q.terms.items():
+            part = self._fold(p.terms, self.monomial_word(m2))
+            _accumulate(out, part if c2 is one else {r: c * c2 for r, c in part.items()})
+        return self._poly(out)
 
     def product(self, *polys: NcPoly) -> NcPoly:
         out = self.one()
@@ -399,6 +515,7 @@ class Presentation:
         first steps; both reducts are brought to normal form and compared.
         """
         checks = []
+        unit = (0,) * self.n
         for i, j, k in combinations(range(1, self.n + 1), 3):
             if self.ordering is Ordering.ASCENDING:
                 word = (k, j, i)
@@ -407,11 +524,11 @@ class Presentation:
             reducts = []
             for pos in (0, 1):
                 u, v = word[pos], word[pos + 1]
-                total = NcPoly.zero()
+                total: dict = {}
                 for coeff, repl in self._branches(u, v):
                     rewritten = word[:pos] + repl + word[pos + 2:]
-                    total = total + self._nf_word(rewritten).scale(coeff)
-                reducts.append(total)
+                    _accumulate(total, self._fold({unit: coeff}, rewritten))
+                reducts.append(self._poly(total))
             diff = reducts[0] - reducts[1]
             checks.append(OverlapCheck(i, j, k, not diff, diff))
         return OverlapReport(tuple(checks))
@@ -427,9 +544,9 @@ class Presentation:
                 for g, e in enumerate(m) if e)
             if not mono:
                 bits.append(str(c))
-            elif c == self.field.one:
+            elif c == self._one:
                 bits.append(mono)
-            elif c == -self.field.one:
+            elif c == -self._one:
                 bits.append(f"-{mono}")
             else:
                 bits.append(f"{c}*{mono}")
@@ -451,20 +568,6 @@ class Presentation:
 
     def __repr__(self):
         return f"Presentation(n={self.n}, {self.ordering.value}, field={self.field!r})"
-
-
-# -- module-level operation names ------------------------------------------
-
-def normal_form(word_or_terms, pres: Presentation) -> NcPoly:
-    return pres.normal_form(word_or_terms)
-
-
-def multiply(p: NcPoly, q: NcPoly, pres: Presentation) -> NcPoly:
-    return pres.multiply(p, q)
-
-
-def check_pbw_overlaps(pres: Presentation) -> OverlapReport:
-    return pres.check_pbw_overlaps()
 
 
 def degree_truncation(p: NcPoly, max_degree: int) -> NcPoly:

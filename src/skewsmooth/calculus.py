@@ -23,9 +23,6 @@ __all__ = [
     "CalculusContext",
     "DiffForm",
     "VolumeForm",
-    "left_act",
-    "wedge",
-    "differential",
     "kernel_of_d_bounded",
     "kernel_is_scalars",
     "connected_at",
@@ -314,20 +311,6 @@ class CalculusContext:
                 prev = out.get(idx)
                 out[idx] = q if prev is None else prev + q
         return DiffForm(f.degree + 1, out)
-
-
-# -- module-level operation names ---------------------------------------------
-
-def left_act(a: NcPoly, f: DiffForm, ctx: CalculusContext) -> DiffForm:
-    return ctx.left_act(a, f)
-
-
-def wedge(f: DiffForm, g: DiffForm, ctx: CalculusContext) -> DiffForm:
-    return ctx.wedge(f, g)
-
-
-def differential(f, ctx: CalculusContext) -> DiffForm:
-    return ctx.d(f)
 
 
 def _monomials_up_to(n: int, max_degree: int):

@@ -167,7 +167,8 @@ def diffusion_class_instances(label: str, field=QQ):
 
     def dp(lambdas, xs):
         lam = {k: F(v) for k, v in lambdas.items()}
-        return DiffusionPresentation(3, DiffusionType.TYPE1, lam, tuple(F(x) for x in xs))
+        return DiffusionPresentation(3, DiffusionType.TYPE1, lam, tuple(F(x) for x in xs),
+                                     field)
 
     out = []
     if label == "A_I":

@@ -2,9 +2,9 @@
 
 Subcommands: smooth, classify3d, calculus, diffusion-classify,
 verify-identities, pbw-check.  Exit code 0 means the tool ran to completion
-(whatever the mathematical verdict); nonzero signals an input or internal
-error.  All sampled reports are driven by an explicit seed, so identical
-inputs and flags give byte-identical JSON.
+(whatever the mathematical verdict), 1 an input error, 2 a usage error from
+argparse and 3 an internal error.  All sampled reports are driven by an
+explicit seed, so identical inputs and flags give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -310,6 +310,9 @@ def main(argv=None) -> int:
     except (SkewSmoothError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except Exception as exc:    # a fault of the program, not of the input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -57,11 +57,17 @@ class AlgebraFile:
 
 def _parse_scalar(text: str, line: int, col: int, field):
     try:
-        return field.coerce(Fraction(text))
+        value = Fraction(text)
     except ZeroDivisionError:
         raise PresentationSyntaxError(f"scalar {text!r} has zero denominator", line, col)
     except ValueError:
         raise PresentationSyntaxError(f"bad scalar {text!r}", line, col)
+    try:
+        return field.coerce(value)
+    except ZeroDivisionError:
+        raise PresentationSyntaxError(
+            f"scalar {text!r} has a denominator divisible by the characteristic {field.char}",
+            line, col)
 
 
 def _parse_linear(rhs: str, line: int, col: int, field, n: int):

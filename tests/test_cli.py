@@ -207,3 +207,16 @@ def test_parse_error_has_position(tmp_path, capsys):
     code, _, err = run(capsys, "smooth", str(bad))
     assert code == 1
     assert "line 3" in err
+
+
+def test_internal_error_exits_three_without_traceback(files, capsys, monkeypatch):
+    from skewsmooth import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_smooth", broken)
+    code, out, err = run(capsys, "smooth", files["reference3"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"

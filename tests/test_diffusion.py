@@ -334,3 +334,17 @@ class TestDerivationConstants:
             m = _with_span_condition(rng, u1, u2, v1, v2)
             report = check_derivation_constant_terms(m)
             assert report.status == "ZERO_CONSTANTS"
+
+
+def test_catalog_instances_over_a_prime_field():
+    from skewsmooth.scalars import PrimeField
+    field = PrimeField(101)
+    for label in DIFFUSION_LABELS:
+        over_q = diffusion_class_instances(label)
+        over_p = diffusion_class_instances(label, field)
+        assert len(over_p) == len(over_q) == 3
+        for q, p in zip(over_q, over_p):
+            assert p.field == field
+            assert p.lambdas == {k: field.coerce(v) for k, v in q.lambdas.items()}
+            assert p.x == tuple(field.coerce(v) for v in q.x)
+            assert label in classify_diffusion_3(p)

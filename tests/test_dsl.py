@@ -50,6 +50,18 @@ def test_malformed_scalar_zero_denominator():
     assert err.value.line == 3
 
 
+def test_denominator_divisible_by_the_characteristic():
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse("kind: skew\nfield: Fp:7\nn: 2\nx1*x2 - 2*x2*x1 = x1 + 3/14\n")
+    assert err.value.line == 4 and err.value.column == 22
+    assert "divisible by the characteristic 7" in str(err.value)
+    assert "zero denominator" not in str(err.value)
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse("kind: diffusion1\nfield: Fp:7\nn: 2\nx 1 = 1/7\n")
+    assert err.value.line == 4
+    assert "'1/7' has a denominator divisible by the characteristic 7" in str(err.value)
+
+
 def test_zero_quad_coefficient():
     with pytest.raises(ZeroQuadCoeffError):
         parse("kind: skew\nn: 2\nx1*x2 - 0*x2*x1 = 0\n")

@@ -1,0 +1,122 @@
+"""The "monomial x generator" fold against the independent leftmost oracle,
+on PBW and non-PBW presentations, deep words and a low recursion limit."""
+
+import random
+import sys
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewsmooth.algebra import Presentation
+from skewsmooth.catalog import diffusion_class_instances, three_dim_class
+from skewsmooth.diffusion import DiffusionPresentation, DiffusionType, encode_presentation
+from skewsmooth.scalars import QQ, PrimeField
+
+from helpers import (naive_normal_form, random_nonzero_rational, random_poly,
+                     random_rational, random_skew_presentation, random_word)
+
+F_MERSENNE = PrimeField(2 ** 31 - 1)
+
+
+def random_diffusion(rng: random.Random, dtype: DiffusionType) -> Presentation:
+    lambdas = {}
+    for i in range(1, 4):
+        for j in range(1, 4):
+            if i < j:
+                lambdas[(i, j)] = random_nonzero_rational(rng, 4)
+            elif i > j and rng.random() < 0.7:
+                lambdas[(i, j)] = random_rational(rng, 4)
+    xs = tuple(random_rational(rng, 3) for _ in range(3)) \
+        if dtype is DiffusionType.TYPE1 else ()
+    return encode_presentation(DiffusionPresentation(3, dtype, lambdas, xs))
+
+
+def type2_family(label: str, idx: int) -> Presentation:
+    dp = diffusion_class_instances(label)[idx]
+    return encode_presentation(DiffusionPresentation(3, DiffusionType.TYPE2, dp.lambdas))
+
+
+# Presentations that fail the diamond condition: leftmost rewriting is then
+# one choice among several, and the fold must make exactly that choice.  The
+# type-2 members of the families other than A_I and A_II, except C_II #0 and
+# D #1, whose coefficients also satisfy A_II and A_I.
+NON_PBW = [lambda: three_dim_class("5e", a=1), lambda: three_dim_class("5e", a=7)] + [
+    (lambda label=label, idx=idx: type2_family(label, idx))
+    for label in ("B_I", "B_II", "B_III", "B_IV", "C_I", "C_II", "D") for idx in range(3)
+    if (label, idx) not in (("C_II", 0), ("D", 1))]
+
+
+def build(kind: str, rng: random.Random) -> Presentation:
+    if kind == "skew":
+        return random_skew_presentation(rng, rng.randint(2, 4))
+    if kind == "type1":
+        return random_diffusion(rng, DiffusionType.TYPE1)
+    if kind == "type2":
+        return random_diffusion(rng, DiffusionType.TYPE2)
+    return NON_PBW[rng.randrange(len(NON_PBW))]()
+
+
+def test_non_pbw_cases_fail_the_diamond():
+    for make in NON_PBW:
+        assert not make().check_pbw_overlaps().all_pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["skew", "type1", "type2", "non-pbw"]),
+       st.integers(min_value=0, max_value=2 ** 30))
+def test_normal_form_and_multiply_match_the_oracle(kind, seed):
+    rng = random.Random(seed)
+    pres = build(kind, rng)
+    for _ in range(3):
+        word = random_word(rng, pres.n, 6)
+        assert pres.normal_form(word).terms == naive_normal_form(pres, word)
+    terms = [(random_rational(rng, 3), random_word(rng, pres.n, 4)) for _ in range(3)]
+    assert pres.normal_form(terms).terms == naive_normal_form(pres, terms)
+    p = random_poly(pres, rng, max_degree=3)
+    q = random_poly(pres, rng, max_degree=3)
+    expected = naive_normal_form(pres, [
+        (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
+        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
+    assert pres.multiply(p, q).terms == expected
+
+
+def test_deep_word_closed_form():
+    # tail-free, quad coefficients 2, 3, 5: each of the 3 * 30^2 swaps of
+    # x3^30 x2^30 x1^30 divides by one of them
+    for field in (QQ, F_MERSENNE):
+        pres = Presentation.skew(field, 3, {(1, 2): (2, {}, 0), (1, 3): (3, {}, 0),
+                                            (2, 3): (5, {}, 0)})
+        form = pres.normal_form((3,) * 30 + (2,) * 30 + (1,) * 30)
+        assert form == pres.mono((30, 30, 30), field.coerce(F(1, 30)) ** 900)
+
+
+def test_deep_word_needs_no_recursion():
+    pres = three_dim_class("2b", beta=2, b=1)
+    word = (3,) * 20 + (2,) * 20 + (1,) * 20
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        form = pres.normal_form(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    # x3 x1 = beta x1 x3 + ...: each of the 20^2 swaps of x3 past x1 gives beta
+    assert form.terms[(20, 20, 20)] == 2 ** 400
+    assert form.degree() == 60
+
+
+def test_memo_is_reused_across_calls():
+    pres = three_dim_class("2b", beta=2, b=1)
+    word = (3,) * 6 + (2,) * 6 + (1,) * 6
+    first = pres.normal_form(word)
+    size = len(pres._memo)
+    assert size > 0
+    assert pres.normal_form(word) == first and len(pres._memo) == size
+
+
+def test_class_5e_discrepancy_is_minus_a_x1():
+    for a in (1, 7, F(2, 3)):
+        pres = three_dim_class("5e", a=a)
+        failures = pres.check_pbw_overlaps().failures()
+        assert len(failures) == 1
+        assert failures[0].discrepancy == pres.mono((1, 0, 0), -a)
