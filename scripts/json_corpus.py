@@ -9,6 +9,9 @@ The corpus is:
   instance of every diffusion family, over Q and F_101;
 - ``calculus --max-degree 5 --verify-integrability 1`` on the instances the
   catalog expects to be sufficiently smooth, over Q and F_101;
+- ``calculus --max-degree 7 --verify-integrability 2`` on the instances of
+  ``three_dim_grid(PrimeField(7))`` the catalog expects to be sufficiently
+  smooth: at degree 7 the binomials C(7, t) of the shifted twists vanish;
 - ``verify-identities --seed 0`` and ``--seed 3``.
 
 Each input is written as ``inputs/<name>.alg`` and each output as
@@ -37,6 +40,7 @@ from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import Verdict
 
 FIELDS = (("q", QQ), ("p101", PrimeField(101)))
+DEGREE_P = PrimeField(7)
 
 
 def _run(outdir: str, name: str, argv: list) -> None:
@@ -87,6 +91,16 @@ def main() -> int:
             for argv in commands:
                 _run(outdir, name, argv)
                 count += 1
+
+    for idx, entry in enumerate(three_dim_grid(DEGREE_P)):
+        if entry.expected is not Verdict.SMOOTH_SUFFICIENT:
+            continue
+        name = f"skew-{idx:02d}-{entry.label}-p7"
+        pres = entry.presentation
+        path = _write_input(outdir, dsl.AlgebraFile(name, "skew", DEGREE_P, pres.n, pres))
+        _run(outdir, name, ["calculus", path, "--max-degree", "7",
+                            "--verify-integrability", "2"])
+        count += 1
 
     for tag, field in FIELDS:
         for label in DIFFUSION_LABELS:

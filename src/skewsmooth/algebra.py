@@ -28,6 +28,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import MismatchedArityError, NonDiagonalTailError, ZeroQuadCoeffError
+from .linalg import add_into
 
 __all__ = [
     "Ordering",
@@ -47,17 +48,6 @@ Word = tuple      # product of 1-based generator indices, leftmost factor first
 class Ordering(str, Enum):
     ASCENDING = "ascending"
     DESCENDING = "descending"
-
-
-def _accumulate(out: dict, terms: Mapping) -> None:
-    """Add ``terms`` into ``out`` in place, dropping coefficients that cancel."""
-    for m, c in terms.items():
-        s = out.get(m)
-        s = c if s is None else s + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
 
 
 class NcPoly:
@@ -88,7 +78,7 @@ class NcPoly:
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
         out = dict(self.terms)
-        _accumulate(out, other.terms)
+        add_into(out, other.terms)
         res = NcPoly.__new__(NcPoly)
         res.terms = out
         return res
@@ -409,6 +399,7 @@ class Presentation:
             return None
         one = self._one
         out: dict = {}
+        # linalg.add_into inlined: the `is one` skips pay on the rewrite hot path
         for c, img in images:
             for r, rc in img.items():
                 v = c if rc is one else rc if c is one else c * rc
@@ -442,7 +433,7 @@ class Presentation:
             if terms is None:
                 waiting = True      # the other branches still report their keys
             elif not waiting:
-                _accumulate(out, terms)
+                add_into(out, terms)
         return None if waiting else out
 
     def _solve(self, keys: list) -> None:
@@ -491,15 +482,13 @@ class Presentation:
                     raise MismatchedArityError(f"generator {g} out of range (n={self.n})")
             coeff = self.field.coerce(coeff)
             if coeff:
-                _accumulate(out, self._fold({unit: coeff}, word))
+                add_into(out, self._fold({unit: coeff}, word))
         return self._poly(out)
 
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:
-        one = self._one
         out: dict = {}
         for m2, c2 in q.terms.items():
-            part = self._fold(p.terms, self.monomial_word(m2))
-            _accumulate(out, part if c2 is one else {r: c * c2 for r, c in part.items()})
+            add_into(out, self._fold(p.terms, self.monomial_word(m2)), c2)
         return self._poly(out)
 
     def product(self, *polys: NcPoly) -> NcPoly:
@@ -527,7 +516,7 @@ class Presentation:
                 total: dict = {}
                 for coeff, repl in self._branches(u, v):
                     rewritten = word[:pos] + repl + word[pos + 2:]
-                    _accumulate(total, self._fold({unit: coeff}, rewritten))
+                    add_into(total, self._fold({unit: coeff}, rewritten))
                 reducts.append(self._poly(total))
             diff = reducts[0] - reducts[1]
             checks.append(OverlapCheck(i, j, k, not diff, diff))

@@ -60,13 +60,7 @@ class DiffForm:
         if self.degree != other.degree:
             raise MismatchedArityError("cannot add forms of different degree")
         out = dict(self.components)
-        for s, p in other.components.items():
-            q = out.get(s)
-            q = p if q is None else q + p
-            if q:
-                out[s] = q
-            else:
-                out.pop(s, None)
+        linalg.add_into(out, other.components)
         return DiffForm(self.degree, out)
 
     def __neg__(self) -> "DiffForm":
@@ -191,12 +185,7 @@ class CalculusContext:
                 moved = apply_endo(self.composite(t), p, self.pres)
                 coeff = self.pres.multiply(moved, q).scale(factor)
                 if coeff:
-                    prev = out.get(idx)
-                    coeff = coeff if prev is None else prev + coeff
-                    if coeff:
-                        out[idx] = coeff
-                    else:
-                        out.pop(idx, None)
+                    linalg.add_into(out, {idx: coeff})
         return DiffForm(f.degree + g.degree, out)
 
     # -- the derivation ------------------------------------------------------
@@ -209,27 +198,11 @@ class CalculusContext:
         acc = {0: field.one}           # nu_i(x_i)^(j-1)
         total: dict = {}
         for j in range(1, power + 1):
-            for exp, c in acc.items():
-                key = exp + power - j
-                s = total.get(key)
-                s = c if s is None else s + c
-                if s:
-                    total[key] = s
-                else:
-                    total.pop(key, None)
+            linalg.add_into(total, {exp + power - j: c for exp, c in acc.items()})
             if j < power:
-                nxt: dict = {}
-                for exp, c in acc.items():
-                    for dexp, dc in ((1, slope), (0, shift)):
-                        if not dc:
-                            continue
-                        key = exp + dexp
-                        s = nxt.get(key)
-                        s = c * dc if s is None else s + c * dc
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
+                nxt = {exp + 1: c * slope for exp, c in acc.items()}
+                if shift:
+                    linalg.add_into(nxt, acc, shift)
                 acc = nxt
         return total
 
@@ -243,34 +216,13 @@ class CalculusContext:
         got = self._partial_cache.get(cache_key)
         if got is not None:
             return got
-        field = self.pres.field
-        nu_i = self.nus[i - 1]
-        pieces = []
-        for j in range(1, i):
-            lj = m[j - 1]
-            if lj:
-                img = apply_endo(nu_i, self.pres.mono(
-                    tuple(lj if g == j else 0 for g in range(1, self.n + 1))), self.pres)
-                pieces.append(img.terms)
+        # the three factors live on disjoint generators, so no products collide
+        prefix = apply_endo(self.nus[i - 1],
+                            self.pres.mono(m[:i - 1] + (0,) * (self.n - i + 1)), self.pres)
         ladder = self._ladder(i, li)
-        pieces.append({tuple(e if g == i else 0
-                             for g in range(1, self.n + 1)): v
-                       for e, v in ladder.items()})
-        suffix = tuple(m[g - 1] if g > i else 0 for g in range(1, self.n + 1))
-        pieces.append({suffix: field.one})
-        combined = {(0,) * self.n: field.one}
-        for piece in pieces:
-            nxt: dict = {}
-            for e1, c1 in combined.items():
-                for e2, c2 in piece.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    s = nxt.get(key)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            combined = nxt
+        suffix = m[i:]
+        combined = {e[:i - 1] + (t,) + suffix: c * v
+                    for e, c in prefix.terms.items() for t, v in ladder.items()}
         self._partial_cache[cache_key] = combined
         return combined
 
@@ -279,13 +231,7 @@ class CalculusContext:
         p's monomials (d is linear over the field)."""
         out: dict = {}
         for m, c in p.terms.items():
-            for e, v in self._partial_monomial(i, m).items():
-                s = out.get(e)
-                s = c * v if s is None else s + c * v
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+            linalg.add_into(out, self._partial_monomial(i, m), c)
         return NcPoly(out)
 
     def d(self, f) -> DiffForm:
@@ -307,9 +253,7 @@ class CalculusContext:
                 if sorted_basis is None:
                     continue
                 factor, idx = sorted_basis
-                q = q.scale(factor * sign)
-                prev = out.get(idx)
-                out[idx] = q if prev is None else prev + q
+                linalg.add_into(out, {idx: q.scale(factor * sign)})
         return DiffForm(f.degree + 1, out)
 
 

@@ -217,45 +217,36 @@ def _sample_pair_presentation(dtype, lam_ij, lam_ji, x_i, x_j, field):
     return dp, encode_presentation(dp)
 
 
-def _right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
-    if dtype is DiffusionType.TYPE1:
-        terms = {(n, 1): lam_ji ** n}
-        for k in range(1, n + 1):
-            p = _sign(field, k + n) * pq_p(k, n, lam_ij, lam_ji) * x_i ** (n - k) * x_j
-            q = _sign(field, n + k - 1) * pq_q(k, n, lam_ji) * x_i ** (n - k + 1)
-            for exps, coeff in (((k, 0), p), ((k - 1, 1), q)):
-                if coeff:
-                    terms[exps] = terms.get(exps, field.zero) + coeff
-        return pres.poly(terms)
-    terms = {(n, 1, 0, 0): lam_ji ** n}
-    for k in range(1, n + 1):
-        p = _sign(field, k + n) * pq_p(k, n, lam_ij, lam_ji)
-        q = _sign(field, n + k - 1) * pq_q(k, n, lam_ji)
-        for exps, coeff in (((k, 0, n - k, 1), p), ((k - 1, 1, n - k + 1, 0), q)):
-            if coeff:
-                terms[exps] = terms.get(exps, field.zero) + coeff
+def _rhs(pres, dtype, x_i, x_j, parts):
+    """The polynomial sum of coeff * D_i^a D_j^b * x_i^u x_j^v over ``parts``
+    of the form ((a, b), (u, v), coeff): the x factor is a scalar for type 1
+    and central exponents for type 2."""
+    terms: dict = {}
+    for d_exps, (u, v), coeff in parts:
+        if dtype is DiffusionType.TYPE1:
+            coeff = coeff * x_i ** u * x_j ** v
+        else:
+            d_exps = d_exps + (u, v)
+        if coeff:
+            linalg.add_into(terms, {d_exps: coeff})
     return pres.poly(terms)
+
+
+def _right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
+    parts = [((n, 1), (0, 0), lam_ji ** n)]
+    for k in range(1, n + 1):
+        parts.append(((k, 0), (n - k, 1), _sign(field, k + n) * pq_p(k, n, lam_ij, lam_ji)))
+        parts.append(((k - 1, 1), (n - k + 1, 0), _sign(field, n + k - 1) * pq_q(k, n, lam_ji)))
+    return _rhs(pres, dtype, x_i, x_j, parts)
 
 
 def _left_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
     # the left-handed law as given: no alternating signs, D_i powers in both sums
-    if dtype is DiffusionType.TYPE1:
-        terms = {(1, n): lam_ji ** n}
-        for k in range(1, n + 1):
-            q = pq_q(k, n, lam_ji) * x_j ** (n - k + 1)
-            p = pq_p(k, n, lam_ij, lam_ji) * x_j ** (n - k) * x_i
-            for exps, coeff in (((k - 1, 1), q), ((k, 0), -p)):
-                if coeff:
-                    terms[exps] = terms.get(exps, field.zero) + coeff
-        return pres.poly(terms)
-    terms = {(1, n, 0, 0): lam_ji ** n}
+    parts = [((1, n), (0, 0), lam_ji ** n)]
     for k in range(1, n + 1):
-        q = pq_q(k, n, lam_ji)
-        p = pq_p(k, n, lam_ij, lam_ji)
-        for exps, coeff in (((k - 1, 1, 0, n - k + 1), q), ((k, 0, 1, n - k), -p)):
-            if coeff:
-                terms[exps] = terms.get(exps, field.zero) + coeff
-    return pres.poly(terms)
+        parts.append(((k - 1, 1), (0, n - k + 1), pq_q(k, n, lam_ji)))
+        parts.append(((k, 0), (1, n - k), -pq_p(k, n, lam_ij, lam_ji)))
+    return _rhs(pres, dtype, x_i, x_j, parts)
 
 
 def _verify_commutation(side: str, n_max: int, samples: int, seed: int,

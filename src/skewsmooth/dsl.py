@@ -13,6 +13,7 @@ and, for kind diffusion1, ``x <i> = <scalar>``; unspecified forward lambdas
 default to 1, reverse lambdas and x parameters to 0.
 
 Scalars are integers or ``p/q`` fractions.  ``#`` starts a comment.
+The header's ``n`` is at most ``MAX_GENERATORS``.
 """
 
 from __future__ import annotations
@@ -27,17 +28,24 @@ from .errors import (BadCharacteristicError, DuplicatePairError,
                      PresentationSyntaxError, ZeroQuadCoeffError)
 from .scalars import QQ, field_from_name
 
-__all__ = ["AlgebraFile", "parse", "emit", "parse_file"]
+__all__ = ["AlgebraFile", "parse", "emit", "parse_file", "MAX_GENERATORS"]
+
+# The presentation holds all C(n, 2) pair rules and the checks run over pairs
+# and triples; at this bound `smooth` takes about 1 s (README, "File format").
+MAX_GENERATORS = 20
 
 _SCALAR_RE = r"-?\d+(?:/\d+)?"
+# a longer index is out of range anyway, and int() refuses over 4300 digits
+_INDEX_RE = r"\d{1,9}"
 _REL_LHS_RE = re.compile(
-    rf"^x(?P<i>\d+)\*x(?P<j>\d+)-(?:(?P<a>{_SCALAR_RE})\*)?"
-    rf"x(?P<j2>\d+)\*x(?P<i2>\d+)$")
-_LAMBDA_RE = re.compile(rf"^lambda\s+(?P<i>\d+)\s+(?P<j>\d+)\s*=\s*(?P<v>{_SCALAR_RE})$")
-_X_RE = re.compile(rf"^x\s+(?P<i>\d+)\s*=\s*(?P<v>{_SCALAR_RE})$")
+    rf"^x(?P<i>{_INDEX_RE})\*x(?P<j>{_INDEX_RE})-(?:(?P<a>{_SCALAR_RE})\*)?"
+    rf"x(?P<j2>{_INDEX_RE})\*x(?P<i2>{_INDEX_RE})$")
+_LAMBDA_RE = re.compile(
+    rf"^lambda\s+(?P<i>{_INDEX_RE})\s+(?P<j>{_INDEX_RE})\s*=\s*(?P<v>{_SCALAR_RE})$")
+_X_RE = re.compile(rf"^x\s+(?P<i>{_INDEX_RE})\s*=\s*(?P<v>{_SCALAR_RE})$")
 _HEADER_RE = re.compile(r"^(?P<key>name|kind|field|n)\s*:\s*(?P<value>\S.*?)\s*$")
 _TERM_RE = re.compile(
-    rf"^(?:(?P<coeff>{_SCALAR_RE})(?:\*x(?P<gen1>\d+))?|x(?P<gen2>\d+))$")
+    rf"^(?:(?P<coeff>{_SCALAR_RE})(?:\*x(?P<gen1>{_INDEX_RE}))?|x(?P<gen2>{_INDEX_RE}))$")
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,9 @@ def parse(text: str) -> AlgebraFile:
                     n = int(value)
                 except ValueError:
                     raise PresentationSyntaxError(f"bad generator count {value!r}", lineno, 1)
-                if n < 1:
-                    raise PresentationSyntaxError("generator count must be >= 1", lineno, 1)
+                if not 1 <= n <= MAX_GENERATORS:
+                    raise PresentationSyntaxError(
+                        f"generator count must be between 1 and {MAX_GENERATORS}", lineno, 1)
             continue
         body.append((lineno, stripped.strip(), len(raw) - len(raw.lstrip()) + 1))
     if n is None:
@@ -174,8 +183,12 @@ def parse(text: str) -> AlgebraFile:
                     "the quadratic term must repeat the pair in swapped order", lineno, col)
             if (i, j) in relations:
                 raise DuplicatePairError(f"pair ({i}, {j}) defined twice", lineno, col)
-            a = field.one if m.group("a") is None \
-                else _parse_scalar(m.group("a"), lineno, col, field)
+            if m.group("a") is None:
+                a = field.one
+            else:
+                # the column of the scalar's first character, spaces included
+                a_col = col + [k for k, ch in enumerate(lhs) if ch != " "][m.start("a")]
+                a = _parse_scalar(m.group("a"), lineno, a_col, field)
             if not a:
                 raise ZeroQuadCoeffError(
                     f"line {lineno}: quadratic coefficient of pair ({i}, {j}) is zero")

@@ -12,6 +12,7 @@ from math import comb
 
 from .algebra import NcPoly, Presentation
 from .errors import MismatchedArityError, ZeroSlopeError
+from .linalg import add_into
 
 __all__ = [
     "AffineEndo",
@@ -54,52 +55,35 @@ def identity_endo(field, n: int) -> AffineEndo:
     return AffineEndo((field.one,) * n, (field.zero,) * n)
 
 
-def _univariate_image(slope, shift, power: int, field):
-    """(slope*x + shift)^power as a map exponent -> coefficient."""
-    if power == 0:
-        return {0: field.one}
+def _univariate_image(slope, shift, power: int):
+    """(slope*x + shift)^power as a map exponent -> coefficient, without the
+    binomial terms that vanish in positive characteristic."""
     if not shift:
         return {power: slope ** power}
-    return {t: comb(power, t) * slope ** t * shift ** (power - t)
-            for t in range(power + 1)}
+    image = {t: comb(power, t) * slope ** t * shift ** (power - t)
+             for t in range(power + 1)}
+    return {t: c for t, c in image.items() if c}
 
 
 def apply_endo(endo: AffineEndo, p: NcPoly, pres: Presentation) -> NcPoly:
     """Algebra-map expansion of each monomial, renormalized to PBW form.
 
     Images of distinct generators involve distinct generators, so the expanded
-    words are already normal-ordered and no rewriting is needed.
+    words are already normal-ordered and no rewriting is needed, and the
+    products of the per-generator images never collide.
     """
     if endo.n != pres.n:
         raise MismatchedArityError("endomorphism arity differs from presentation")
-    field = pres.field
     out: dict = {}
     for m, c in p.terms.items():
-        partial = {(0,) * pres.n: c}
+        image = {(0,) * pres.n: c}
         for g, power in enumerate(m):
             if not power:
                 continue
-            uni = _univariate_image(endo.slopes[g], endo.shifts[g], power, field)
-            nxt: dict = {}
-            for exps, coeff in partial.items():
-                for t, u in uni.items():
-                    e2 = list(exps)
-                    e2[g] = t
-                    key = tuple(e2)
-                    s = nxt.get(key)
-                    s = coeff * u if s is None else s + coeff * u
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            partial = nxt
-        for exps, coeff in partial.items():
-            s = out.get(exps)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            uni = _univariate_image(endo.slopes[g], endo.shifts[g], power)
+            image = {e[:g] + (t,) + e[g + 1:]: coeff * u
+                     for e, coeff in image.items() for t, u in uni.items()}
+        add_into(out, image)
     return NcPoly(out)
 
 

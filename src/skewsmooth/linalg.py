@@ -8,25 +8,38 @@ stored entries are ever touched.
 ``rref``, ``rank``, ``nullspace``, ``solve_affine`` and ``det`` take and
 return dense matrices (lists of row lists) and adapt them to that routine.
 All arithmetic is exact; pivots are chosen by position, not by size.
+The row update is ``add_into``, which the polynomial, endomorphism and form
+code share as their one way to add sparse maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["eliminate", "sparse_nullspace", "rref", "rank", "nullspace", "solve_affine",
-           "det", "AffineSolutionSet"]
+__all__ = ["add_into", "eliminate", "sparse_nullspace", "rref", "rank", "nullspace",
+           "solve_affine", "det", "AffineSolutionSet"]
 
 
-def _add_multiple(row: dict, factor, other: dict) -> None:
-    """row += factor * other, in place, dropping entries that cancel."""
-    for c, v in other.items():
-        s = row.get(c)
-        s = factor * v if s is None else s + factor * v
-        if s:
-            row[c] = s
+def add_into(out: dict, terms, factor=None) -> None:
+    """``out += factor * terms`` in place, dropping the entries that cancel.
+
+    Both are sparse maps ``{key: value}`` that store no zero: matrix rows,
+    polynomial term maps, the components of a form.  ``factor`` is a nonzero
+    scalar, or None for one, so a new entry is never zero and only a sum can
+    vanish.
+    """
+    for k, v in terms.items():
+        if factor is not None:
+            v = factor * v
+        s = out.get(k)
+        if s is None:
+            out[k] = v
         else:
-            del row[c]
+            s = s + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
 
 
 def _forward(field, rows):
@@ -49,7 +62,7 @@ def _forward(field, rows):
             pivot_row = echelon.get(lead)
             if pivot_row is None:
                 break
-            _add_multiple(row, -row[lead], pivot_row)
+            add_into(row, pivot_row, -row[lead])
         if not row:
             continue
         value = row[lead]
@@ -73,7 +86,7 @@ def eliminate(field, rows):
     for p in reversed(pivots):
         row = echelon[p]
         for c in [c for c in row if c != p and c in echelon]:
-            _add_multiple(row, -row[c], echelon[c])
+            add_into(row, echelon[c], -row[c])
     return [echelon[p] for p in pivots], pivots
 
 

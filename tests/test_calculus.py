@@ -10,7 +10,7 @@ from skewsmooth.calculus import (CalculusContext, DiffForm, connected_at,
                                  random_form, verify_integrability, _monomials_up_to)
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
 from skewsmooth.endos import AffineEndo, apply_endo, identity_endo
-from skewsmooth.scalars import QQ
+from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import Verdict, decide
 
 from helpers import random_nonzero_rational, random_poly
@@ -178,6 +178,43 @@ class TestDSquaredAndLeibniz:
                          {s: p.scale(sign)
                           for s, p in ctx.wedge(f, ctx.d(g)).components.items()})
             assert lhs == rhs
+
+
+def leibniz_oracle(ctx, m):
+    """d of the monomial m from the Leibniz rule alone: for its word
+    w_1 ... w_k, d(w) = sum_t dx_{w_t} nu_{w_t}(w_1 ... w_{t-1}) w_{t+1} ... w_k,
+    built with gen, multiply and apply_endo only."""
+    pres = ctx.pres
+    word = pres.monomial_word(m)
+    components: dict = {}
+    for t, g in enumerate(word):
+        prefix = pres.product(*(pres.gen(h) for h in word[:t]))
+        suffix = pres.product(*(pres.gen(h) for h in word[t + 1:]))
+        term = pres.multiply(apply_endo(ctx.nus[g - 1], prefix, pres), suffix)
+        components[(g,)] = components.get((g,), NcPoly.zero()) + term
+    return DiffForm(1, components)
+
+
+class TestLeibnizOracle:
+    """d against the Leibniz rule, with no use of d on either side."""
+
+    def test_every_smooth_catalog_instance(self):
+        for entry, ctx in smooth_contexts():
+            for m in _monomials_up_to(3, 5):
+                assert ctx.d(ctx.pres.mono(m)) == leibniz_oracle(ctx, m), (entry.label, m)
+
+    def test_shifted_twists_in_characteristic_five(self):
+        field = PrimeField(5)
+        pres = Presentation.skew(field, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)})
+        verdict = decide(pres, 2)
+        assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
+        ctx = CalculusContext(pres, verdict.witness)
+        assert ctx.nus[0].shifts == (field.one, -field.one)
+        for m in _monomials_up_to(2, 7):
+            if sum(m) >= 5:
+                assert ctx.d(pres.mono(m)) == leibniz_oracle(ctx, m), m
+        # the ladder of x1^5 is (x1 + 1)^5 - x1^5 = 1: every binomial vanishes mod 5
+        assert ctx.d(pres.mono((5, 0))) == DiffForm(1, {(1,): pres.one()})
 
 
 class TestDifferentialCache:

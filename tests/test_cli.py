@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -220,3 +221,14 @@ def test_internal_error_exits_three_without_traceback(files, capsys, monkeypatch
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_huge_generator_count_is_a_quick_input_error(tmp_path, capsys):
+    huge = tmp_path / "huge.alg"
+    huge.write_text("kind: skew\nn: 100000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "smooth", str(huge))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "line 2" in err

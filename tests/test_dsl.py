@@ -4,7 +4,7 @@ import pytest
 
 from skewsmooth.catalog import from_display
 from skewsmooth.diffusion import DiffusionType
-from skewsmooth.dsl import emit, parse
+from skewsmooth.dsl import MAX_GENERATORS, emit, parse
 from skewsmooth.errors import (BadCharacteristicError, DuplicatePairError,
                                PresentationSyntaxError, ZeroQuadCoeffError)
 from skewsmooth.scalars import QQ
@@ -60,6 +60,31 @@ def test_denominator_divisible_by_the_characteristic():
         parse("kind: diffusion1\nfield: Fp:7\nn: 2\nx 1 = 1/7\n")
     assert err.value.line == 4
     assert "'1/7' has a denominator divisible by the characteristic 7" in str(err.value)
+
+
+@pytest.mark.parametrize("line, column", [
+    ("x1*x2 - 1/7*x2*x1 = 0", 9),
+    ("  x1*x2 - 1/7*x2*x1 = 0", 11),
+    ("x1*x2 - -1/7*x2*x1 = 0", 9),
+    ("  x1 * x2 -  -1/7 * x2*x1 = 0", 14),
+])
+def test_quad_coefficient_error_points_at_the_scalar(line, column):
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse(f"kind: skew\nfield: Fp:7\nn: 2\n{line}\n")
+    assert (err.value.line, err.value.column) == (4, column)
+    assert "divisible by the characteristic 7" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_GENERATORS + 1])
+def test_generator_count_out_of_range(n):
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse(f"kind: skew\nfield: Q\nn: {n}\n")
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert f"between 1 and {MAX_GENERATORS}" in str(err.value)
+
+
+def test_generator_count_at_the_bound():
+    assert parse(f"kind: skew\nn: {MAX_GENERATORS}\n").payload.n == MAX_GENERATORS
 
 
 def test_zero_quad_coefficient():

@@ -5,10 +5,10 @@ import pytest
 
 from skewsmooth.algebra import Presentation
 from skewsmooth.catalog import from_display, three_dim_class
-from skewsmooth.endos import (AffineEndo, apply_endo, commute, compose,
+from skewsmooth.endos import (AffineEndo, _univariate_image, apply_endo, commute, compose,
                               identity_endo, invert, respects_relations)
 from skewsmooth.errors import ZeroSlopeError
-from skewsmooth.scalars import QQ
+from skewsmooth.scalars import QQ, PrimeField
 
 from helpers import random_poly, random_skew_presentation
 
@@ -40,6 +40,30 @@ class TestApply:
         pres = Presentation.commutative(QQ, 2)
         e = endo((2, 1), (3, 5))
         assert apply_endo(e, pres.scalar(F(7, 2)), pres) == pres.scalar(F(7, 2))
+
+
+class TestApplyInCharacteristicP:
+    def test_frobenius_leaves_two_terms(self):
+        field = PrimeField(5)
+        pres = Presentation.commutative(field, 1)
+        got = apply_endo(AffineEndo((field.one,), (field.one,)), pres.mono((5,)), pres)
+        assert got.terms == {(5,): field.one, (0,): field.one}
+        assert _univariate_image(field.one, field.one, 5) == {5: field.one, 0: field.one}
+
+    def test_seventh_powers(self):
+        field = PrimeField(7)
+        pres = Presentation.commutative(field, 2)
+        rng = random.Random(5)
+        for _ in range(20):
+            s, t = field.random_nonzero(rng), field.random_nonzero(rng)
+            b, c = field.random(rng), field.random(rng)
+            got = apply_endo(AffineEndo((s, t), (b, c)), pres.mono((7, 7)), pres)
+            want = pres.poly({(7, 7): s ** 7 * t ** 7, (7, 0): s ** 7 * c ** 7,
+                              (0, 7): b ** 7 * t ** 7, (0, 0): b ** 7 * c ** 7})
+            assert got == want
+            assert all(got.terms.values())
+            uni = _univariate_image(s, b, 7)
+            assert uni == ({7: s ** 7, 0: b ** 7} if b else {7: s ** 7})
 
 
 class TestCompose:
