@@ -12,7 +12,10 @@ The corpus is:
 - ``calculus --max-degree 7 --verify-integrability 2`` on the instances of
   ``three_dim_grid(PrimeField(7))`` the catalog expects to be sufficiently
   smooth: at degree 7 the binomials C(7, t) of the shifted twists vanish;
-- ``verify-identities --seed 0`` and ``--seed 3``.
+- ``verify-identities --seed 0`` and ``--seed 3``;
+- ``smooth`` (skew) or ``pbw-check`` (diffusion) on each of ``MALFORMED``,
+  a fixed list of bad inputs: one per input error of each line kind, so that
+  every change in the text of an ``error:`` line shows in the diff.
 
 Each input is written as ``inputs/<name>.alg`` and each output as
 ``<name>.<command>.json``; a command that exits nonzero also leaves
@@ -41,6 +44,47 @@ from skewsmooth.smoothness import Verdict
 
 FIELDS = (("q", QQ), ("p101", PrimeField(101)))
 DEGREE_P = PrimeField(7)
+
+_SKEW = "kind: skew\nfield: Fp:7\nn: 3\n"
+_DIFF1 = "kind: diffusion1\nfield: Fp:7\nn: 3\n"
+_LONG = "1" * 5000
+# (name, text): each text is an input error
+MALFORMED = (
+    ("header-kind", "kind: lie\nn: 2\n"),
+    ("header-field", "field: Fp:2\nn: 2\n"),
+    ("header-count", "kind: skew\nn: two\n"),
+    ("header-count-range", "kind: skew\nn: 21\n"),
+    ("header-missing-n", "kind: skew\n"),
+    ("skew-no-equals", _SKEW + "x1*x2 - 2*x2*x1\n"),
+    ("skew-lhs", _SKEW + "x1*x2 + 2*x2*x1 = 0\n"),
+    ("skew-pair-order", _SKEW + "x2*x1 - 2*x1*x2 = 0\n"),
+    ("skew-pair-swap", _SKEW + "x1*x2 - 2*x3*x1 = 0\n"),
+    ("skew-duplicate", _SKEW + "x1*x2 - 2*x2*x1 = 0\n  x1*x2 - 3*x2*x1 = 0\n"),
+    ("skew-quad-zero-denominator", _SKEW + "x1*x2 - 1/0*x2*x1 = 0\n"),
+    ("skew-quad-divisible", _SKEW + "  x1 * x2 -  -1/7 * x2*x1 = 0\n"),
+    ("skew-quad-long", _SKEW + f"x1*x2 - {_LONG}*x2*x1 = 0\n"),
+    ("skew-quad-zero", _SKEW + "x1*x2 - 0*x2*x1 = 0\n"),
+    ("skew-rhs-empty", _SKEW + "x1*x2 - 2*x2*x1 =  # nothing\n"),
+    ("skew-rhs-signs-only", _SKEW + "x1*x2 - 2*x2*x1 = + -\n"),
+    ("skew-rhs-bad-term", _SKEW + "x1*x2 - 2*x2*x1 = x1 +  3 ? x 1\n"),
+    ("skew-rhs-zero-denominator", _SKEW + "x1*x2 - 2*x2*x1 = x1 - 1/0*x2\n"),
+    ("skew-rhs-divisible", _SKEW + "x1*x2 - 2*x2*x1 = x1 + 3/14\n"),
+    ("skew-rhs-divisible-tabbed", _SKEW + "\tx1*x2 - 2*x2*x1 = x1\t+\t3/14\n"),
+    ("skew-rhs-generator", _SKEW + "x1*x2 - 2*x2*x1 = x1 -  x5\n"),
+    ("skew-rhs-long", _SKEW + f"x1*x2 - 2*x2*x1 = x1 - {_LONG}\n"),
+    ("skew-rhs-dangling-sign", _SKEW + "x1*x2 - 2*x2*x1 = x1 +\n"),
+    ("diffusion-bad-line", _DIFF1 + "lambda 1 = 2\n"),
+    ("lambda-indices", _DIFF1 + "lambda 1 1 = 2\n"),
+    ("lambda-duplicate", _DIFF1 + "lambda 1 2 = 2\nlambda 1 2 = 3\n"),
+    ("lambda-zero-denominator", _DIFF1 + "lambda 1 2 = 1/0\n"),
+    ("lambda-divisible", _DIFF1 + "  lambda 1 2 = 1/7\n"),
+    ("lambda-long", _DIFF1 + f"lambda 2 1 = {_LONG}\n"),
+    ("x-in-diffusion2", "kind: diffusion2\nn: 3\nx 1 = 3\n"),
+    ("x-index", _DIFF1 + "x 4 = 1\n"),
+    ("x-duplicate", _DIFF1 + "x 1 = 1\nx 1 = 2\n"),
+    ("x-divisible", _DIFF1 + "x 1 = 3/14\n"),
+    ("x-long", _DIFF1 + f"\tx 1 =\t{_LONG}\n"),
+)
 
 
 def _run(outdir: str, name: str, argv: list) -> None:
@@ -119,6 +163,14 @@ def main() -> int:
 
     for seed in (0, 3):
         _run(outdir, f"seed{seed}", ["verify-identities", "--seed", str(seed)])
+        count += 1
+
+    for name, text in MALFORMED:
+        path = os.path.join(outdir, "inputs", f"malformed-{name}.alg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        command = "smooth" if "diffusion" not in text else "pbw-check"
+        _run(outdir, f"malformed-{name}", [command, path])
         count += 1
 
     print(f"{count} outputs in {outdir} ({time.perf_counter() - start:.1f} s)")

@@ -8,9 +8,8 @@ identities used by three-generator diffusion presentations.
 """
 
 from .algebra import NcPoly, Ordering, Presentation, degree_truncation, relabel
-from .calculus import (CalculusContext, DiffForm, connected_at,
-                       integral_form_coefficients, kernel_of_d_bounded,
-                       verify_integrability)
+from .calculus import (CalculusContext, DiffForm, integral_form_coefficients,
+                       kernel_of_d_bounded, verify_integrability)
 from .diffusion import (DiffusionPresentation, DiffusionType, build_aut_matrices,
                         check_derivation_constant_terms, classify_diffusion_3,
                         crosswalk_to_3d, encode_presentation, pq_p, pq_q,

@@ -282,9 +282,6 @@ class Presentation:
 
     # -- polynomial builders -------------------------------------------------
 
-    def zero_poly(self) -> NcPoly:
-        return NcPoly.zero()
-
     def one(self) -> NcPoly:
         return NcPoly({(0,) * self.n: self._one})
 

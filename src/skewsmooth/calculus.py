@@ -25,7 +25,6 @@ __all__ = [
     "VolumeForm",
     "kernel_of_d_bounded",
     "kernel_is_scalars",
-    "connected_at",
     "IntegralFormCoefficients",
     "integral_form_coefficients",
     "IntegrabilityReport",
@@ -296,11 +295,6 @@ def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
 def kernel_is_scalars(basis, n: int) -> bool:
     """A kernel basis from ``kernel_of_d_bounded`` spans exactly the scalars."""
     return len(basis) == 1 and set(basis[0].terms) == {(0,) * n}
-
-
-def connected_at(ctx: CalculusContext, max_degree: int) -> bool:
-    """Kernel of d on degree <= bound is exactly the scalars."""
-    return kernel_is_scalars(kernel_of_d_bounded(ctx, max_degree), ctx.n)
 
 
 # -- integral-form coefficients -------------------------------------------------

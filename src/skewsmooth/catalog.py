@@ -56,7 +56,7 @@ def from_display(field, alpha, beta, gamma, lam=None, mu=None, nu=None,
 
 
 def three_dim_class(label: str, field=QQ, alpha=2, beta=3, gamma=5,
-                    a=0, b=0, d=0, a_vec=(0, 0, 0), b_vec=(0, 0, 0)) -> Presentation:
+                    a=0, b=0, a_vec=(0, 0, 0), b_vec=(0, 0, 0)) -> Presentation:
     """Build a representative of one of the fifteen classes.
 
     ``alpha``/``beta``/``gamma`` feed the quasi-commutation coefficients where

@@ -437,10 +437,9 @@ def identity_sigma(field=QQ) -> SigmaCoefficients:
                              (z, z, o, z, z), (z, z, z, o, z))
 
 
-def random_sigma(rng: random.Random, field=QQ, invertible: bool = True,
-                 with_constants: bool = True) -> SigmaCoefficients:
+def random_sigma(rng: random.Random, field=QQ, invertible: bool = True) -> SigmaCoefficients:
     def image():
-        const = field.random(rng, 9) if with_constants else field.zero
+        const = field.random(rng, 9)
         return tuple(field.random(rng, 9) for _ in range(4)) + (const,)
     while True:
         coeffs = SigmaCoefficients(image(), image(), image(), image())

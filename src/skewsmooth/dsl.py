@@ -7,7 +7,8 @@ The skew body lists relations, one pair per line, in the fixed shape
 
     x<i>*x<j> - <scalar>*x<j>*x<i> = <linear expression>
 
-with i < j; unspecified pairs default to coefficient 1 with no tail.  The
+with i < j; unspecified pairs default to coefficient 1 with no tail.  Spaces
+may sit anywhere in it; the right-hand side must not end in a sign.  The
 diffusion body lists coefficient assignments ``lambda <i> <j> = <scalar>``
 and, for kind diffusion1, ``x <i> = <scalar>``; unspecified forward lambdas
 default to 1, reverse lambdas and x parameters to 0.
@@ -19,13 +20,13 @@ The header's ``n`` is at most ``MAX_GENERATORS``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Presentation
 from .diffusion import DiffusionPresentation, DiffusionType, encode_presentation
-from .errors import (BadCharacteristicError, DuplicatePairError,
-                     PresentationSyntaxError, ZeroQuadCoeffError)
+from .errors import DuplicatePairError, PresentationSyntaxError, ZeroQuadCoeffError
 from .scalars import QQ, field_from_name
 
 __all__ = ["AlgebraFile", "parse", "emit", "parse_file", "MAX_GENERATORS"]
@@ -46,6 +47,8 @@ _X_RE = re.compile(rf"^x\s+(?P<i>{_INDEX_RE})\s*=\s*(?P<v>{_SCALAR_RE})$")
 _HEADER_RE = re.compile(r"^(?P<key>name|kind|field|n)\s*:\s*(?P<value>\S.*?)\s*$")
 _TERM_RE = re.compile(
     rf"^(?:(?P<coeff>{_SCALAR_RE})(?:\*x(?P<gen1>{_INDEX_RE}))?|x(?P<gen2>{_INDEX_RE}))$")
+# one term of a right-hand side with the run of signs before it
+_SIGNED_TERM_RE = re.compile(r"(?P<signs>[-+\s]*)(?P<term>[^-+\s][^-+]*)")
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,9 @@ def _parse_scalar(text: str, line: int, col: int, field):
     except ZeroDivisionError:
         raise PresentationSyntaxError(f"scalar {text!r} has zero denominator", line, col)
     except ValueError:
-        raise PresentationSyntaxError(f"bad scalar {text!r}", line, col)
+        # ``text`` has the shape of _SCALAR_RE, so only int()'s digit limit is left
+        raise PresentationSyntaxError(
+            f"scalar has more than {sys.get_int_max_str_digits()} digits", line, col)
     try:
         return field.coerce(value)
     except ZeroDivisionError:
@@ -78,51 +83,73 @@ def _parse_scalar(text: str, line: int, col: int, field):
             line, col)
 
 
-def _parse_linear(rhs: str, line: int, col: int, field, n: int):
-    """A +/- separated combination of scalars and scalar multiples of x<g>."""
+def _index(line: str, pos: int) -> int:
+    """The index in ``line`` of ``line.replace(" ", "")[pos]``, or ``len(line)``."""
+    kept = [k for k, ch in enumerate(line) if ch != " "]
+    return kept[pos] if pos < len(kept) else len(line)
+
+
+def _parse_linear(line: str, text: str, start: int, field, n: int):
+    """The +/- separated scalars and scalar multiples of x<g> in ``text[start:]``,
+    ``line`` with its spaces taken out; a term's sign is the parity of the
+    ``-`` signs before it.  Errors are raised as in ``_parse_relation``."""
     tail: dict = {}
     const = field.zero
-    text = rhs.strip()
-    if not text:
-        raise PresentationSyntaxError("empty right-hand side", line, col)
-    sign = 1
-    # split into signed terms while tracking the column of each
-    chunks = []
-    current = ""
-    current_start = 0
-    for idx, ch in enumerate(text):
-        if ch in "+-" and current.strip():
-            chunks.append((sign, current.strip(), current_start))
-            sign = 1 if ch == "+" else -1
-            current = ""
-            current_start = idx + 1
-        elif ch in "+-" and not current.strip():
-            if ch == "-":
-                sign = -sign
-            current_start = idx + 1
-        else:
-            current += ch
-    if current.strip():
-        chunks.append((sign, current.strip(), current_start))
-    if not chunks:
-        raise PresentationSyntaxError("empty right-hand side", line, col)
-    for sgn, chunk, start in chunks:
-        m = _TERM_RE.match(chunk.replace(" ", ""))
+    end = start
+    for t in _SIGNED_TERM_RE.finditer(text, start):
+        end = t.end()
+        pos = t.start("term")
+        term = t.group("term").rstrip()
+        m = _TERM_RE.match(term)
         if not m:
-            raise PresentationSyntaxError(f"bad term {chunk!r}", line, col + start)
+            quoted = line[_index(line, pos):_index(line, pos + len(term) - 1) + 1]
+            raise PresentationSyntaxError(f"bad term {quoted!r}", 0, pos)
         gen = m.group("gen1") or m.group("gen2")
         coeff = field.one if m.group("coeff") is None \
-            else _parse_scalar(m.group("coeff"), line, col + start, field)
-        if sgn < 0:
+            else _parse_scalar(m.group("coeff"), 0, pos, field)
+        if t.group("signs").count("-") % 2:
             coeff = -coeff
         if gen is None:
             const = const + coeff
         else:
             g = int(gen)
             if not 1 <= g <= n:
-                raise PresentationSyntaxError(f"generator x{g} out of range", line, col + start)
+                raise PresentationSyntaxError(f"generator x{g} out of range", 0, pos)
             tail[g] = tail.get(g, field.zero) + coeff
+    if end == start:
+        raise PresentationSyntaxError("empty right-hand side", 0, start)
+    if text[-1] in "+-":
+        raise PresentationSyntaxError("right-hand side ends in a dangling sign", 0, len(text) - 1)
     return tail, const
+
+
+def _parse_relation(line: str, lineno: int, field, n: int, relations: dict) -> None:
+    """Add the relation on one skew body line, matched with its spaces taken
+    out, to ``relations``.  Input errors carry line 0 and their position in
+    that compact text; ``parse`` maps it to a column with ``_index``."""
+    text = line.replace(" ", "")
+    lhs, eq, _ = text.partition("=")
+    if not eq:
+        raise PresentationSyntaxError(f"bad relation line {line!r}", 0, 0)
+    m = _REL_LHS_RE.match(lhs)
+    if not m:
+        raise PresentationSyntaxError(
+            f"bad relation left-hand side {line.split('=', 1)[0].strip()!r}", 0, 0)
+    i, j = int(m.group("i")), int(m.group("j"))
+    if not (1 <= i < j <= n):
+        raise PresentationSyntaxError(f"pair ({i}, {j}) must satisfy 1 <= i < j <= n", 0, 0)
+    if int(m.group("j2")) != j or int(m.group("i2")) != i:
+        raise PresentationSyntaxError(
+            "the quadratic term must repeat the pair in swapped order", 0, 0)
+    if (i, j) in relations:
+        raise DuplicatePairError(f"pair ({i}, {j}) defined twice", 0, 0)
+    a = field.one if m.group("a") is None \
+        else _parse_scalar(m.group("a"), 0, m.start("a"), field)
+    if not a:
+        raise ZeroQuadCoeffError(
+            f"line {lineno}: quadratic coefficient of pair ({i}, {j}) is zero")
+    tail, const = _parse_linear(line, text, len(lhs) + 1, field, n)
+    relations[(i, j)] = (a, tail, const)
 
 
 def parse(text: str) -> AlgebraFile:
@@ -133,10 +160,10 @@ def parse(text: str) -> AlgebraFile:
     n = None
     body: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        m = _HEADER_RE.match(stripped.strip())
+        m = _HEADER_RE.match(line)
         if m and not body:
             key, value = m.group("key"), m.group("value")
             if key == "name":
@@ -146,10 +173,7 @@ def parse(text: str) -> AlgebraFile:
                     raise PresentationSyntaxError(f"unknown kind {value!r}", lineno, 1)
                 kind = value
             elif key == "field":
-                try:
-                    field = field_from_name(value)
-                except BadCharacteristicError:
-                    raise
+                field = field_from_name(value)
             else:
                 try:
                     n = int(value)
@@ -159,43 +183,18 @@ def parse(text: str) -> AlgebraFile:
                     raise PresentationSyntaxError(
                         f"generator count must be between 1 and {MAX_GENERATORS}", lineno, 1)
             continue
-        body.append((lineno, stripped.strip(), len(raw) - len(raw.lstrip()) + 1))
+        body.append((lineno, line, len(raw) - len(raw.lstrip()) + 1))
     if n is None:
         raise PresentationSyntaxError("missing 'n:' header", 1, 1)
 
     if kind == "skew":
         relations: dict = {}
         for lineno, line, col in body:
-            if "=" not in line:
-                raise PresentationSyntaxError(f"bad relation line {line!r}", lineno, col)
-            lhs, rhs = line.split("=", 1)
-            rhs_col = col + len(lhs) + 1
-            m = _REL_LHS_RE.match(lhs.replace(" ", ""))
-            if not m:
-                raise PresentationSyntaxError(f"bad relation left-hand side {lhs.strip()!r}",
-                                              lineno, col)
-            i, j = int(m.group("i")), int(m.group("j"))
-            if not (1 <= i < j <= n):
-                raise PresentationSyntaxError(
-                    f"pair ({i}, {j}) must satisfy 1 <= i < j <= n", lineno, col)
-            if int(m.group("j2")) != j or int(m.group("i2")) != i:
-                raise PresentationSyntaxError(
-                    "the quadratic term must repeat the pair in swapped order", lineno, col)
-            if (i, j) in relations:
-                raise DuplicatePairError(f"pair ({i}, {j}) defined twice", lineno, col)
-            if m.group("a") is None:
-                a = field.one
-            else:
-                # the column of the scalar's first character, spaces included
-                a_col = col + [k for k, ch in enumerate(lhs) if ch != " "][m.start("a")]
-                a = _parse_scalar(m.group("a"), lineno, a_col, field)
-            if not a:
-                raise ZeroQuadCoeffError(
-                    f"line {lineno}: quadratic coefficient of pair ({i}, {j}) is zero")
-            tail, const = _parse_linear(rhs, lineno, rhs_col, field, n)
-            relations[(i, j)] = (a, tail, const)
-        payload = Presentation.skew(field, n, relations)
-        return AlgebraFile(name, kind, field, n, payload)
+            try:
+                _parse_relation(line, lineno, field, n, relations)
+            except PresentationSyntaxError as exc:
+                raise type(exc)(str(exc), lineno, col + _index(line, exc.column)) from None
+        return AlgebraFile(name, kind, field, n, Presentation.skew(field, n, relations))
 
     lambdas: dict = {}
     xs: dict = {}
@@ -207,7 +206,7 @@ def parse(text: str) -> AlgebraFile:
                 raise PresentationSyntaxError(f"bad lambda indices ({i}, {j})", lineno, col)
             if (i, j) in lambdas:
                 raise DuplicatePairError(f"lambda {i} {j} defined twice", lineno, col)
-            lambdas[(i, j)] = _parse_scalar(m.group("v"), lineno, col, field)
+            lambdas[(i, j)] = _parse_scalar(m.group("v"), lineno, col + m.start("v"), field)
             continue
         m = _X_RE.match(line)
         if m:
@@ -219,7 +218,7 @@ def parse(text: str) -> AlgebraFile:
                 raise PresentationSyntaxError(f"x index {i} out of range", lineno, col)
             if i in xs:
                 raise DuplicatePairError(f"x {i} defined twice", lineno, col)
-            xs[i] = _parse_scalar(m.group("v"), lineno, col, field)
+            xs[i] = _parse_scalar(m.group("v"), lineno, col + m.start("v"), field)
             continue
         raise PresentationSyntaxError(f"bad coefficient line {line!r}", lineno, col)
     for i in range(1, n + 1):

@@ -161,8 +161,10 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     """Exact solution of the affine system in (a_kk, b_kk), intersected with
     the open condition a_kk != 0.
 
-    Parametric sets prefer the witness (1, 0), then any point with a_kk = 1,
-    then any point with nonzero a_kk.
+    The witness starts from the particular solution (u0, v0).  If some
+    homogeneous direction (du, dv) has du != 0, the first such one moves it
+    to a_kk = 1: (1, v0 + (1 - u0)/du * dv).  Otherwise a_kk = u0 on every
+    solution, and u0 = 0 leaves the set EMPTY.
     """
     _require_spag(pres)
     field = pres.field
@@ -172,39 +174,13 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     rowdata = tuple(rows)
     if sol.is_empty:
         return NuSystemSolution(k, SolutionStatus.EMPTY, None, sol, rowdata)
-
-    def witness_from(sol):
-        u0, v0 = sol.particular
-        dirs = sol.homogeneous
-        candidates = []
-        if not dirs:
-            candidates.append((u0, v0))
-        else:
-            # aim for a_kk = 1, then b_kk = 0 along the remaining freedom
-            for du, dv in dirs:
-                if du:
-                    s = (1 - u0) / du
-                    candidates.append((field.one, v0 + s * dv))
-            if len(dirs) == 2:
-                candidates.append((field.one, field.zero))
-            candidates.append((u0, v0))
-            for du, dv in dirs:
-                candidates.append((u0 + du, v0 + dv))
-                candidates.append((u0 - du, v0 - dv))
-        ranked = []
-        for u, v in candidates:
-            if not u:
-                continue
-            score = (0 if (u == field.one and not v) else 1 if u == field.one else 2)
-            ranked.append((score, u, v))
-        if not ranked:
-            return None
-        ranked.sort(key=lambda t: t[0])
-        return (ranked[0][1], ranked[0][2])
-
-    witness = witness_from(sol)
-    if witness is None:
-        # the a_kk-projection of the solution set is the single value 0
+    u0, v0 = sol.particular
+    du, dv = next(((du, dv) for du, dv in sol.homogeneous if du), (None, None))
+    if du is not None:
+        witness = (field.one, v0 + (1 - u0) / du * dv)
+    elif u0:
+        witness = (u0, v0)
+    else:
         return NuSystemSolution(k, SolutionStatus.EMPTY, None, sol, rowdata)
     status = SolutionStatus.UNIQUE if not sol.homogeneous else SolutionStatus.PARAMETRIC
     result = NuSystemSolution(k, status, witness, sol, rowdata)

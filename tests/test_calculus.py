@@ -5,9 +5,9 @@ from itertools import combinations
 import pytest
 
 from skewsmooth.algebra import NcPoly, Presentation
-from skewsmooth.calculus import (CalculusContext, DiffForm, connected_at,
-                                 integral_form_coefficients, kernel_of_d_bounded,
-                                 random_form, verify_integrability, _monomials_up_to)
+from skewsmooth.calculus import (CalculusContext, DiffForm, integral_form_coefficients,
+                                 kernel_is_scalars, kernel_of_d_bounded, random_form,
+                                 verify_integrability, _monomials_up_to)
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
 from skewsmooth.endos import AffineEndo, apply_endo, identity_endo
 from skewsmooth.scalars import QQ, PrimeField
@@ -237,7 +237,7 @@ class TestKernel:
 
     def test_reference_instance_connected(self):
         ctx = reference_context()
-        assert connected_at(ctx, 4)
+        assert kernel_is_scalars(kernel_of_d_bounded(ctx, 4), ctx.n)
 
     def test_class_2b_at_degree_12_is_scalars(self):
         # 1092 x 455 d-matrix with about 2000 nonzeros; out of reach densely
@@ -253,7 +253,7 @@ class TestKernel:
         basis = kernel_of_d_bounded(ctx, 4)
         got = sorted(m for p in basis for m in p.terms)
         assert got == [(0,), (2,), (4,)]
-        assert not connected_at(ctx, 4)
+        assert not kernel_is_scalars(kernel_of_d_bounded(ctx, 4), ctx.n)
         # independent oracle: dense rational null space via sympy
         sympy = pytest.importorskip("sympy")
         cols = _monomials_up_to(1, 4)
@@ -373,7 +373,7 @@ class TestShiftedDiagonalTwists:
         ctx = self.build()
         for m in _monomials_up_to(2, 6):
             assert not ctx.d(ctx.d(ctx.pres.mono(m)))
-        assert connected_at(ctx, 5)
+        assert kernel_is_scalars(kernel_of_d_bounded(ctx, 5), ctx.n)
 
     def test_leibniz_and_integrability(self):
         ctx = self.build()

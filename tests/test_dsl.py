@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -53,7 +54,7 @@ def test_malformed_scalar_zero_denominator():
 def test_denominator_divisible_by_the_characteristic():
     with pytest.raises(PresentationSyntaxError) as err:
         parse("kind: skew\nfield: Fp:7\nn: 2\nx1*x2 - 2*x2*x1 = x1 + 3/14\n")
-    assert err.value.line == 4 and err.value.column == 22
+    assert err.value.line == 4 and err.value.column == 24
     assert "divisible by the characteristic 7" in str(err.value)
     assert "zero denominator" not in str(err.value)
     with pytest.raises(PresentationSyntaxError) as err:
@@ -62,17 +63,45 @@ def test_denominator_divisible_by_the_characteristic():
     assert "'1/7' has a denominator divisible by the characteristic 7" in str(err.value)
 
 
-@pytest.mark.parametrize("line, column", [
-    ("x1*x2 - 1/7*x2*x1 = 0", 9),
-    ("  x1*x2 - 1/7*x2*x1 = 0", 11),
-    ("x1*x2 - -1/7*x2*x1 = 0", 9),
-    ("  x1 * x2 -  -1/7 * x2*x1 = 0", 14),
-])
-def test_quad_coefficient_error_points_at_the_scalar(line, column):
+DIVISIBLE = "divisible by the characteristic 7"
+DANGLING = "right-hand side ends in a dangling sign"
+LONG = "1" * 5000
+TOO_LONG = f"scalar has more than {sys.get_int_max_str_digits()} digits"
+
+
+COLUMN_CASES = [
+    ("skew", "x1*x2 - 1/7*x2*x1 = 0", 9, DIVISIBLE),
+    ("skew", "  x1*x2 - 1/7*x2*x1 = 0", 11, DIVISIBLE),
+    ("skew", "x1*x2 - -1/7*x2*x1 = 0", 9, DIVISIBLE),
+    ("skew", "  x1 * x2 -  -1/7 * x2*x1 = 0", 14, DIVISIBLE),
+    ("skew", "x1*x2 - 2*x2*x1 = x1 + 3/14", 24, DIVISIBLE),
+    ("skew", "x1*x2 - 2*x2*x1 = 3/14", 19, DIVISIBLE),
+    ("skew", "x1*x2 - 2*x2*x1 = x1 -  x5", 25, "generator x5 out of range"),
+    ("skew", "   x1*x2 - 2*x2*x1 = 3/14", 22, DIVISIBLE),
+    ("skew", "\tx1*x2 - 2*x2*x1 = x1\t+\t3/14", 25, DIVISIBLE),
+    ("skew", "x1*x2 - 2*x2*x1 = x1 + 1 0*x 1 0", 24, "generator x10 out of range"),
+    ("skew", "x1*x2 - 2*x2*x1 = x1 +  3 ? x 1\t- 1", 25, "bad term '3 ? x 1'"),
+    ("skew", "x1*x2 - 2*x2*x1 = x1 +", 22, DANGLING),
+    ("skew", "x1*x2 - 2*x2*x1 = x1 - 1 -", 26, DANGLING),
+    ("skew", "x1*x2 - 2*x2*x1 = x1+\t- ", 23, DANGLING),
+    ("skew", f"x1*x2 - {LONG}*x2*x1 = 0", 9, TOO_LONG),
+    ("skew", f"x1*x2 - 2*x2*x1 = x1 - {LONG}", 24, TOO_LONG),
+    ("skew", f"x1*x2 - 2*x2*x1 = 1/{LONG}*x2", 19, TOO_LONG),
+    ("diffusion1", "lambda 1 2 = 1/7", 14, DIVISIBLE),
+    ("diffusion1", "x 1 = 3/14", 7, DIVISIBLE),
+    ("diffusion1", "  lambda 1 2 = 1/7", 16, DIVISIBLE),
+    ("diffusion1", "\tx 1 =\t3/14", 8, DIVISIBLE),
+    ("diffusion1", f"lambda 1 2 = {LONG}", 14, TOO_LONG),
+]
+
+
+@pytest.mark.parametrize("kind, line, column, message", COLUMN_CASES,
+                         ids=[f"{line[:40]}-{column}" for _, line, column, _ in COLUMN_CASES])
+def test_quad_coefficient_error_points_at_the_scalar(kind, line, column, message):
     with pytest.raises(PresentationSyntaxError) as err:
-        parse(f"kind: skew\nfield: Fp:7\nn: 2\n{line}\n")
+        parse(f"kind: {kind}\nfield: Fp:7\nn: 2\n{line}\n")
     assert (err.value.line, err.value.column) == (4, column)
-    assert "divisible by the characteristic 7" in str(err.value)
+    assert str(err.value).endswith(message)
 
 
 @pytest.mark.parametrize("n", [0, -1, MAX_GENERATORS + 1])

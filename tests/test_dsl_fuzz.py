@@ -1,7 +1,8 @@
 """Hypothesis fuzzing of the ``.alg`` parser.
 
 Whatever the text, ``dsl.parse`` either returns or raises a ``SkewSmoothError``
-(the CLI's one-line input error); and ``parse(emit(x)) == x`` on generated
+(the CLI's one-line input error); an error in a relation line points at the
+column of the offending token; and ``parse(emit(x)) == x`` on generated
 presentations of every kind over Q and F_p.
 """
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from skewsmooth.algebra import Presentation
 from skewsmooth.diffusion import DiffusionPresentation, DiffusionType
 from skewsmooth.dsl import AlgebraFile, emit, parse
-from skewsmooth.errors import SkewSmoothError
+from skewsmooth.errors import PresentationSyntaxError, SkewSmoothError
 from skewsmooth.scalars import QQ, PrimeField
 
 FIELDS = (QQ, PrimeField(5), PrimeField(7), PrimeField(101), PrimeField(2**31 - 1))
@@ -88,6 +89,62 @@ _LONG = "1" * 5000
        st.lists(st.sampled_from(["", "  ", "\t", " # tail"]), min_size=11, max_size=11))
 def test_fragment_mixes_raise_only_input_errors(header, lines, pads):
     parse_or_input_error("\n".join(pad + line for pad, line in zip(pads, header + lines)))
+
+
+# -- error columns ---------------------------------------------------------------
+
+_GOOD_TERMS = ["x1", "2*x2", "3", "1/2*x1", "x2", "10"]
+# each is an input error at its first character under field Fp:7 and n: 2
+_BAD_TERMS = ["?", "3/14", "1/0", "x9", "2*x0", "x1?x", "1" * 5000]
+_BAD_QUADS = ["3/14", "1/0", "-1/7", "1" * 5000]
+_blanks = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+
+@st.composite
+def lines_with_a_bad_token(draw):
+    """A relation line with random spacing, and the offset of its bad token."""
+    def spaced(token):
+        # spaces may sit anywhere inside a token
+        return "".join(ch + draw(st.sampled_from(["", "", " "])) for ch in token)
+
+    line = draw(st.sampled_from(["", "  ", "\t"]))
+    where = draw(st.sampled_from(["quad", "term", "sign"]))
+    quad = draw(st.sampled_from(_BAD_QUADS)) if where == "quad" else spaced("2")
+    line += spaced("x1*x2-")
+    bad_at = len(line)
+    line += quad + spaced("*x2*x1") + " = " + draw(st.sampled_from(["", "-", "+ "]))
+    terms = [spaced(t) for t in draw(st.lists(st.sampled_from(_GOOD_TERMS),
+                                              min_size=1 if where == "sign" else 0,
+                                              max_size=3))]
+    if where == "term":
+        terms.insert(draw(st.integers(0, len(terms))), draw(st.sampled_from(_BAD_TERMS)))
+    for idx, term in enumerate(terms):
+        if idx:
+            line += draw(_blanks) + draw(st.sampled_from(["+", "-", "--", "+-"])) + draw(_blanks)
+        if term in _BAD_TERMS:
+            bad_at = len(line)
+        line += term
+    if where == "sign":
+        line += draw(_blanks) + draw(st.sampled_from(["", "+ ", "-\t"]))
+        bad_at = len(line)
+        line += draw(st.sampled_from(["+", "-"]))
+    elif where == "quad" and not terms:
+        line += "0"
+    return line, bad_at
+
+
+@settings(max_examples=400, deadline=None)
+@example(("x1*x2 - 2*x2*x1 = x1 +", 21))
+@example(("  x1 *x2- 2*x2*x1 = x1 - 1 0*x 1\t-", 33))
+@given(lines_with_a_bad_token())
+def test_error_column_is_the_bad_tokens_first_character(case):
+    line, bad_at = case
+    try:
+        parse(f"kind: skew\nfield: Fp:7\nn: 2\n{line}\n")
+    except PresentationSyntaxError as err:
+        assert (err.line, err.column) == (4, bad_at + 1), str(err)[:200]
+    else:
+        raise AssertionError(f"{line!r} parsed")
 
 
 # -- round trips --------------------------------------------------------------

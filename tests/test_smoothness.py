@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewsmooth.algebra import Presentation
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
@@ -101,6 +103,44 @@ class TestDiagonalSolver:
         got = solve_affine(QQ, rows, rhs)
         assert got.particular[0] == 0 and got.homogeneous == ((F(0), F(1)),)
         assert sol_set.dimension == 1
+
+
+@st.composite
+def diagonal_presentations(draw):
+    """Ascending presentations with diagonal tails, n = 1..4, over Q and F_7."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    n = draw(st.integers(1, 4))
+    small = st.sampled_from([0, 0, 1, -1, 2, 3])
+    relations = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if draw(st.booleans()):
+                relations[(i, j)] = (draw(st.sampled_from([1, 1, 2, -1, 3])),
+                                     {i: draw(small), j: draw(small)}, draw(small))
+    return Presentation.skew(field, n, relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_presentations())
+def test_witness_rule(pres):
+    """The witness solves the system with a_kk != 0; a_kk = 1 whenever some
+    solution has it; and (1, 0) whenever that solves the system."""
+    one, zero = pres.field.one, pres.field.zero
+    for k in range(1, pres.n + 1):
+        sol = solve_diagonal_unknowns(pres, k)
+        if sol.witness is None:
+            found = sol.solution_set
+            assert found.is_empty or (not found.particular[0]
+                                      and not any(du for du, _ in found.homogeneous))
+            continue
+        u, v = sol.witness
+        assert u and sol.contains(u, v)
+        with_one = solve_affine(pres.field, [list(co) for _, co, _ in sol.rows] + [[one, zero]],
+                                [rhs for _, _, rhs in sol.rows] + [one])
+        if not with_one.is_empty:
+            assert u == one
+        if sol.contains(one, zero):
+            assert sol.witness == (one, zero)
 
 
 class TestObstruction:
