@@ -12,7 +12,9 @@ The corpus is:
 - ``calculus --max-degree 7 --verify-integrability 2`` on the instances of
   ``three_dim_grid(PrimeField(7))`` the catalog expects to be sufficiently
   smooth: at degree 7 the binomials C(7, t) of the shifted twists vanish;
-- ``verify-identities --seed 0`` and ``--seed 3``;
+- ``verify-identities --seed 0`` and ``--seed 3``, and ``verify-identities
+  --n-max 4 --samples 1`` (the ``identities`` benchmark job's shape) at the
+  seeds in ``BENCH_SHAPE_SEEDS``;
 - ``smooth`` (skew) or ``pbw-check`` (diffusion) on each of ``MALFORMED``,
   a fixed list of bad inputs: one per input error of each line kind, so that
   every change in the text of an ``error:`` line shows in the diff.
@@ -48,6 +50,7 @@ DEGREE_P = PrimeField(7)
 _SKEW = "kind: skew\nfield: Fp:7\nn: 3\n"
 _DIFF1 = "kind: diffusion1\nfield: Fp:7\nn: 3\n"
 _LONG = "1" * 5000
+BENCH_SHAPE_SEEDS = (0, 3, 271828)
 # (name, text): each text is an input error
 MALFORMED = (
     ("header-kind", "kind: lie\nn: 2\n"),
@@ -163,6 +166,10 @@ def main() -> int:
 
     for seed in (0, 3):
         _run(outdir, f"seed{seed}", ["verify-identities", "--seed", str(seed)])
+        count += 1
+    for seed in BENCH_SHAPE_SEEDS:
+        _run(outdir, f"bench-shape-seed{seed}",
+             ["verify-identities", "--n-max", "4", "--samples", "1", "--seed", str(seed)])
         count += 1
 
     for name, text in MALFORMED:

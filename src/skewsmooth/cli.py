@@ -23,6 +23,12 @@ from .diffusion import DiffusionType
 
 _CALCULUS_SEED = 20240 + 1  # fixed: the calculus command takes no seed flag
 
+# Bounds on ``verify-identities``: below 1 a check would run on nothing and
+# report a hollow PASS; the power-commutation checks grow about as
+# samples * n_max^2.5, and the two maxima together take about 10 s.
+MAX_IDENTITY_N = 20
+MAX_IDENTITY_SAMPLES = 50
+
 
 def _endo_json(pres: Presentation, endo) -> dict:
     images = {}
@@ -216,6 +222,10 @@ def _commutation_json(report: diff.CommutationReport) -> dict:
 
 
 def _cmd_verify_identities(args) -> int:
+    for flag, value, bound in (("--n-max", args.n_max, MAX_IDENTITY_N),
+                               ("--samples", args.samples, MAX_IDENTITY_SAMPLES)):
+        if not 1 <= value <= bound:
+            raise SkewSmoothError(f"{flag} must be between 1 and {bound}, not {value}")
     seed = args.seed
     pq = diff.verify_pq_recurrences(max(30, args.n_max), args.samples, seed)
     right1 = diff.verify_right_commutation(args.n_max, args.samples, seed,

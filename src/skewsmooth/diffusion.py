@@ -124,14 +124,24 @@ def encode_presentation(dp: DiffusionPresentation) -> Presentation:
 # -- ladder coefficients ------------------------------------------------------
 
 def pq_p(k: int, n: int, lam_ij, lam_ji):
-    """P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) lam_ji^(t-1) lam_ij^(k-t)."""
+    """P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) lam_ji^(t-1) lam_ij^(k-t).
+
+    With lam_ij = a/b and lam_ji = c/d, u = a d and v = c b, this is the
+    integer sum sum_t C(n-k+t-1, n-k) v^(t-1) u^(k-t) over (b d)^(k-1),
+    summed by Horner's rule in u and divided into the field once.  Prime-field
+    elements split as (residue, 1), so Q and F_p share this code.
+    """
     if not 1 <= k <= n:
         raise IndexRangeError(f"P index k={k} outside 1..{n}")
-    total = None
+    b, d = lam_ij.denominator, lam_ji.denominator
+    u, v = lam_ij.numerator * d, lam_ji.numerator * b
+    total, v_pow = 0, 1
     for t in range(1, k + 1):
-        term = comb(n - k + t - 1, n - k) * lam_ji ** (t - 1) * lam_ij ** (k - t)
-        total = term if total is None else total + term
-    return total
+        total = total * u + comb(n - k + t - 1, n - k) * v_pow
+        v_pow *= v
+    value = lam_ij * 0 + total          # the integer sum, in lam_ij's field
+    scale = (b * d) ** (k - 1)
+    return value / scale if scale != 1 else value
 
 
 def pq_q(k: int, n: int, lam_ji):
@@ -163,28 +173,32 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
         Q_{n+1}^{n+1} = Q_n^n lam_ji + lam_ji^n
 
     at random coefficient samples (plus the all-ones Pascal degeneration).
+
+    Each draw gets one table of every P_k^n and Q_k^n with 1 <= k <= n <=
+    n_max, filled from the closed forms ``pq_p``/``pq_q`` alone (never from
+    the recurrences it checks) and dropped after the draw.
     """
     rng = random.Random(seed)
     draws = [(field.one, field.one)]
     draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(samples)]
     failures = []
     checked = 0
-    for n in range(1, n_max):
-        for lam_ij, lam_ji in draws:
+    for lam_ij, lam_ji in draws:
+        P = {(k, n): pq_p(k, n, lam_ij, lam_ji)
+             for n in range(1, n_max + 1) for k in range(1, n + 1)}
+        Q = {(k, n): pq_q(k, n, lam_ji)
+             for n in range(1, n_max + 1) for k in range(1, n + 1)}
+        for n in range(1, n_max):
             for k in range(2, n + 1):
                 checked += 2
-                if pq_p(k, n + 1, lam_ij, lam_ji) != \
-                        pq_p(k - 1, n, lam_ij, lam_ji) * lam_ij + pq_q(k, n, lam_ji):
+                if P[k, n + 1] != P[k - 1, n] * lam_ij + Q[k, n]:
                     failures.append(("P", n, k, lam_ij, lam_ji))
-                if pq_q(k, n + 1, lam_ji) != \
-                        pq_q(k - 1, n, lam_ji) * lam_ji + pq_q(k, n, lam_ji):
+                if Q[k, n + 1] != Q[k - 1, n] * lam_ji + Q[k, n]:
                     failures.append(("Q", n, k, lam_ij, lam_ji))
             checked += 2
-            if pq_p(n + 1, n + 1, lam_ij, lam_ji) != \
-                    pq_p(n, n, lam_ij, lam_ji) * lam_ij + lam_ji ** n:
+            if P[n + 1, n + 1] != P[n, n] * lam_ij + lam_ji ** n:
                 failures.append(("P-top", n, n + 1, lam_ij, lam_ji))
-            if pq_q(n + 1, n + 1, lam_ji) != \
-                    pq_q(n, n, lam_ji) * lam_ji + lam_ji ** n:
+            if Q[n + 1, n + 1] != Q[n, n] * lam_ji + lam_ji ** n:
                 failures.append(("Q-top", n, n + 1, lam_ij, lam_ji))
     return PQReport(n_max, samples, checked, tuple(failures))
 

@@ -60,6 +60,16 @@ class FpElement:
     value: int
     p: int
 
+    # The (numerator, denominator) split of ``Fraction``: integer code that
+    # reads it, such as ``diffusion.pq_p``, runs unchanged over Q and F_p.
+    @property
+    def numerator(self) -> int:
+        return self.value
+
+    @property
+    def denominator(self) -> int:
+        return 1
+
     def _lift(self, other) -> "FpElement":
         if isinstance(other, FpElement):
             if other.p != self.p:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from skewsmooth.algebra import NcPoly, Ordering, Presentation
 
@@ -56,6 +57,16 @@ def naive_normal_form(pres: Presentation, terms) -> dict:
             for tcoeff, tword in rule.tail:
                 stack.append((coeff * tcoeff, head + tword + tail))
     return out
+
+
+def naive_pq_p(k: int, n: int, lam_ij, lam_ji):
+    """P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) lam_ji^(t-1) lam_ij^(k-t), summed
+    term by term in field arithmetic: the oracle for ``diffusion.pq_p``."""
+    total = None
+    for t in range(1, k + 1):
+        term = comb(n - k + t - 1, n - k) * lam_ji ** (t - 1) * lam_ij ** (k - t)
+        total = term if total is None else total + term
+    return total
 
 
 def poly_dict(p: NcPoly) -> dict:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from skewsmooth.cli import main
+from skewsmooth.cli import MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES, main
 
 REFERENCE3 = """\
 name: reference3
@@ -172,6 +172,28 @@ def test_verify_identities_deterministic(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1.encode() == out2.encode()
+
+
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--n-max", 0, MAX_IDENTITY_N),
+    ("--n-max", -3, MAX_IDENTITY_N),
+    ("--n-max", MAX_IDENTITY_N + 1, MAX_IDENTITY_N),
+    ("--samples", 0, MAX_IDENTITY_SAMPLES),
+    ("--samples", -2, MAX_IDENTITY_SAMPLES),
+    ("--samples", 10 ** 9, MAX_IDENTITY_SAMPLES),
+])
+def test_verify_identities_rejects_hollow_and_oversized_counts(capsys, flag, value, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-identities", flag, str(value), "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be between 1 and {bound}, not {value}\n"
+
+
+def test_verify_identities_accepts_the_least_counts(capsys):
+    code, out, _ = run(capsys, "verify-identities", "--n-max", "1", "--samples", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["n_max"] == 1
 
 
 def test_calculus_deterministic_without_seed_flag(files, capsys):

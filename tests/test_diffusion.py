@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewsmooth.algebra import NcPoly, Ordering, relabel
@@ -18,10 +18,13 @@ from skewsmooth.diffusion import (DiffusionPresentation,
                                   verify_right_commutation)
 from skewsmooth.errors import IndexRangeError, SingularMatrixError, ZeroLambdaError
 from skewsmooth.linalg import det
-from skewsmooth.scalars import QQ
+from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import classify_3d
 
-from helpers import naive_normal_form
+from helpers import naive_normal_form, naive_pq_p
+
+F7, F_M31 = PrimeField(7), PrimeField(2 ** 31 - 1)
+LADDER_FIELDS = (QQ, F7, F_M31)
 
 
 def simple_dp(l12=1, l21=0, x=(0, 0), dtype=DiffusionType.TYPE1):
@@ -84,6 +87,13 @@ class TestPQ:
         assert report.all_pass
         assert report.checked > 10000
 
+    @pytest.mark.parametrize("field", [F7, F_M31], ids=["F7", "F_M31"])
+    def test_recurrences_sweep_over_prime_fields(self, field):
+        over_q = verify_pq_recurrences(30, samples=20, seed=0)
+        report = verify_pq_recurrences(30, samples=20, seed=0, field=field)
+        assert report.all_pass
+        assert report.checked == over_q.checked
+
     def test_single_recurrence_instance(self):
         lam_ij, lam_ji = F(3, 2), F(-5)
         assert pq_p(2, 3, lam_ij, lam_ji) == pq_p(1, 2, lam_ij, lam_ji) * lam_ij \
@@ -102,6 +112,37 @@ def test_ladder_recurrence_property(n, lam_ij, lam_ji):
             pq_q(k - 1, n, lam_ji) * lam_ji + pq_q(k, n, lam_ji)
     assert pq_p(n + 1, n + 1, lam_ij, lam_ji) == \
         pq_p(n, n, lam_ij, lam_ji) * lam_ij + lam_ji ** n
+
+
+@st.composite
+def ladder_cases(draw):
+    """(field, n, k, lam_ij, lam_ji) with k pulled to the ends 1 and n and
+    lam_ji pulled to 0 and to lam_ij as often as drawn freely."""
+    field = draw(st.sampled_from(LADDER_FIELDS))
+    if field is QQ:
+        scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    else:
+        scalars = st.integers(min_value=-field.p, max_value=field.p).map(field.coerce)
+    n = draw(st.integers(min_value=1, max_value=30))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(min_value=1, max_value=n)))
+    lam_ij = draw(scalars)
+    lam_ji = draw(st.one_of(st.just(field.zero), st.just(lam_ij), scalars))
+    return field, n, k, lam_ij, lam_ji
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_cases())
+@example((QQ, 30, 30, F(-7, 3), F(0)))
+@example((QQ, 30, 1, F(-5, 9), F(-5, 9)))
+@example((QQ, 30, 17, F(-2, 9), F(4, 7)))
+@example((F7, 30, 30, F7.coerce(3), F7.zero))
+@example((F_M31, 30, 29, F_M31.coerce(-2), F_M31.coerce(-2)))
+def test_pq_p_closed_sum_matches_term_by_term_oracle(case):
+    field, n, k, lam_ij, lam_ji = case
+    got = pq_p(k, n, lam_ij, lam_ji)
+    want = naive_pq_p(k, n, lam_ij, lam_ji)
+    assert type(got) is type(want)
+    assert got == want
 
 
 class TestRightCommutation:

@@ -60,6 +60,11 @@ def test_fp_element_zero_is_falsy():
     assert FpElement(3, 7)
 
 
+def test_fp_element_splits_as_residue_over_one():
+    x = PrimeField(7).coerce(Fraction(-1, 2))
+    assert (x.numerator, x.denominator) == (x.value, 1) == (3, 1)
+
+
 def _trial_division(n: int) -> bool:
     if n < 2:
         return False
