@@ -17,7 +17,8 @@ The corpus is:
   seeds in ``BENCH_SHAPE_SEEDS``;
 - ``smooth`` (skew) or ``pbw-check`` (diffusion) on each of ``MALFORMED``,
   a fixed list of bad inputs: one per input error of each line kind, so that
-  every change in the text of an ``error:`` line shows in the diff.
+  every change in the text of an ``error:`` line shows in the diff; an entry
+  with flags runs ``calculus`` with them instead, one per bound on its input.
 
 Each input is written as ``inputs/<name>.alg`` and each output as
 ``<name>.<command>.json``; a command that exits nonzero also leaves
@@ -51,7 +52,7 @@ _SKEW = "kind: skew\nfield: Fp:7\nn: 3\n"
 _DIFF1 = "kind: diffusion1\nfield: Fp:7\nn: 3\n"
 _LONG = "1" * 5000
 BENCH_SHAPE_SEEDS = (0, 3, 271828)
-# (name, text): each text is an input error
+# (name, text) or (name, text, calculus flags): each is an input error
 MALFORMED = (
     ("header-kind", "kind: lie\nn: 2\n"),
     ("header-field", "field: Fp:2\nn: 2\n"),
@@ -87,6 +88,15 @@ MALFORMED = (
     ("x-duplicate", _DIFF1 + "x 1 = 1\nx 1 = 2\n"),
     ("x-divisible", _DIFF1 + "x 1 = 3/14\n"),
     ("x-long", _DIFF1 + f"\tx 1 =\t{_LONG}\n"),
+    ("calculus-integrability-negative", _SKEW,
+     ("--max-degree", "3", "--verify-integrability", "-3")),
+    ("calculus-integrability-oversized", _SKEW,
+     ("--max-degree", "3", "--verify-integrability", str(cli.MAX_INTEGRABILITY_SAMPLES + 1))),
+    ("calculus-degree-zero", _SKEW, ("--max-degree", "0")),
+    ("calculus-degree-oversized", _SKEW, ("--max-degree", str(cli.MAX_CALCULUS_DEGREE + 1))),
+    ("calculus-monomials-oversized", _SKEW, ("--max-degree", "21")),
+    ("calculus-generators-oversized", f"kind: skew\nn: {cli.MAX_CALCULUS_N + 1}\n",
+     ("--max-degree", "1")),
 )
 
 
@@ -172,12 +182,15 @@ def main() -> int:
              ["verify-identities", "--n-max", "4", "--samples", "1", "--seed", str(seed)])
         count += 1
 
-    for name, text in MALFORMED:
+    for name, text, *flags in MALFORMED:
         path = os.path.join(outdir, "inputs", f"malformed-{name}.alg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        command = "smooth" if "diffusion" not in text else "pbw-check"
-        _run(outdir, f"malformed-{name}", [command, path])
+        if flags:
+            argv = ["calculus", path, *flags[0]]
+        else:
+            argv = ["smooth" if "diffusion" not in text else "pbw-check", path]
+        _run(outdir, f"malformed-{name}", argv)
         count += 1
 
     print(f"{count} outputs in {outdir} ({time.perf_counter() - start:.1f} s)")

@@ -25,6 +25,7 @@ __all__ = [
     "VolumeForm",
     "kernel_of_d_bounded",
     "kernel_is_scalars",
+    "d_squared_failures",
     "IntegralFormCoefficients",
     "integral_form_coefficients",
     "IntegrabilityReport",
@@ -97,6 +98,7 @@ class CalculusContext:
         self.nus = nus
         self._composite_cache: dict = {}
         self._partial_cache: dict = {}   # (i, monomial) -> coefficient of dx_i in d(monomial)
+        self._d_matrix_cache: dict = {}  # degree bound -> (monomials, columns)
 
     @property
     def n(self) -> int:
@@ -255,6 +257,22 @@ class CalculusContext:
                 linalg.add_into(out, {idx: q.scale(factor * sign)})
         return DiffForm(f.degree + 1, out)
 
+    def d_matrix(self, max_degree: int):
+        """d on the polynomials of total degree <= bound, as ``(monomials,
+        columns)``: column c is ``{(i, mono): coeff}``, the dx_i-coefficients
+        of d(monomials[c]) read from the per-monomial cache.  Built once per
+        bound and shared by the d^2 check and the bounded kernel."""
+        got = self._d_matrix_cache.get(max_degree)
+        if got is None:
+            if max_degree < 1:
+                raise MismatchedArityError("the degree bound must be at least 1")
+            monomials = _monomials_up_to(self.n, max_degree)
+            columns = [{(i, mono): c for i in range(1, self.n + 1)
+                        for mono, c in self._partial_monomial(i, m).items()}
+                       for m in monomials]
+            got = self._d_matrix_cache[max_degree] = (monomials, columns)
+        return got
+
 
 def _monomials_up_to(n: int, max_degree: int):
     out = []
@@ -273,23 +291,51 @@ def _monomials_up_to(n: int, max_degree: int):
 def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
     """Exact kernel basis of d on the polynomials of total degree <= bound.
 
-    The d-matrix has one column per monomial and one row per (i, monomial)
-    pair of an image dx_i * monomial; it is built and eliminated sparse.
+    The rows of the d-matrix are the (i, monomial) pairs of an image
+    dx_i * monomial, read off the columns of ``CalculusContext.d_matrix``;
+    it is eliminated sparse.  The rows go in by decreasing degree of their
+    monomial, so that a row's lowest column is mostly a new pivot and the
+    elimination fills in little; the reduced form, and so the basis, does
+    not depend on the row order.
     """
-    if max_degree < 1:
-        raise MismatchedArityError("the degree bound must be at least 1")
-    cols = _monomials_up_to(ctx.n, max_degree)
+    monomials, columns = ctx.d_matrix(max_degree)
     rows: dict = {}
-    for cidx, m in enumerate(cols):
-        image = ctx.d(ctx.pres.mono(m))
-        for (i,), q in image.components.items():
-            for mono, coeff in q.terms.items():
-                row = rows.get((i, mono))
-                if row is None:
-                    row = rows[(i, mono)] = {}
-                row[cidx] = coeff
-    basis = linalg.sparse_nullspace(ctx.pres.field, list(rows.values()), len(cols))
-    return [NcPoly({cols[c]: v for c, v in vec.items()}) for vec in basis]
+    for cidx, column in enumerate(columns):
+        for key, coeff in column.items():
+            rows.setdefault(key, {})[cidx] = coeff
+    order = sorted(rows, key=lambda key: -sum(key[1]))
+    basis = linalg.sparse_nullspace(ctx.pres.field, [rows[key] for key in order],
+                                    len(monomials))
+    return [NcPoly({monomials[c]: v for c, v in vec.items()}) for vec in basis]
+
+
+def d_squared_failures(ctx: CalculusContext, max_degree: int) -> list:
+    """The monomials of total degree <= bound whose d(d(m)) is not zero.
+
+    On a 1-form, d(dx_j q) = sum_{i != j} s_ji dx_{ij} partial_i(q), where
+    s_ji is the degree-1 sign times the scalar of sorting (j, i).  So d^2 of a
+    monomial is its d-matrix column pushed through the cached partials, one
+    sorted pair at a time, and no form is built.
+    """
+    minus = -ctx.pres.field.one
+    steps: dict = {}    # j -> [(i, sorted pair, s_ji)]
+    for j in range(1, ctx.n + 1):
+        for i in range(1, ctx.n + 1):
+            if i != j:
+                factor, pair = ctx.basis_sort((j, i))
+                steps.setdefault(j, []).append((i, pair, factor * minus))
+    monomials, columns = ctx.d_matrix(max_degree)
+    failures = []
+    for m, column in zip(monomials, columns):
+        acc: dict = {}    # sorted pair -> coefficient of dx_pair in d(d(m))
+        for (j, mono), c in column.items():
+            for i, pair, s in steps[j]:
+                if mono[i - 1]:
+                    linalg.add_into(acc.setdefault(pair, {}), ctx._partial_monomial(i, mono),
+                                    c * s)
+        if any(acc.values()):
+            failures.append(m)
+    return failures
 
 
 def kernel_is_scalars(basis, n: int) -> bool:

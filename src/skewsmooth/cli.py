@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import calculus as calc
@@ -28,6 +29,16 @@ _CALCULUS_SEED = 20240 + 1  # fixed: the calculus command takes no seed flag
 # samples * n_max^2.5, and the two maxima together take about 10 s.
 MAX_IDENTITY_N = 20
 MAX_IDENTITY_SAMPLES = 50
+
+# Bounds on ``calculus``: the integral-form stage and the integrability
+# sampling loop over all 2^n index sets, and the d-matrix has one column per
+# monomial of degree <= D, C(D + n, n) of them.  With shifted twists a column
+# fills up to all monomials of lower degree, hence also a bound on D itself.
+# Measured costs are in README.
+MAX_CALCULUS_N = 10
+MAX_CALCULUS_DEGREE = 30
+MAX_CALCULUS_MONOMIALS = 2000
+MAX_INTEGRABILITY_SAMPLES = 50
 
 
 def _endo_json(pres: Presentation, endo) -> dict:
@@ -125,9 +136,23 @@ def _cmd_pbw_check(args) -> int:
 
 
 def _cmd_calculus(args) -> int:
+    bound = args.max_degree
+    samples = args.verify_integrability
+    if not 0 <= samples <= MAX_INTEGRABILITY_SAMPLES:
+        raise SkewSmoothError(f"--verify-integrability must be between 0 and "
+                              f"{MAX_INTEGRABILITY_SAMPLES}, not {samples}")
+    if not 1 <= bound <= MAX_CALCULUS_DEGREE:
+        raise SkewSmoothError(f"--max-degree must be between 1 and {MAX_CALCULUS_DEGREE}, "
+                              f"not {bound}")
     alg = _load(args.file, {"skew"})
     pres = alg.payload
-    bound = args.max_degree
+    if pres.n > MAX_CALCULUS_N:
+        raise SkewSmoothError(f"calculus takes at most {MAX_CALCULUS_N} generators, "
+                              f"not n = {pres.n}")
+    monomials = math.comb(bound + pres.n, pres.n)
+    if monomials > MAX_CALCULUS_MONOMIALS:
+        raise SkewSmoothError(f"--max-degree {bound} at n = {pres.n} gives {monomials} "
+                              f"monomials, more than {MAX_CALCULUS_MONOMIALS}")
     verdict = decide(pres, pres.n)
     payload = {
         "command": "calculus",
@@ -143,11 +168,7 @@ def _cmd_calculus(args) -> int:
         _emit(payload, args.json, lines)
         return 0
     ctx = calc.CalculusContext(pres, verdict.witness)
-    dd_failures = []
-    for m in calc._monomials_up_to(pres.n, bound):
-        ddm = ctx.d(ctx.d(pres.mono(m)))
-        if ddm:
-            dd_failures.append(m)
+    dd_failures = calc.d_squared_failures(ctx, bound)
     kernel = calc.kernel_of_d_bounded(ctx, bound)
     connected = calc.kernel_is_scalars(kernel, pres.n)
     coeffs = calc.integral_form_coefficients(ctx)
@@ -177,10 +198,12 @@ def _cmd_calculus(args) -> int:
         f"integral-form normalization: {'ok' if normalization_ok else 'BROKEN'}",
         f"closed-form coefficient mismatches (recorded, not patched): {len(mismatches)}",
     ]
-    if args.verify_integrability:
-        report = calc.verify_integrability(ctx, min(bound, 3), args.verify_integrability,
+    if samples:
+        report = calc.verify_integrability(ctx, min(bound, 3), samples,
                                            seed=_CALCULUS_SEED, coefficients=coeffs)
         payload["calculus"]["integrability"] = {
+            "degree": report.max_degree,
+            "seed": _CALCULUS_SEED,
             "samples": report.samples,
             "pass": report.all_pass,
             "failures": [list(f) for f in report.failures],

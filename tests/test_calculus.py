@@ -3,15 +3,18 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from skewsmooth.algebra import NcPoly, Presentation
-from skewsmooth.calculus import (CalculusContext, DiffForm, integral_form_coefficients,
-                                 kernel_is_scalars, kernel_of_d_bounded, random_form,
-                                 verify_integrability, _monomials_up_to)
+from skewsmooth.calculus import (CalculusContext, DiffForm, d_squared_failures,
+                                 integral_form_coefficients, kernel_is_scalars,
+                                 kernel_of_d_bounded, random_form, verify_integrability,
+                                 _monomials_up_to)
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
-from skewsmooth.endos import AffineEndo, apply_endo, identity_endo
+from skewsmooth.endos import AffineEndo, apply_endo, commute, identity_endo
 from skewsmooth.scalars import QQ, PrimeField
-from skewsmooth.smoothness import Verdict, decide
+from skewsmooth.smoothness import SolutionStatus, Verdict, decide, forced_nu
 
 from helpers import random_nonzero_rational, random_poly
 
@@ -23,9 +26,9 @@ def reference_context(alpha=2, beta=3, gamma=5):
     return CalculusContext(pres, verdict.witness)
 
 
-def smooth_contexts():
+def smooth_contexts(field=QQ):
     out = []
-    for entry in three_dim_grid():
+    for entry in three_dim_grid(field):
         verdict = decide(entry.presentation, 3)
         if verdict.verdict is Verdict.SMOOTH_SUFFICIENT:
             out.append((entry, CalculusContext(entry.presentation, verdict.witness)))
@@ -215,6 +218,75 @@ class TestLeibnizOracle:
                 assert ctx.d(pres.mono(m)) == leibniz_oracle(ctx, m), m
         # the ladder of x1^5 is (x1 + 1)^5 - x1^5 = 1: every binomial vanishes mod 5
         assert ctx.d(pres.mono((5, 0))) == DiffForm(1, {(1,): pres.one()})
+
+
+def d_squared_loop(ctx, max_degree):
+    """The monomials with d(d(m)) != 0, by building both forms."""
+    return [m for m in _monomials_up_to(ctx.n, max_degree)
+            if ctx.d(ctx.d(ctx.pres.mono(m)))]
+
+
+@st.composite
+def parametric_contexts(draw):
+    """A sufficiently smooth presentation (n = 2..4, diagonal tails, over Q,
+    F_7 or F_101) with at least one PARAMETRIC generator system, whose twist
+    is a random member of that system's solution set instead of the witness.
+    Those keep d^2 = 0, so half the time every twist is a random diagonal
+    scaling instead, which commutes but mostly breaks d^2 = 0."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]))
+    n = draw(st.integers(2, 4))
+    small = st.sampled_from([0, 0, 1, -1, 2, 3])
+    relations = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if draw(st.booleans()):
+                relations[(i, j)] = (draw(st.sampled_from([1, 1, 2, -1, 3])),
+                                     {i: draw(small), j: draw(small)}, draw(small))
+    pres = Presentation.skew(field, n, relations)
+    verdict = decide(pres, n)
+    assume(verdict.verdict is Verdict.SMOOTH_SUFFICIENT)
+    assume(any(s.status is SolutionStatus.PARAMETRIC for s in verdict.solutions))
+    nus = list(verdict.witness)
+    for s in verdict.solutions:
+        if s.status is SolutionStatus.PARAMETRIC:
+            (u, v), (du, dv) = s.solution_set.particular, s.solution_set.homogeneous[0]
+            t = field.coerce(draw(st.integers(-3, 3)))
+            assume(u + t * du)
+            nus[s.k - 1] = forced_nu(pres, s.k, u + t * du, v + t * dv)
+    assume(all(commute(a, b) for a in nus for b in nus))
+    if draw(st.booleans()):
+        slopes = st.sampled_from([1, -1, 2, 3, 5])
+        nus = [AffineEndo(tuple(field.coerce(draw(slopes)) for _ in range(n)),
+                          (field.zero,) * n) for _ in range(n)]
+    return CalculusContext(pres, nus)
+
+
+class TestDSquaredFailures:
+    """The d^2 check on the d-matrix columns against building d(d(m))."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+    def test_every_smooth_catalog_instance(self, field):
+        contexts = smooth_contexts(field)
+        assert contexts
+        for entry, ctx in contexts:
+            assert d_squared_failures(ctx, 6) == d_squared_loop(ctx, 6) == [], entry.label
+
+    def test_identity_twists_on_the_grid(self):
+        failing = 0
+        for entry in three_dim_grid():
+            pres = entry.presentation
+            ctx = CalculusContext(pres, [identity_endo(pres.field, 3)] * 3)
+            got = d_squared_failures(ctx, 4)
+            assert got == d_squared_loop(ctx, 4), entry.label
+            failing += bool(got)
+        assert failing == 31
+
+    @settings(max_examples=150, deadline=None)
+    @given(parametric_contexts(), st.integers(1, 4))
+    def test_random_parametric_twists(self, ctx, max_degree):
+        got = d_squared_failures(ctx, max_degree)
+        event(f"d^2 != 0: {bool(got)}")
+        assert got == d_squared_loop(ctx, max_degree)
 
 
 class TestDifferentialCache:

@@ -1,9 +1,12 @@
 import json
 import time
+from math import comb
 
 import pytest
 
-from skewsmooth.cli import MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES, main
+from skewsmooth.cli import (MAX_CALCULUS_DEGREE, MAX_CALCULUS_MONOMIALS, MAX_CALCULUS_N,
+                            MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES, MAX_INTEGRABILITY_SAMPLES,
+                            _CALCULUS_SEED, main)
 
 REFERENCE3 = """\
 name: reference3
@@ -119,6 +122,8 @@ def test_calculus_report(files, capsys):
     assert calculus["kernel_dimension"] == 1
     assert calculus["integral_form_normalization"] is True
     assert calculus["integrability"]["pass"] is True
+    assert calculus["integrability"]["degree"] == 3
+    assert calculus["integrability"]["seed"] == _CALCULUS_SEED
 
 
 def test_calculus_builds_the_kernel_once(files, capsys, monkeypatch):
@@ -194,6 +199,63 @@ def test_verify_identities_accepts_the_least_counts(capsys):
     code, out, _ = run(capsys, "verify-identities", "--n-max", "1", "--samples", "1", "--json")
     assert code == 0
     assert json.loads(out)["n_max"] == 1
+
+
+@pytest.fixture
+def no_decide(monkeypatch):
+    """Fail the test if ``calculus`` starts deciding: the bounds come first."""
+    from skewsmooth import cli
+
+    def never(*args):
+        raise AssertionError("decide ran on rejected input")
+
+    monkeypatch.setattr(cli, "decide", never)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-degree", "3", "--verify-integrability", "-3"],
+     f"--verify-integrability must be between 0 and {MAX_INTEGRABILITY_SAMPLES}, not -3"),
+    (["--max-degree", "3", "--verify-integrability", str(MAX_INTEGRABILITY_SAMPLES + 1)],
+     f"--verify-integrability must be between 0 and {MAX_INTEGRABILITY_SAMPLES}, "
+     f"not {MAX_INTEGRABILITY_SAMPLES + 1}"),
+    (["--max-degree", "0"], f"--max-degree must be between 1 and {MAX_CALCULUS_DEGREE}, not 0"),
+    (["--max-degree", "-2"], f"--max-degree must be between 1 and {MAX_CALCULUS_DEGREE}, not -2"),
+    (["--max-degree", str(10 ** 100)],
+     f"--max-degree must be between 1 and {MAX_CALCULUS_DEGREE}, not {10 ** 100}"),
+    (["--max-degree", "21"],
+     f"--max-degree 21 at n = 3 gives {comb(24, 3)} monomials, more than {MAX_CALCULUS_MONOMIALS}"),
+])
+def test_calculus_rejects_hollow_and_oversized_bounds(files, capsys, no_decide, flags, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "calculus", files["reference3"], *flags, "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_calculus_rejects_too_many_generators(tmp_path, capsys, no_decide):
+    wide = tmp_path / "wide.alg"
+    wide.write_text(f"kind: skew\nn: {MAX_CALCULUS_N + 1}\n")
+    code, out, err = run(capsys, "calculus", str(wide), "--max-degree", "1")
+    assert code == 1 and out == ""
+    assert err == (f"error: calculus takes at most {MAX_CALCULUS_N} generators, "
+                   f"not n = {MAX_CALCULUS_N + 1}\n")
+
+
+def test_calculus_accepts_the_bounds(files, capsys):
+    code, out, _ = run(capsys, "calculus", files["reference3"], "--max-degree", "1",
+                       "--verify-integrability", str(MAX_INTEGRABILITY_SAMPLES), "--json")
+    assert code == 0
+    assert json.loads(out)["calculus"]["integrability"]["samples"] == MAX_INTEGRABILITY_SAMPLES
+    code, out, _ = run(capsys, "calculus", files["reference3"], "--max-degree", "2",
+                       "--verify-integrability", "0", "--json")
+    assert code == 0
+    assert "integrability" not in json.loads(out)["calculus"]
+    # the largest degree under the monomial bound at n = 3; class 5a builds no calculus
+    assert comb(20 + 3, 3) <= MAX_CALCULUS_MONOMIALS < comb(21 + 3, 3)
+    code, out, _ = run(capsys, "calculus", files["class5a"], "--max-degree", "20", "--json")
+    assert code == 0
+    assert json.loads(out)["max_degree"] == 20
 
 
 def test_calculus_deterministic_without_seed_flag(files, capsys):
