@@ -12,6 +12,11 @@ The corpus is:
 - ``calculus --max-degree 7 --verify-integrability 2`` on the instances of
   ``three_dim_grid(PrimeField(7))`` the catalog expects to be sufficiently
   smooth: at degree 7 the binomials C(7, t) of the shifted twists vanish;
+- ``calculus`` on wider presentations, whose integral-form tables have
+  2^n - 2 index sets: ``--max-degree 2 --verify-integrability 1`` on
+  quasi-commutative ones (x_i x_j = a_ij x_j x_i, distinct a_ij other than
+  0 and +-1) with n in ``WIDE_N``, over Q and F_101, and ``--max-degree 1``
+  on the commutative one with n = ``cli.MAX_CALCULUS_N``, over Q;
 - ``verify-identities --seed 0`` and ``--seed 3``, and ``verify-identities
   --n-max 4 --samples 1`` (the ``identities`` benchmark job's shape) at the
   seeds in ``BENCH_SHAPE_SEEDS``;
@@ -38,8 +43,11 @@ import io
 import os
 import sys
 import time
+from fractions import Fraction
+from itertools import combinations
 
 from skewsmooth import cli, dsl
+from skewsmooth.algebra import Presentation
 from skewsmooth.catalog import DIFFUSION_LABELS, diffusion_class_instances, three_dim_grid
 from skewsmooth.diffusion import DiffusionPresentation, DiffusionType
 from skewsmooth.scalars import QQ, PrimeField
@@ -52,6 +60,7 @@ _SKEW = "kind: skew\nfield: Fp:7\nn: 3\n"
 _DIFF1 = "kind: diffusion1\nfield: Fp:7\nn: 3\n"
 _LONG = "1" * 5000
 BENCH_SHAPE_SEEDS = (0, 3, 271828)
+WIDE_N = (4, 6)
 # (name, text) or (name, text, calculus flags): each is an input error
 MALFORMED = (
     ("header-kind", "kind: lie\nn: 2\n"),
@@ -119,6 +128,14 @@ def _write_input(outdir: str, alg: dsl.AlgebraFile) -> str:
     return path
 
 
+def _quasi_commutative(field, n: int) -> Presentation:
+    """a_ij = +-(t + 3)/2 for the t-th pair i < j, signs alternating: distinct,
+    never 0 or +-1, and still distinct mod 101 for n <= 6."""
+    pairs = combinations(range(1, n + 1), 2)
+    return Presentation.skew(field, n, {pair: ((-1) ** t * Fraction(t + 3, 2), {}, 0)
+                                        for t, pair in enumerate(pairs)})
+
+
 def _diffusion_over(field, dp: DiffusionPresentation, dtype) -> DiffusionPresentation:
     """The Q instance's coefficients read in ``field``, as a ``dtype`` presentation."""
     lambdas = {k: field.coerce(v) for k, v in dp.lambdas.items()}
@@ -157,6 +174,16 @@ def main() -> int:
         path = _write_input(outdir, dsl.AlgebraFile(name, "skew", DEGREE_P, pres.n, pres))
         _run(outdir, name, ["calculus", path, "--max-degree", "7",
                             "--verify-integrability", "2"])
+        count += 1
+
+    wide = [(f"quasi-n{n}-{tag}", _quasi_commutative(field, n), ("2", "1"))
+            for tag, field in FIELDS for n in WIDE_N]
+    wide.append((f"commutative-n{cli.MAX_CALCULUS_N}-q",
+                 Presentation.commutative(QQ, cli.MAX_CALCULUS_N), ("1", "0")))
+    for name, pres, (degree, samples) in wide:
+        path = _write_input(outdir, dsl.AlgebraFile(name, "skew", pres.field, pres.n, pres))
+        _run(outdir, name, ["calculus", path, "--max-degree", degree,
+                            "--verify-integrability", samples])
         count += 1
 
     for tag, field in FIELDS:

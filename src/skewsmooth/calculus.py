@@ -26,6 +26,7 @@ __all__ = [
     "kernel_of_d_bounded",
     "kernel_is_scalars",
     "d_squared_failures",
+    "complementary_pairs",
     "IntegralFormCoefficients",
     "integral_form_coefficients",
     "IntegrabilityReport",
@@ -96,7 +97,7 @@ class CalculusContext:
                         f"twists for x_{a + 1} and x_{b + 1} do not commute")
         self.pres = pres
         self.nus = nus
-        self._composite_cache: dict = {}
+        self._composite_cache: dict = {(): identity_endo(pres.field, pres.n)}
         self._partial_cache: dict = {}   # (i, monomial) -> coefficient of dx_i in d(monomial)
         self._d_matrix_cache: dict = {}  # degree bound -> (monomials, columns)
 
@@ -105,14 +106,17 @@ class CalculusContext:
         return self.pres.n
 
     def composite(self, indices) -> AffineEndo:
+        """The twists of the index set composed in increasing order; each new
+        set is built from the cached composite of its longest cached prefix."""
         key = tuple(sorted(indices))
-        got = self._composite_cache.get(key)
-        if got is None:
-            got = identity_endo(self.pres.field, self.n)
-            for i in key:
-                got = compose(got, self.nus[i - 1])
-            self._composite_cache[key] = got
-        return got
+        cache = self._composite_cache
+        if key not in cache:
+            known = len(key) - 1
+            while key[:known] not in cache:
+                known -= 1
+            for end in range(known + 1, len(key) + 1):
+                cache[key[:end]] = compose(cache[key[:end - 1]], self.nus[key[end - 1] - 1])
+        return cache[key]
 
     @property
     def nu_omega(self) -> AffineEndo:
@@ -122,9 +126,6 @@ class CalculusContext:
 
     def zero_form(self, degree: int) -> DiffForm:
         return DiffForm(degree, {})
-
-    def form(self, degree: int, components: dict) -> DiffForm:
-        return DiffForm(degree, {tuple(s): p for s, p in components.items()})
 
     def from_poly(self, p: NcPoly) -> DiffForm:
         return DiffForm(0, {(): p})
@@ -156,22 +157,18 @@ class CalculusContext:
         return DiffForm(f.degree, out)
 
     def basis_sort(self, word):
-        """Sort a basis word into increasing order, collecting the scalar
-        factor -(1/a_ij) per transposition; None for repeated letters."""
-        word = list(word)
+        """Sort a basis word into increasing order.  The scalar is the product
+        of -(1/a_ij) over the inverted pairs, i < j with dx_j before dx_i;
+        None for repeated letters."""
+        word = tuple(word)
         factor = self.pres.field.one
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(word) - 1):
-                u, v = word[t], word[t + 1]
-                if u == v:
-                    return None
+        for s, u in enumerate(word):
+            for v in word[s + 1:]:
                 if u > v:
-                    word[t], word[t + 1] = v, u
                     factor = -(factor / self.pres.a(v, u))
-                    changed = True
-        return factor, tuple(word)
+                elif u == v:
+                    return None
+        return factor, tuple(sorted(word))
 
     def wedge(self, f: DiffForm, g: DiffForm) -> DiffForm:
         out: dict = {}
@@ -408,45 +405,36 @@ def _closed_form_products(ctx: CalculusContext, subset, complement):
     return a_cf, abar_cf
 
 
+def complementary_pairs(n: int, k: int):
+    """Each k-subset of 1..n in lexicographic order, with its complement."""
+    for subset in combinations(range(1, n + 1), k):
+        yield subset, tuple(g for g in range(1, n + 1) if g not in subset)
+
+
 def integral_form_coefficients(ctx: CalculusContext) -> IntegralFormCoefficients:
     """Constructive normalization: coefficient one on the lower half of the
     level range, the complementary partner forced by wedge-sorting so that
     barred(n-k, complement) ^ unbarred(k, S) is exactly the volume form.
 
-    The closed-form double products are evaluated as a cross-check only;
-    mismatches are recorded, never patched in.
+    One signed sort per index set S: with s the scalar of sorting
+    complement + S, one of A[(k, S)] and Abar[(n-k, complement)] is 1 and the
+    other 1/s (A when 2k > n).  The closed-form double products are evaluated
+    as a cross-check only; mismatches are recorded, never patched in.
     """
-    pres = ctx.pres
-    field = pres.field
-    n = pres.n
+    one = ctx.pres.field.one
+    n = ctx.n
     a: dict = {}
     abar: dict = {}
-    all_indices = tuple(range(1, n + 1))
-    for k in range(1, n):
-        for subset in combinations(all_indices, k):
-            complement = tuple(g for g in all_indices if g not in subset)
-            factor, idx = ctx.basis_sort(complement + subset)
-            assert idx == all_indices
-            if 2 * k <= n:
-                a[(k, subset)] = field.one
-            else:
-                a[(k, subset)] = field.one / factor
-            if 2 * k < n:
-                abar[(k, subset)] = field.one
-            else:
-                rev_factor, idx2 = ctx.basis_sort(subset + complement)
-                assert idx2 == all_indices
-                abar[(k, subset)] = field.one / rev_factor
     checks = []
     for k in range(1, n):
-        for subset in combinations(all_indices, k):
-            complement = tuple(g for g in all_indices if g not in subset)
-            factor, _ = ctx.basis_sort(complement + subset)
+        for subset, complement in complementary_pairs(n, k):
+            sign, _ = ctx.basis_sort(complement + subset)
+            a[(k, subset)], abar[(n - k, complement)] = (
+                (one, one / sign) if 2 * k <= n else (one / sign, one))
             a_cf, abar_cf = _closed_form_products(ctx, subset, complement)
-            product_ok = (a_cf * abar_cf * factor) == field.one
-            matches = (a_cf == a[(k, subset)]
-                       and abar_cf == abar[(n - k, complement)])
-            checks.append(ClosedFormCheck(k, subset, a_cf, abar_cf, product_ok, matches))
+            checks.append(ClosedFormCheck(
+                k, subset, a_cf, abar_cf, a_cf * abar_cf * sign == one,
+                a_cf == a[(k, subset)] and abar_cf == abar[(n - k, complement)]))
     return IntegralFormCoefficients(a, abar, tuple(checks))
 
 
@@ -503,16 +491,14 @@ def verify_integrability(ctx: CalculusContext, max_degree: int, samples: int,
         for s in range(samples):
             w = random_form(ctx, k, max_degree, rng)
             lhs_a = ctx.zero_form(k)
-            for subset in combinations(range(1, n + 1), k):
-                complement = tuple(g for g in range(1, n + 1) if g not in subset)
+            for subset, complement in complementary_pairs(n, k):
                 bar = coefficients.barred(ctx, n - k, complement)
                 coeff = ctx.pi_omega(ctx.wedge(bar, w))
                 lhs_a = lhs_a + ctx.right_mul(coefficients.unbarred(ctx, k, subset), coeff)
             if lhs_a != w:
                 failures.append((k, s, "right-coefficient side"))
             lhs_b = ctx.zero_form(k)
-            for complement in combinations(range(1, n + 1), n - k):
-                subset = tuple(g for g in range(1, n + 1) if g not in complement)
+            for complement, subset in complementary_pairs(n, n - k):
                 unb = coefficients.unbarred(ctx, n - k, complement)
                 coeff = ctx.pi_omega(ctx.wedge(w, unb))
                 moved = apply_endo(nu_inv, coeff, ctx.pres)

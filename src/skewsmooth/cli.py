@@ -172,13 +172,11 @@ def _cmd_calculus(args) -> int:
     kernel = calc.kernel_of_d_bounded(ctx, bound)
     connected = calc.kernel_is_scalars(kernel, pres.n)
     coeffs = calc.integral_form_coefficients(ctx)
-    normalization_ok = True
-    for (k, subset), value in sorted(coeffs.a.items()):
-        complement = tuple(g for g in range(1, pres.n + 1) if g not in subset)
-        wedge = ctx.wedge(coeffs.barred(ctx, pres.n - k, complement),
-                          coeffs.unbarred(ctx, k, subset))
-        if wedge != ctx.volume_form().form:
-            normalization_ok = False
+    omega = ctx.volume_form().form
+    normalization_ok = all(
+        ctx.wedge(coeffs.barred(ctx, pres.n - k, complement),
+                  coeffs.unbarred(ctx, k, subset)) == omega
+        for k in range(1, pres.n) for subset, complement in calc.complementary_pairs(pres.n, k))
     mismatches = [
         {"degree": ch.degree, "subset": list(ch.subset),
          "product_normalizes": ch.product_normalizes}

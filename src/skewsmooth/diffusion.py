@@ -228,7 +228,7 @@ def _sample_pair_presentation(dtype, lam_ij, lam_ji, x_i, x_j, field):
     dp = DiffusionPresentation(2, dtype, {(1, 2): lam_ij, (2, 1): lam_ji},
                                (x_i, x_j) if dtype is DiffusionType.TYPE1 else (),
                                field)
-    return dp, encode_presentation(dp)
+    return encode_presentation(dp)
 
 
 def _rhs(pres, dtype, x_i, x_j, parts):
@@ -274,7 +274,7 @@ def _verify_commutation(side: str, n_max: int, samples: int, seed: int,
             lam_ji = field.random(rng, 6) if s % 4 else field.zero
             x_i = field.random(rng, 6)
             x_j = field.random(rng, 6)
-            dp, pres = _sample_pair_presentation(dtype, lam_ij, lam_ji, x_i, x_j, field)
+            pres = _sample_pair_presentation(dtype, lam_ij, lam_ji, x_i, x_j, field)
             if side == "right":
                 lhs = pres.normal_form((1,) * n + (2,)).scale(lam_ij ** n)
                 rhs = _right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field)
@@ -460,7 +460,7 @@ def random_sigma(rng: random.Random, field=QQ, invertible: bool = True) -> Sigma
         if not invertible:
             return coeffs
         m = build_aut_matrices(coeffs, field.one, field.one, field)
-        if linalg.det(field, [list(r) for r in m.a_matrix]):
+        if linalg.det(field, m.a_matrix):
             return coeffs
 
 
@@ -488,10 +488,10 @@ def verify_determinant_identities(samples: int = 20, seed: int = 0,
         lam12 = field.random_nonzero(rng, 9)
         lam21 = field.random(rng, 9)
         m = build_aut_matrices(coeffs, lam12, lam21, field)
-        det_a = linalg.det(field, [list(r) for r in m.a_matrix])
-        det_gamma = linalg.det(field, [list(r) for r in m.gamma])
-        det_theta = linalg.det(field, [list(r) for r in m.theta])
-        det_l = linalg.det(field, [list(r) for r in m.l_matrix])
+        det_a = linalg.det(field, m.a_matrix)
+        det_gamma = linalg.det(field, m.gamma)
+        det_theta = linalg.det(field, m.theta)
+        det_l = linalg.det(field, m.l_matrix)
         if det_gamma != det_a:
             failures.append(("gamma", s, det_gamma, det_a))
         if det_theta != -det_l:
@@ -508,10 +508,10 @@ class SigmaConstantsResult:
 def solve_sigma_constant_terms(m: AutCoeffMatrices) -> SigmaConstantsResult:
     """Solve Gamma xbar = 0; with det(A) != 0 the only solution is zero."""
     field = m.field
-    det_a = linalg.det(field, [list(r) for r in m.a_matrix])
+    det_a = linalg.det(field, m.a_matrix)
     if not det_a:
         raise SingularMatrixError("degree-one coefficient matrix is singular")
-    ns = linalg.nullspace(field, [list(r) for r in m.gamma])
+    ns = linalg.nullspace(field, m.gamma)
     return SigmaConstantsResult((field.zero,) * 4, unique=not ns)
 
 
@@ -531,15 +531,15 @@ def check_derivation_constant_terms(m: AutCoeffMatrices) -> DerivationConstantsR
     field = m.field
     cols2 = [m.l1, m.l2]
     cols4 = [m.l1, m.l2, m.s_vec, m.h_vec]
-    rank_sh = linalg.rank(field, [list(col) for col in zip(m.s_vec, m.h_vec)])
-    rank_l = linalg.rank(field, [list(row) for row in zip(*cols2)])
-    rank_all = linalg.rank(field, [list(row) for row in zip(*cols4)])
+    rank_sh = linalg.rank(field, list(zip(m.s_vec, m.h_vec)))
+    rank_l = linalg.rank(field, list(zip(*cols2)))
+    rank_all = linalg.rank(field, list(zip(*cols4)))
     if not (rank_sh == rank_l == rank_all == 2):
         return DerivationConstantsReport("HYPOTHESIS_NOT_MET", None)
-    det_a = linalg.det(field, [list(r) for r in m.a_matrix])
+    det_a = linalg.det(field, m.a_matrix)
     if not det_a:
         return DerivationConstantsReport("SINGULAR", None)
-    ns = linalg.nullspace(field, [list(r) for r in m.theta])
+    ns = linalg.nullspace(field, m.theta)
     if ns:
         return DerivationConstantsReport("SINGULAR", None)
     return DerivationConstantsReport("ZERO_CONSTANTS", (field.zero,) * 4)

@@ -5,8 +5,9 @@ stored as ``{column: value}`` dicts that never hold a zero value, in the
 manner of structured Gaussian elimination.  The d-matrix of the calculus is
 mostly zeros (1.4 % nonzero at degree 6, 0.4 % at degree 12), and only the
 stored entries are ever touched.
-``rref``, ``rank``, ``nullspace``, ``solve_affine`` and ``det`` take and
-return dense matrices (lists of row lists) and adapt them to that routine.
+``rref``, ``rank``, ``nullspace``, ``solve_affine`` and ``det`` take dense
+matrices as sequences of rows (lists or tuples) and adapt them to that
+routine; ``rref`` and ``nullspace`` return lists of row lists.
 All arithmetic is exact; pivots are chosen by position, not by size.
 The row update is ``add_into``, which the polynomial, endomorphism and form
 code share as their one way to add sparse maps.
@@ -190,22 +191,13 @@ def solve_affine(field, rows, rhs) -> AffineSolutionSet:
 
 def det(field, rows):
     """Exact determinant: the product of the pivots, times the sign of the
-    permutation that takes each row to its pivot column."""
+    permutation that takes each row to its pivot column, read from the
+    parity of its inversions."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
     _, leads, product = _forward(field, _sparse(rows))
     if len(leads) < n:
         return field.zero
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, k = 0, start
-        while not seen[k]:
-            seen[k] = True
-            k = leads[k]
-            length += 1
-        if length % 2 == 0:
-            product = -product
-    return product
+    inversions = sum(u > v for s, u in enumerate(leads) for v in leads[s + 1:])
+    return -product if inversions % 2 else product

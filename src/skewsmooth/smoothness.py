@@ -169,7 +169,7 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     _require_spag(pres)
     field = pres.field
     rows = _diagonal_rows(pres, k)
-    sol = linalg.solve_affine(field, [list(co) for _, co, _ in rows],
+    sol = linalg.solve_affine(field, [co for _, co, _ in rows],
                               [rhs for _, _, rhs in rows])
     rowdata = tuple(rows)
     if sol.is_empty:

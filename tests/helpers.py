@@ -59,6 +59,26 @@ def naive_normal_form(pres: Presentation, terms) -> dict:
     return out
 
 
+def naive_basis_sort(pres: Presentation, word):
+    """Bubble sort of a basis word, collecting the scalar -(1/a_ij) per
+    adjacent transposition and restarting after every pass; None for repeated
+    letters: the oracle for ``CalculusContext.basis_sort``."""
+    word = list(word)
+    factor = pres.field.one
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(word) - 1):
+            u, v = word[t], word[t + 1]
+            if u == v:
+                return None
+            if u > v:
+                word[t], word[t + 1] = v, u
+                factor = -(factor / pres.a(v, u))
+                changed = True
+    return factor, tuple(word)
+
+
 def naive_pq_p(k: int, n: int, lam_ij, lam_ji):
     """P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) lam_ji^(t-1) lam_ij^(k-t), summed
     term by term in field arithmetic: the oracle for ``diffusion.pq_p``."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -10,13 +11,13 @@ from skewsmooth.algebra import NcPoly, Presentation
 from skewsmooth.calculus import (CalculusContext, DiffForm, d_squared_failures,
                                  integral_form_coefficients, kernel_is_scalars,
                                  kernel_of_d_bounded, random_form, verify_integrability,
-                                 _monomials_up_to)
+                                 ClosedFormCheck, _closed_form_products, _monomials_up_to)
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
-from skewsmooth.endos import AffineEndo, apply_endo, commute, identity_endo
+from skewsmooth.endos import AffineEndo, apply_endo, commute, compose, identity_endo
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import SolutionStatus, Verdict, decide, forced_nu
 
-from helpers import random_nonzero_rational, random_poly
+from helpers import naive_basis_sort, random_nonzero_rational, random_poly
 
 
 def reference_context(alpha=2, beta=3, gamma=5):
@@ -384,6 +385,106 @@ class TestIntegralForms:
         # the printed product branches misfire on edge injections; recorded
         assert not by_key[(1, (1,))].matches_constructive
         assert not by_key[(2, (2, 3))].product_normalizes
+
+
+@st.composite
+def quasi_commutative_presentations(draw, max_n=6):
+    """x_i x_j = a_ij x_j x_i with random nonzero a_ij (n = 2..max_n), over Q
+    or F_7."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    n = draw(st.integers(2, max_n))
+    quads = st.sampled_from([1, -1, 2, 3, -2, 5, F(1, 2), F(-3, 4), F(5, 3)])
+    relations = {(i, j): (draw(quads), {}, 0)
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    return Presentation.skew(field, n, relations)
+
+
+def identity_context(pres):
+    return CalculusContext(pres, [identity_endo(pres.field, pres.n)] * pres.n)
+
+
+class TestBasisSort:
+    @settings(max_examples=200, deadline=None)
+    @given(quasi_commutative_presentations(), st.data())
+    def test_matches_the_bubble_sort(self, pres, data):
+        ctx = identity_context(pres)
+        letters = st.integers(1, pres.n)
+        with_repeats = data.draw(st.lists(letters, max_size=pres.n + 2))
+        distinct = data.draw(st.permutations(range(1, pres.n + 1)))
+        distinct = distinct[:data.draw(st.integers(0, pres.n))]
+        for word in (with_repeats, distinct):
+            assert ctx.basis_sort(word) == naive_basis_sort(pres, word), word
+        assert ctx.basis_sort(distinct) is not None
+
+
+@st.composite
+def commuting_affine_contexts(draw):
+    """A commutative presentation with n = 1..5 random commuting twists over
+    Q: per generator, every twist either scales it or shifts it."""
+    n = draw(st.integers(1, 5))
+    nonzero = st.sampled_from([1, -1, 2, 3, F(1, 2), F(-2, 5)])
+    scales = [draw(st.booleans()) for _ in range(n)]
+    nus = []
+    for _ in range(n):
+        slopes = tuple(QQ.coerce(draw(nonzero)) if scale else QQ.one for scale in scales)
+        shifts = tuple(QQ.zero if scale else QQ.coerce(draw(nonzero)) for scale in scales)
+        nus.append(AffineEndo(slopes, shifts))
+    return CalculusContext(Presentation.commutative(QQ, n), nus)
+
+
+class TestComposite:
+    @settings(max_examples=100, deadline=None)
+    @given(commuting_affine_contexts(), st.data())
+    def test_left_fold_in_any_request_order(self, ctx, data):
+        index_sets = [s for k in range(ctx.n + 1)
+                      for s in combinations(range(1, ctx.n + 1), k)]
+        for s in data.draw(st.permutations(index_sets)):
+            asked = data.draw(st.permutations(s))
+            expected = reduce(compose, [ctx.nus[i - 1] for i in s],
+                              identity_endo(QQ, ctx.n))
+            assert ctx.composite(asked) == expected, s
+        assert ctx.nu_omega == ctx.composite(range(ctx.n, 0, -1))
+
+
+def two_sort_table(ctx):
+    """The coefficient table as built with two bubble sorts per index set:
+    A from sorting complement + S, Abar from sorting S + complement."""
+    pres, n, one = ctx.pres, ctx.n, ctx.pres.field.one
+    a, abar, checks = {}, {}, []
+    for k in range(1, n):
+        for subset in combinations(range(1, n + 1), k):
+            complement = tuple(g for g in range(1, n + 1) if g not in subset)
+            factor, _ = naive_basis_sort(pres, complement + subset)
+            a[(k, subset)] = one if 2 * k <= n else one / factor
+            rev_factor, _ = naive_basis_sort(pres, subset + complement)
+            abar[(k, subset)] = one if 2 * k < n else one / rev_factor
+    for k in range(1, n):
+        for subset in combinations(range(1, n + 1), k):
+            complement = tuple(g for g in range(1, n + 1) if g not in subset)
+            factor, _ = naive_basis_sort(pres, complement + subset)
+            a_cf, abar_cf = _closed_form_products(ctx, subset, complement)
+            checks.append(ClosedFormCheck(
+                k, subset, a_cf, abar_cf, a_cf * abar_cf * factor == one,
+                a_cf == a[(k, subset)] and abar_cf == abar[(n - k, complement)]))
+    return a, abar, tuple(checks)
+
+
+class TestOneSortPerIndexSet:
+    @settings(max_examples=60, deadline=None)
+    @given(quasi_commutative_presentations())
+    def test_table_matches_two_sorts(self, pres):
+        ctx = identity_context(pres)
+        calls = []
+        sort = ctx.basis_sort
+
+        def counting(word):
+            calls.append(word)
+            return sort(word)
+
+        ctx.basis_sort = counting
+        co = integral_form_coefficients(ctx)
+        assert (co.a, co.abar, co.closed_form_checks) == two_sort_table(ctx)
+        assert len(calls) == 2 ** pres.n - 2
 
 
 class TestIntegrability:

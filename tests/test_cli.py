@@ -142,6 +142,25 @@ def test_calculus_builds_the_kernel_once(files, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("key", [(1, (1,)), (1, (2,)), (1, (3,)),
+                                 (2, (1, 2)), (2, (1, 3)), (2, (2, 3))])
+def test_calculus_normalization_wedges_the_table(files, capsys, monkeypatch, key):
+    """One wrong Abar entry in the coefficient table makes the normalization
+    check, which wedges the table's forms, report false."""
+    from dataclasses import replace
+    from skewsmooth import calculus
+    original = calculus.integral_form_coefficients
+
+    def corrupted(ctx):
+        coeffs = original(ctx)
+        return replace(coeffs, abar={**coeffs.abar, key: coeffs.abar[key] * 2})
+
+    monkeypatch.setattr(calculus, "integral_form_coefficients", corrupted)
+    code, out, _ = run(capsys, "calculus", files["reference3"], "--max-degree", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["calculus"]["integral_form_normalization"] is False
+
+
 def test_calculus_without_witness(files, capsys):
     code, out, _ = run(capsys, "calculus", files["class5a"], "--max-degree", "3", "--json")
     assert code == 0

@@ -93,7 +93,8 @@ def _random_sparse(rng, field, nrows, ncols, density=0.3):
 
 
 def _shapes(rng, field):
-    """Wide, tall, with zero rows, with duplicate rows, and all-zero."""
+    """Wide, tall, with zero rows, with duplicate rows, all-zero, and one
+    tuple of tuples."""
     out = []
     for _ in range(4):
         out.append(_random_sparse(rng, field, rng.randint(1, 4), rng.randint(5, 9)))
@@ -107,6 +108,7 @@ def _shapes(rng, field):
         rng.shuffle(m)
         out.append(m)
     out.append([[field.zero] * 4 for _ in range(3)])
+    out.append(tuple(tuple(r) for r in out[2]))    # rows as tuples, as diffusion passes them
     return out
 
 
@@ -178,4 +180,13 @@ def test_det_matches_sympy(field):
                 rows = _random_sparse(rng, field, n, n, density)
                 expected = _from_domain(field, _domain_matrix(field, rows).det())
                 assert det(field, rows) == expected
+    # permutation matrices: the determinant is the sign of the pivot order alone
+    for n in range(1, 7):
+        swapped = list(range(n))
+        swapped[0], swapped[-1] = swapped[-1], swapped[0]
+        for perm in (range(n), swapped, rng.sample(range(n), n), rng.sample(range(n), n)):
+            rows = tuple(tuple(field.one if c == p else field.zero for c in range(n))
+                         for p in perm)
+            expected = _from_domain(field, _domain_matrix(field, rows).det())
+            assert det(field, rows) == expected
     assert det(field, []) == field.one
