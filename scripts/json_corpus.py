@@ -17,6 +17,9 @@ The corpus is:
   quasi-commutative ones (x_i x_j = a_ij x_j x_i, distinct a_ij other than
   0 and +-1) with n in ``WIDE_N``, over Q and F_101, and ``--max-degree 1``
   on the commutative one with n = ``cli.MAX_CALCULUS_N``, over Q;
+- ``calculus --verify-integrability 1`` at high degree on the inputs the
+  README times: class 2b (beta = 3, b = 7) at ``--max-degree 18`` and the
+  shifted plane x1 x2 - x2 x1 = x1 + x2 at ``--max-degree 30``, over Q;
 - ``verify-identities --seed 0`` and ``--seed 3``, and ``verify-identities
   --n-max 4 --samples 1`` (the ``identities`` benchmark job's shape) at the
   seeds in ``BENCH_SHAPE_SEEDS``;
@@ -48,7 +51,8 @@ from itertools import combinations
 
 from skewsmooth import cli, dsl
 from skewsmooth.algebra import Presentation
-from skewsmooth.catalog import DIFFUSION_LABELS, diffusion_class_instances, three_dim_grid
+from skewsmooth.catalog import (DIFFUSION_LABELS, diffusion_class_instances, three_dim_class,
+                                three_dim_grid)
 from skewsmooth.diffusion import DiffusionPresentation, DiffusionType
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import Verdict
@@ -180,6 +184,9 @@ def main() -> int:
             for tag, field in FIELDS for n in WIDE_N]
     wide.append((f"commutative-n{cli.MAX_CALCULUS_N}-q",
                  Presentation.commutative(QQ, cli.MAX_CALCULUS_N), ("1", "0")))
+    wide.append(("class-2b-beta3-b7-q", three_dim_class("2b", beta=3, b=7), ("18", "1")))
+    wide.append(("shifted-plane-q", Presentation.skew(QQ, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)}),
+                 ("30", "1")))
     for name, pres, (degree, samples) in wide:
         path = _write_input(outdir, dsl.AlgebraFile(name, "skew", pres.field, pres.n, pres))
         _run(outdir, name, ["calculus", path, "--max-degree", degree,

@@ -16,7 +16,8 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import NcPoly, Ordering, Presentation
-from .endos import AffineEndo, apply_endo, commute, compose, identity_endo, invert
+from .endos import (AffineEndo, _univariate_image, apply_endo, commute, compose,
+                    identity_endo, invert)
 from .errors import MismatchedArityError, NonDiagonalTailError
 
 __all__ = [
@@ -98,8 +99,11 @@ class CalculusContext:
         self.pres = pres
         self.nus = nus
         self._composite_cache: dict = {(): identity_endo(pres.field, pres.n)}
+        self._ladder_cache: dict = {}    # (i, power) -> _ladder(i, power)
+        self._prefix_cache: dict = {}    # (i, prefix exponents) -> nu_i(x^prefix)
         self._partial_cache: dict = {}   # (i, monomial) -> coefficient of dx_i in d(monomial)
-        self._d_matrix_cache: dict = {}  # degree bound -> (monomials, columns)
+        self._pair_cache: dict = {(): pres.field.one}  # index set -> prod_{s<t} -(1/a_st)
+        self._closed_form_tables = None  # (columns, rows) of _closed_form_factors
 
     @property
     def n(self) -> int:
@@ -109,14 +113,11 @@ class CalculusContext:
         """The twists of the index set composed in increasing order; each new
         set is built from the cached composite of its longest cached prefix."""
         key = tuple(sorted(indices))
-        cache = self._composite_cache
-        if key not in cache:
-            known = len(key) - 1
-            while key[:known] not in cache:
-                known -= 1
-            for end in range(known + 1, len(key) + 1):
-                cache[key[:end]] = compose(cache[key[:end - 1]], self.nus[key[end - 1] - 1])
-        return cache[key]
+        got = self._composite_cache.get(key)
+        if got is None:
+            got = _from_prefixes(self._composite_cache, key,
+                                 lambda endo, _, g: compose(endo, self.nus[g - 1]))
+        return got
 
     @property
     def nu_omega(self) -> AffineEndo:
@@ -170,6 +171,33 @@ class CalculusContext:
                     return None
         return factor, tuple(sorted(word))
 
+    def _pair_product(self, indices):
+        """prod over s < t of -(1/a_st) for an increasing index tuple, each set
+        built from its prefix's cached product."""
+        def extend(value, prefix, g):
+            for s in prefix:
+                value = -(value / self.pres.a(s, g))
+            return value
+        return _from_prefixes(self._pair_cache, tuple(indices), extend)
+
+    def _closed_form_factors(self):
+        """``(columns, rows)``, built once: columns[u] = prod_{t<u} -a_tu and
+        rows[u][v] = prod_{u<t<=v} -a_ut (1 when v <= u), for 1 <= u, v <= n."""
+        if self._closed_form_tables is None:
+            one, n = self.pres.field.one, self.n
+            columns, rows = [None], [None]
+            for u in range(1, n + 1):
+                value = one
+                for t in range(1, u):
+                    value = -(value * self.pres.a(t, u))
+                columns.append(value)
+                row = [one] * (u + 1)
+                for t in range(u + 1, n + 1):
+                    row.append(-(row[-1] * self.pres.a(u, t)))
+                rows.append(row)
+            self._closed_form_tables = (columns, rows)
+        return self._closed_form_tables
+
     def wedge(self, f: DiffForm, g: DiffForm) -> DiffForm:
         out: dict = {}
         for s, p in f.components.items():
@@ -204,6 +232,25 @@ class CalculusContext:
                 acc = nxt
         return total
 
+    def ladder(self, i: int, power: int) -> dict:
+        """``_ladder(i, power)``, cached on the context."""
+        key = (i, power)
+        got = self._ladder_cache.get(key)
+        if got is None:
+            got = self._ladder_cache[key] = self._ladder(i, power)
+        return got
+
+    def _twisted_prefix(self, i: int, prefix) -> dict:
+        """nu_i(x_1^e_1 ... x_(i-1)^e_(i-1)) for prefix = (e_1, ..., e_(i-1)), as a map
+        from prefix exponents to coefficients.  Cached on the context."""
+        key = (i, prefix)
+        got = self._prefix_cache.get(key)
+        if got is None:
+            image = apply_endo(self.nus[i - 1],
+                               self.pres.mono(prefix + (0,) * (self.n - i + 1)), self.pres)
+            got = self._prefix_cache[key] = {e[:i - 1]: c for e, c in image.terms.items()}
+        return got
+
     def _partial_monomial(self, i: int, m) -> dict:
         """Coefficient of dx_i in d(m) for one monomial m, as exponent -> coeff:
         twisted prefix, ladder sum, plain tail.  Cached on the context."""
@@ -215,12 +262,11 @@ class CalculusContext:
         if got is not None:
             return got
         # the three factors live on disjoint generators, so no products collide
-        prefix = apply_endo(self.nus[i - 1],
-                            self.pres.mono(m[:i - 1] + (0,) * (self.n - i + 1)), self.pres)
-        ladder = self._ladder(i, li)
+        ladder = self.ladder(i, li)
         suffix = m[i:]
-        combined = {e[:i - 1] + (t,) + suffix: c * v
-                    for e, c in prefix.terms.items() for t, v in ladder.items()}
+        combined = {e + (t,) + suffix: c * v
+                    for e, c in self._twisted_prefix(i, m[:i - 1]).items()
+                    for t, v in ladder.items()}
         self._partial_cache[cache_key] = combined
         return combined
 
@@ -257,18 +303,27 @@ class CalculusContext:
     def d_matrix(self, max_degree: int):
         """d on the polynomials of total degree <= bound, as ``(monomials,
         columns)``: column c is ``{(i, mono): coeff}``, the dx_i-coefficients
-        of d(monomials[c]) read from the per-monomial cache.  Built once per
-        bound and shared by the d^2 check and the bounded kernel."""
-        got = self._d_matrix_cache.get(max_degree)
-        if got is None:
-            if max_degree < 1:
-                raise MismatchedArityError("the degree bound must be at least 1")
-            monomials = _monomials_up_to(self.n, max_degree)
-            columns = [{(i, mono): c for i in range(1, self.n + 1)
-                        for mono, c in self._partial_monomial(i, m).items()}
-                       for m in monomials]
-            got = self._d_matrix_cache[max_degree] = (monomials, columns)
-        return got
+        of d(monomials[c]) read from the per-monomial cache."""
+        if max_degree < 1:
+            raise MismatchedArityError("the degree bound must be at least 1")
+        monomials = _monomials_up_to(self.n, max_degree)
+        columns = [{(i, mono): c for i in range(1, self.n + 1)
+                    for mono, c in self._partial_monomial(i, m).items()}
+                   for m in monomials]
+        return monomials, columns
+
+
+def _from_prefixes(cache: dict, key: tuple, extend):
+    """``cache[key]``, first filling in every missing prefix of ``key`` from the
+    next shorter one as ``extend(value, prefix, new letter)``; the longest
+    cached prefix is where the walk starts (``cache`` holds ``()``)."""
+    if key not in cache:
+        known = len(key) - 1
+        while key[:known] not in cache:
+            known -= 1
+        for end in range(known + 1, len(key) + 1):
+            cache[key[:end]] = extend(cache[key[:end - 1]], key[:end - 1], key[end - 1])
+    return cache[key]
 
 
 def _monomials_up_to(n: int, max_degree: int):
@@ -307,32 +362,46 @@ def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
 
 
 def d_squared_failures(ctx: CalculusContext, max_degree: int) -> list:
-    """The monomials of total degree <= bound whose d(d(m)) is not zero.
+    """The monomials of total degree <= bound whose d(d(m)) is not zero, in
+    the order of the d-matrix columns.
 
     On a 1-form, d(dx_j q) = sum_{i != j} s_ji dx_{ij} partial_i(q), where
-    s_ji is the degree-1 sign times the scalar of sorting (j, i).  So d^2 of a
-    monomial is its d-matrix column pushed through the cached partials, one
-    sorted pair at a time, and no form is built.
+    s_ji is the degree-1 sign times the scalar of sorting (j, i).  The factors
+    of partial_i(x^e) = nu_i(x^{e<i}) L_i(e_i) x^{e>i} live on disjoint
+    generators and the twists commute, so for i < j the dx_i ^ dx_j
+    coefficient of d(d(x^e)) is
+
+        nu_i nu_j(x^{e<i}) U_ij(e_i) nu_j(x^{i<g<j}) L_j(e_j) x^{e>j},
+        U_ij(a) = s_ji partial_i(nu_j(x_i^a)) + s_ij nu_j(L_i(a)),
+
+    with L_i = ``ladder(i, .)``.  Twists have nonzero slopes, so the twist
+    images are nonzero and the coefficient vanishes exactly when U_ij(e_i)
+    or L_j(e_j) does: d^2 is checked on univariate factors, (D + 1) per pair,
+    and no form or matrix is built.
     """
+    if max_degree < 1:
+        raise MismatchedArityError("the degree bound must be at least 1")
     minus = -ctx.pres.field.one
-    steps: dict = {}    # j -> [(i, sorted pair, s_ji)]
-    for j in range(1, ctx.n + 1):
-        for i in range(1, ctx.n + 1):
-            if i != j:
-                factor, pair = ctx.basis_sort((j, i))
-                steps.setdefault(j, []).append((i, pair, factor * minus))
-    monomials, columns = ctx.d_matrix(max_degree)
-    failures = []
-    for m, column in zip(monomials, columns):
-        acc: dict = {}    # sorted pair -> coefficient of dx_pair in d(d(m))
-        for (j, mono), c in column.items():
-            for i, pair, s in steps[j]:
-                if mono[i - 1]:
-                    linalg.add_into(acc.setdefault(pair, {}), ctx._partial_monomial(i, mono),
-                                    c * s)
-        if any(acc.values()):
-            failures.append(m)
-    return failures
+    powers = range(1, max_degree + 1)
+    live = {j: {b for b in powers if ctx.ladder(j, b)} for j in range(1, ctx.n + 1)}
+    checks = []     # (i - 1, j - 1, {a: U_ij(a) != 0}, {b: L_j(b) != 0})
+    for i, j in combinations(range(1, ctx.n + 1), 2):
+        s_ji = ctx.basis_sort((j, i))[0] * minus
+        s_ij = minus        # (i, j) is already sorted
+        slope, shift = ctx.nus[j - 1].slopes[i - 1], ctx.nus[j - 1].shifts[i - 1]
+        broken = set()
+        for a in powers:
+            u: dict = {}
+            for b, c in _univariate_image(slope, shift, a).items():
+                linalg.add_into(u, ctx.ladder(i, b), c * s_ji)
+            for t, c in ctx.ladder(i, a).items():
+                linalg.add_into(u, _univariate_image(slope, shift, t), c * s_ij)
+            if u:
+                broken.add(a)
+        if broken and live[j]:
+            checks.append((i - 1, j - 1, broken, live[j]))
+    return [m for m in _monomials_up_to(ctx.n, max_degree)
+            if any(m[i] in broken and m[j] in lj for i, j, broken, lj in checks)]
 
 
 def kernel_is_scalars(basis, n: int) -> bool:
@@ -371,38 +440,26 @@ class IntegralFormCoefficients:
 
 
 def _closed_form_products(ctx: CalculusContext, subset, complement):
-    """The two-branch closed-form double products with their stated index ranges."""
-    pres = ctx.pres
-    field = pres.field
-    n = pres.n
-    k = len(subset)
-    phi = tuple(subset)
-    phibar = tuple(complement)
-    neg = -field.one
+    """The two-branch closed-form double products with their stated index
+    ranges.  With C the complement:
 
-    def a_pair(u, v):
-        return pres.a(u, v)
+    - S containing 1: A = prod_{u in C} prod_{t<u} -a_tu and
+      Abar = prod_{s<t in C} -(1/a_st);
+    - otherwise: A = prod_{s<t in S} -(1/a_st) and
+      Abar = prod_{u in S} prod_{u<t<=max C} -a_ut.
 
-    if phi and phi[0] == 1:
-        a_cf = field.one
-        for s in range(1, n - k + 1):
-            for t in range(1, phibar[s - 1]):
-                a_cf = a_cf * neg * a_pair(t, phibar[s - 1])
-        abar_cf = field.one
-        for s in range(1, n - k):
-            for t in range(s + 1, n - k + 1):
-                abar_cf = abar_cf * neg / a_pair(phibar[s - 1], phibar[t - 1])
-    else:
-        a_cf = field.one
-        for s in range(1, k):
-            for t in range(s + 1, k + 1):
-                a_cf = a_cf * neg / a_pair(phi[s - 1], phi[t - 1])
-        abar_cf = field.one
-        last = phibar[n - k - 1]
-        for s in range(1, k + 1):
-            for t in range(phi[s - 1] + 1, last + 1):
-                abar_cf = abar_cf * neg * a_pair(phi[s - 1], t)
-    return a_cf, abar_cf
+    Each inner product is read from the context's cached factors.
+    """
+    columns, rows = ctx._closed_form_factors()
+    if subset[:1] == (1,):
+        a_cf = ctx.pres.field.one
+        for u in complement:
+            a_cf = a_cf * columns[u]
+        return a_cf, ctx._pair_product(complement)
+    abar_cf = ctx.pres.field.one
+    for u in subset:
+        abar_cf = abar_cf * rows[u][complement[-1]]
+    return ctx._pair_product(subset), abar_cf
 
 
 def complementary_pairs(n: int, k: int):

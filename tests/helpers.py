@@ -79,6 +79,38 @@ def naive_basis_sort(pres: Presentation, word):
     return factor, tuple(word)
 
 
+def naive_closed_form_products(pres: Presentation, subset, complement):
+    """The two-branch closed-form double products, every factor multiplied
+    in with its stated index ranges: the oracle for
+    ``calculus._closed_form_products``."""
+    field = pres.field
+    n = pres.n
+    k = len(subset)
+    phi = tuple(subset)
+    phibar = tuple(complement)
+    neg = -field.one
+    if phi and phi[0] == 1:
+        a_cf = field.one
+        for s in range(1, n - k + 1):
+            for t in range(1, phibar[s - 1]):
+                a_cf = a_cf * neg * pres.a(t, phibar[s - 1])
+        abar_cf = field.one
+        for s in range(1, n - k):
+            for t in range(s + 1, n - k + 1):
+                abar_cf = abar_cf * neg / pres.a(phibar[s - 1], phibar[t - 1])
+    else:
+        a_cf = field.one
+        for s in range(1, k):
+            for t in range(s + 1, k + 1):
+                a_cf = a_cf * neg / pres.a(phi[s - 1], phi[t - 1])
+        abar_cf = field.one
+        last = phibar[n - k - 1]
+        for s in range(1, k + 1):
+            for t in range(phi[s - 1] + 1, last + 1):
+                abar_cf = abar_cf * neg * pres.a(phi[s - 1], t)
+    return a_cf, abar_cf
+
+
 def naive_pq_p(k: int, n: int, lam_ij, lam_ji):
     """P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) lam_ji^(t-1) lam_ij^(k-t), summed
     term by term in field arithmetic: the oracle for ``diffusion.pq_p``."""

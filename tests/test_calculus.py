@@ -1,23 +1,29 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
+from math import comb
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from skewsmooth import calculus
 from skewsmooth.algebra import NcPoly, Presentation
 from skewsmooth.calculus import (CalculusContext, DiffForm, d_squared_failures,
                                  integral_form_coefficients, kernel_is_scalars,
                                  kernel_of_d_bounded, random_form, verify_integrability,
-                                 ClosedFormCheck, _closed_form_products, _monomials_up_to)
+                                 ClosedFormCheck, _monomials_up_to)
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
 from skewsmooth.endos import AffineEndo, apply_endo, commute, compose, identity_endo
+from skewsmooth.errors import MismatchedArityError
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import SolutionStatus, Verdict, decide, forced_nu
 
-from helpers import naive_basis_sort, random_nonzero_rational, random_poly
+from helpers import (naive_basis_sort, naive_closed_form_products, random_nonzero_rational,
+                     random_poly)
 
 
 def reference_context(alpha=2, beta=3, gamma=5):
@@ -227,15 +233,21 @@ def d_squared_loop(ctx, max_degree):
             if ctx.d(ctx.d(ctx.pres.mono(m)))]
 
 
+ORACLE_MONOMIALS = 200
+
+
 @st.composite
 def parametric_contexts(draw):
-    """A sufficiently smooth presentation (n = 2..4, diagonal tails, over Q,
-    F_7 or F_101) with at least one PARAMETRIC generator system, whose twist
-    is a random member of that system's solution set instead of the witness.
-    Those keep d^2 = 0, so half the time every twist is a random diagonal
-    scaling instead, which commutes but mostly breaks d^2 = 0."""
-    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]))
-    n = draw(st.integers(2, 4))
+    """A presentation with diagonal tails (n = 2..5, over Q, F_5, F_7 or
+    F_101) and a commuting twist family.  Half the time the presentation is
+    sufficiently smooth with at least one PARAMETRIC generator system, whose
+    twist is a random member of that system's solution set instead of the
+    witness; linear tails make those twists shifted, and they keep d^2 = 0.
+    Otherwise the twists are random and mostly break d^2 = 0: per generator,
+    every twist either scales it (slopes of finite order such as -1 make
+    ladders vanish) or shifts it."""
+    field = draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7), PrimeField(101)]))
+    n = draw(st.integers(2, 5))
     small = st.sampled_from([0, 0, 1, -1, 2, 3])
     relations = {}
     for i in range(1, n + 1):
@@ -244,6 +256,15 @@ def parametric_contexts(draw):
                 relations[(i, j)] = (draw(st.sampled_from([1, 1, 2, -1, 3])),
                                      {i: draw(small), j: draw(small)}, draw(small))
     pres = Presentation.skew(field, n, relations)
+    if draw(st.booleans()):
+        nonzero = st.sampled_from([1, -1, 2, 3, 4])
+        scales = [draw(st.booleans()) for _ in range(n)]
+        nus = [AffineEndo(tuple(field.coerce(draw(nonzero)) if scale else field.one
+                                for scale in scales),
+                          tuple(field.zero if scale else field.coerce(draw(nonzero))
+                                for scale in scales))
+               for _ in range(n)]
+        return CalculusContext(pres, nus)
     verdict = decide(pres, n)
     assume(verdict.verdict is Verdict.SMOOTH_SUFFICIENT)
     assume(any(s.status is SolutionStatus.PARAMETRIC for s in verdict.solutions))
@@ -255,15 +276,56 @@ def parametric_contexts(draw):
             assume(u + t * du)
             nus[s.k - 1] = forced_nu(pres, s.k, u + t * du, v + t * dv)
     assume(all(commute(a, b) for a in nus for b in nus))
-    if draw(st.booleans()):
-        slopes = st.sampled_from([1, -1, 2, 3, 5])
-        nus = [AffineEndo(tuple(field.coerce(draw(slopes)) for _ in range(n)),
-                          (field.zero,) * n) for _ in range(n)]
     return CalculusContext(pres, nus)
 
 
+@st.composite
+def parametric_contexts_and_degrees(draw):
+    """A context from ``parametric_contexts`` and a degree bound up to 2p + 1
+    (11 over F_5, 15 over F_7, Q and F_101), lowered until at most
+    ``ORACLE_MONOMIALS`` monomials remain for the form-building oracle."""
+    ctx = draw(parametric_contexts())
+    p = getattr(ctx.pres.field, "p", 7)
+    max_degree = draw(st.integers(1, 2 * min(p, 7) + 1))
+    while comb(max_degree + ctx.n, ctx.n) > ORACLE_MONOMIALS:
+        max_degree -= 1
+    return ctx, max_degree
+
+
+def vanishing_factors(ctx, max_degree):
+    """Event labels for the two ways a dx_i ^ dx_j coefficient of d^2 can
+    vanish, read off built forms: L_j(b) = 0 when d(x_j^b) = 0 (from
+    [p]_1 = 0 when nu_j has slope 1 on x_j, else from the slope's order), and
+    U_ij(a) = 0 when d(d(x_i^a x_j)) has no dx_i ^ dx_j part (L_j(1) = 1)."""
+    pres, n = ctx.pres, ctx.n
+
+    def power(i, a, j=None):
+        return pres.mono(tuple(a if g == i else int(g == j) for g in range(1, n + 1)))
+
+    labels = set()
+    for i, j in combinations(range(1, n + 1), 2):
+        dead = [b for b in range(1, max_degree) if not ctx.d(power(j, b))]
+        for a in range(1, max_degree):
+            u_zero = (i, j) not in ctx.d(ctx.d(power(i, a, j))).components
+            if u_zero:
+                labels.add("U_ij(a) = 0")
+            elif any(a + b <= max_degree for b in dead):
+                cause = "[p]_1" if ctx.nus[j - 1].slopes[j - 1] == pres.field.one else "torsion"
+                labels.add(f"L_j(b) = 0 ({cause}) hides U_ij(a) != 0")
+    return labels
+
+
+def ladder_killed_by_the_characteristic():
+    """The commutative plane over F_5 with nu_1 = (2 x1, x2), nu_2 = (3 x1, x2):
+    L_2(5) = 5 x2^4 = 0, while U_12(1) != 0, so at D = 6 only [5]_1 = 0 keeps
+    x1 x2^5 off the list of d^2 failures."""
+    field = PrimeField(5)
+    nus = [AffineEndo((field.coerce(slope), field.one), (field.zero,) * 2) for slope in (2, 3)]
+    return CalculusContext(Presentation.commutative(field, 2), nus), 6
+
+
 class TestDSquaredFailures:
-    """The d^2 check on the d-matrix columns against building d(d(m))."""
+    """The d^2 check on univariate factors against building d(d(m))."""
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
     def test_every_smooth_catalog_instance(self, field):
@@ -282,12 +344,53 @@ class TestDSquaredFailures:
             failing += bool(got)
         assert failing == 31
 
-    @settings(max_examples=150, deadline=None)
-    @given(parametric_contexts(), st.integers(1, 4))
-    def test_random_parametric_twists(self, ctx, max_degree):
+    @settings(max_examples=200, deadline=None)
+    @given(parametric_contexts_and_degrees())
+    @example(ladder_killed_by_the_characteristic())
+    def test_random_parametric_twists(self, drawn):
+        ctx, max_degree = drawn
         got = d_squared_failures(ctx, max_degree)
         event(f"d^2 != 0: {bool(got)}")
+        for label in sorted(vanishing_factors(ctx, max_degree)):
+            event(label)
         assert got == d_squared_loop(ctx, max_degree)
+
+    def test_bound_below_one_is_rejected(self):
+        ctx = reference_context()
+        for check in (d_squared_failures, kernel_of_d_bounded):
+            with pytest.raises(MismatchedArityError, match="at least 1"):
+                check(ctx, 0)
+
+
+class TestOneFactorPerKey:
+    """The d-matrix and the d^2 check build each ladder sum L_i(a) once per
+    (i, a) and twist each prefix x^{m<i} once per (i, prefix)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(parametric_contexts_and_degrees())
+    def test_ladders_and_prefix_twists_are_cached(self, drawn):
+        ctx, max_degree = drawn
+        ladders = []
+        ladder = ctx._ladder
+
+        def counting_ladder(i, power):
+            ladders.append((i, power))
+            return ladder(i, power)
+
+        twists = []
+
+        def counting_twist(endo, p, pres):
+            twists.append(p)
+            return apply_endo(endo, p, pres)
+
+        ctx._ladder = counting_ladder
+        with patch.object(calculus, "apply_endo", counting_twist):
+            ctx.d_matrix(max_degree)
+            d_squared_failures(ctx, max_degree)
+        assert max(Counter(ladders).values()) == 1
+        prefixes = {(i, m[:i - 1]) for m in _monomials_up_to(ctx.n, max_degree)
+                    for i in range(1, ctx.n + 1) if m[i - 1]}
+        assert len(twists) <= len(prefixes)
 
 
 class TestDifferentialCache:
@@ -448,7 +551,8 @@ class TestComposite:
 
 def two_sort_table(ctx):
     """The coefficient table as built with two bubble sorts per index set:
-    A from sorting complement + S, Abar from sorting S + complement."""
+    A from sorting complement + S, Abar from sorting S + complement; the
+    closed-form products multiplied out factor by factor."""
     pres, n, one = ctx.pres, ctx.n, ctx.pres.field.one
     a, abar, checks = {}, {}, []
     for k in range(1, n):
@@ -462,7 +566,7 @@ def two_sort_table(ctx):
         for subset in combinations(range(1, n + 1), k):
             complement = tuple(g for g in range(1, n + 1) if g not in subset)
             factor, _ = naive_basis_sort(pres, complement + subset)
-            a_cf, abar_cf = _closed_form_products(ctx, subset, complement)
+            a_cf, abar_cf = naive_closed_form_products(pres, subset, complement)
             checks.append(ClosedFormCheck(
                 k, subset, a_cf, abar_cf, a_cf * abar_cf * factor == one,
                 a_cf == a[(k, subset)] and abar_cf == abar[(n - k, complement)]))
