@@ -19,7 +19,10 @@ The corpus is:
   on the commutative one with n = ``cli.MAX_CALCULUS_N``, over Q;
 - ``calculus --verify-integrability 1`` at high degree on the inputs the
   README times: class 2b (beta = 3, b = 7) at ``--max-degree 18`` and the
-  shifted plane x1 x2 - x2 x1 = x1 + x2 at ``--max-degree 30``, over Q;
+  shifted plane x1 x2 - x2 x1 = x1 + x2 at ``--max-degree 30``, over Q; and
+  two disconnected ones, the shifted plane over F_5 at ``--max-degree 30``
+  (kernel dimension 28) and class 2b (beta = 3, b = 5) over F_7 at
+  ``--max-degree 12`` (kernel dimension 7);
 - ``verify-identities --seed 0`` and ``--seed 3``, and ``verify-identities
   --n-max 4 --samples 1`` (the ``identities`` benchmark job's shape) at the
   seeds in ``BENCH_SHAPE_SEEDS``;
@@ -185,8 +188,11 @@ def main() -> int:
     wide.append((f"commutative-n{cli.MAX_CALCULUS_N}-q",
                  Presentation.commutative(QQ, cli.MAX_CALCULUS_N), ("1", "0")))
     wide.append(("class-2b-beta3-b7-q", three_dim_class("2b", beta=3, b=7), ("18", "1")))
-    wide.append(("shifted-plane-q", Presentation.skew(QQ, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)}),
-                 ("30", "1")))
+    for tag, field in (("q", QQ), ("p5", PrimeField(5))):
+        wide.append((f"shifted-plane-{tag}",
+                     Presentation.skew(field, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)}), ("30", "1")))
+    wide.append(("class-2b-beta3-b5-p7", three_dim_class("2b", DEGREE_P, beta=3, b=5),
+                 ("12", "1")))
     for name, pres, (degree, samples) in wide:
         path = _write_input(outdir, dsl.AlgebraFile(name, "skew", pres.field, pres.n, pres))
         _run(outdir, name, ["calculus", path, "--max-degree", degree,

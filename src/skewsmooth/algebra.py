@@ -104,12 +104,6 @@ class NcPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def constant_term(self, field):
-        if not self.terms:
-            return field.zero
-        n = len(next(iter(self.terms)))
-        return self.terms.get((0,) * n, field.zero)
-
     def __repr__(self):
         if not self.terms:
             return "NcPoly(0)"

@@ -101,7 +101,6 @@ class CalculusContext:
         self._composite_cache: dict = {(): identity_endo(pres.field, pres.n)}
         self._ladder_cache: dict = {}    # (i, power) -> _ladder(i, power)
         self._prefix_cache: dict = {}    # (i, prefix exponents) -> nu_i(x^prefix)
-        self._partial_cache: dict = {}   # (i, monomial) -> coefficient of dx_i in d(monomial)
         self._pair_cache: dict = {(): pres.field.one}  # index set -> prod_{s<t} -(1/a_st)
         self._closed_form_tables = None  # (columns, rows) of _closed_form_factors
 
@@ -251,31 +250,21 @@ class CalculusContext:
             got = self._prefix_cache[key] = {e[:i - 1]: c for e, c in image.terms.items()}
         return got
 
-    def _partial_monomial(self, i: int, m) -> dict:
-        """Coefficient of dx_i in d(m) for one monomial m, as exponent -> coeff:
-        twisted prefix, ladder sum, plain tail.  Cached on the context."""
-        li = m[i - 1]
-        if not li:
-            return {}
-        cache_key = (i, m)
-        got = self._partial_cache.get(cache_key)
-        if got is not None:
-            return got
-        # the three factors live on disjoint generators, so no products collide
-        ladder = self.ladder(i, li)
-        suffix = m[i:]
-        combined = {e + (t,) + suffix: c * v
-                    for e, c in self._twisted_prefix(i, m[:i - 1]).items()
-                    for t, v in ladder.items()}
-        self._partial_cache[cache_key] = combined
-        return combined
-
     def partial(self, i: int, p: NcPoly) -> NcPoly:
-        """Coefficient of dx_i in d(p), combined from the cached images of
-        p's monomials (d is linear over the field)."""
+        """Coefficient of dx_i in d(p).  Per monomial x^e of p (d is linear over
+        the field) it is the twisted prefix nu_i(x^{e<i}), the ladder sum
+        L_i(e_i) and the plain tail x^{e>i}; the three live on disjoint
+        generators, so no products collide."""
         out: dict = {}
         for m, c in p.terms.items():
-            linalg.add_into(out, self._partial_monomial(i, m), c)
+            li = m[i - 1]
+            if not li:
+                continue
+            ladder = self.ladder(i, li)
+            suffix = m[i:]
+            linalg.add_into(out, {e + (t,) + suffix: v * w
+                                  for e, v in self._twisted_prefix(i, m[:i - 1]).items()
+                                  for t, w in ladder.items()}, c)
         return NcPoly(out)
 
     def d(self, f) -> DiffForm:
@@ -299,18 +288,6 @@ class CalculusContext:
                 factor, idx = sorted_basis
                 linalg.add_into(out, {idx: q.scale(factor * sign)})
         return DiffForm(f.degree + 1, out)
-
-    def d_matrix(self, max_degree: int):
-        """d on the polynomials of total degree <= bound, as ``(monomials,
-        columns)``: column c is ``{(i, mono): coeff}``, the dx_i-coefficients
-        of d(monomials[c]) read from the per-monomial cache."""
-        if max_degree < 1:
-            raise MismatchedArityError("the degree bound must be at least 1")
-        monomials = _monomials_up_to(self.n, max_degree)
-        columns = [{(i, mono): c for i in range(1, self.n + 1)
-                    for mono, c in self._partial_monomial(i, m).items()}
-                   for m in monomials]
-        return monomials, columns
 
 
 def _from_prefixes(cache: dict, key: tuple, extend):
@@ -343,27 +320,40 @@ def _monomials_up_to(n: int, max_degree: int):
 def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
     """Exact kernel basis of d on the polynomials of total degree <= bound.
 
-    The rows of the d-matrix are the (i, monomial) pairs of an image
-    dx_i * monomial, read off the columns of ``CalculusContext.d_matrix``;
-    it is eliminated sparse.  The rows go in by decreasing degree of their
-    monomial, so that a row's lowest column is mostly a new pivot and the
-    elimination fills in little; the reduced form, and so the basis, does
-    not depend on the row order.
+    partial_k(x^e) = nu_k(x^{e<k}) L_k(e_k) x^{e>k} on disjoint generators,
+    with nu_k invertible, so ker partial_k = K[x_<k] (x) N_k (x) K[x_>k], N_k
+    the null space of x_k^m -> L_k(m); hence ker d = N_1 (x) ... (x) N_n.
+    N_k is one univariate elimination on x_k^0 .. x_k^bound, and each of its
+    reduced basis vectors is one at its top exponent, its free column.  The
+    products whose tops t sum to at most the bound span the bounded kernel;
+    each is one at x^t and zero at every other such monomial, so it is the
+    reduced null vector of d itself, listed in (degree, exponents) order of x^t.
     """
-    monomials, columns = ctx.d_matrix(max_degree)
-    rows: dict = {}
-    for cidx, column in enumerate(columns):
-        for key, coeff in column.items():
-            rows.setdefault(key, {})[cidx] = coeff
-    order = sorted(rows, key=lambda key: -sum(key[1]))
-    basis = linalg.sparse_nullspace(ctx.pres.field, [rows[key] for key in order],
-                                    len(monomials))
-    return [NcPoly({monomials[c]: v for c, v in vec.items()}) for vec in basis]
+    if max_degree < 1:
+        raise MismatchedArityError("the degree bound must be at least 1")
+    field = ctx.pres.field
+    factors = []    # per generator: top exponent -> null vector {exponent: coeff}
+    for k in range(1, ctx.n + 1):
+        rows = [{} for _ in range(max_degree)]    # row r: coefficient of x_k^r
+        for m in range(1, max_degree + 1):
+            for r, c in ctx.ladder(k, m).items():
+                rows[r][m] = c
+        null = linalg.sparse_nullspace(field, rows, max_degree + 1)
+        factors.append({max(vec): vec for vec in null})
+    basis = []
+    for top in _monomials_up_to(ctx.n, max_degree):
+        if all(t in factor for t, factor in zip(top, factors)):
+            terms = {(): field.one}
+            for t, factor in zip(top, factors):
+                terms = {e + (s,): c * v for e, c in terms.items()
+                         for s, v in factor[t].items()}
+            basis.append(NcPoly(terms))
+    return basis
 
 
 def d_squared_failures(ctx: CalculusContext, max_degree: int) -> list:
     """The monomials of total degree <= bound whose d(d(m)) is not zero, in
-    the order of the d-matrix columns.
+    (degree, exponents) order.
 
     On a 1-form, d(dx_j q) = sum_{i != j} s_ji dx_{ij} partial_i(q), where
     s_ji is the degree-1 sign times the scalar of sorting (j, i).  The factors

@@ -31,10 +31,10 @@ MAX_IDENTITY_N = 20
 MAX_IDENTITY_SAMPLES = 50
 
 # Bounds on ``calculus``: the integral-form stage and the integrability
-# sampling loop over all 2^n index sets, and the d-matrix has one column per
-# monomial of degree <= D, C(D + n, n) of them.  With shifted twists a column
-# fills up to all monomials of lower degree, hence also a bound on D itself.
-# Measured costs are in README.
+# sampling loop over all 2^n index sets, and the d^2 check and the kernel walk
+# the monomials of degree <= D, C(D + n, n) of them.  With shifted twists a
+# ladder sum L_i(D) fills up to all D powers of x_i below it, hence also a
+# bound on D itself.  Measured costs are in README.
 MAX_CALCULUS_N = 10
 MAX_CALCULUS_DEGREE = 30
 MAX_CALCULUS_MONOMIALS = 2000

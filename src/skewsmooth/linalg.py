@@ -2,9 +2,9 @@
 
 Everything runs on one sparse routine: Gauss-Jordan elimination on rows
 stored as ``{column: value}`` dicts that never hold a zero value, in the
-manner of structured Gaussian elimination.  The d-matrix of the calculus is
-mostly zeros (1.4 % nonzero at degree 6, 0.4 % at degree 12), and only the
-stored entries are ever touched.
+manner of structured Gaussian elimination; only the stored entries are ever
+touched.  The calculus's per-generator ladder matrices hold one entry per
+column when the twist has no shift, and fill up to a triangle with one.
 ``rref``, ``rank``, ``nullspace``, ``solve_affine`` and ``det`` take dense
 matrices as sequences of rows (lists or tuples) and adapt them to that
 routine; ``rref`` and ``nullspace`` return lists of row lists.

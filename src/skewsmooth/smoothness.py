@@ -342,10 +342,6 @@ class OreDecision:
     condition_zero_shift_balanced: bool
     agreement: bool | None
 
-    @property
-    def closed_form_applies(self) -> bool:
-        return self.condition_any_nonzero_shift or self.condition_zero_shift_balanced
-
 
 def decide_ore_extension(n: int, b, a, c, gkdim: int, field=QQ) -> OreDecision:
     """Encode the Ore extension, run the general decision, and compare with

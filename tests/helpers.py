@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+from skewsmooth import linalg
 from skewsmooth.algebra import NcPoly, Ordering, Presentation
 
 
@@ -109,6 +111,23 @@ def naive_closed_form_products(pres: Presentation, subset, complement):
             for t in range(phi[s - 1] + 1, last + 1):
                 abar_cf = abar_cf * neg * pres.a(phi[s - 1], t)
     return a_cf, abar_cf
+
+
+def naive_kernel(ctx, max_degree: int) -> list:
+    """The kernel of d on the polynomials of total degree <= bound, by
+    eliminating its whole matrix: column c holds the dx_i-coefficients of
+    ``ctx.d`` on the c-th monomial in (degree, exponents) order, the rows go
+    in as they come, and ``linalg.sparse_nullspace`` reads off the reduced
+    basis: the oracle for ``calculus.kernel_of_d_bounded``."""
+    monomials = sorted((m for m in product(range(max_degree + 1), repeat=ctx.n)
+                        if sum(m) <= max_degree), key=lambda m: (sum(m), m))
+    rows: dict = {}
+    for col, m in enumerate(monomials):
+        for (i,), p in ctx.d(ctx.pres.mono(m)).components.items():
+            for mono, c in p.terms.items():
+                rows.setdefault((i, mono), {})[col] = c
+    basis = linalg.sparse_nullspace(ctx.pres.field, list(rows.values()), len(monomials))
+    return [NcPoly({monomials[c]: v for c, v in vec.items()}) for vec in basis]
 
 
 def naive_pq_p(k: int, n: int, lam_ij, lam_ji):

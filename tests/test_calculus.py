@@ -22,8 +22,8 @@ from skewsmooth.errors import MismatchedArityError
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import SolutionStatus, Verdict, decide, forced_nu
 
-from helpers import (naive_basis_sort, naive_closed_form_products, random_nonzero_rational,
-                     random_poly)
+from helpers import (naive_basis_sort, naive_closed_form_products, naive_kernel,
+                     random_nonzero_rational, random_poly)
 
 
 def reference_context(alpha=2, beta=3, gamma=5):
@@ -40,6 +40,15 @@ def smooth_contexts(field=QQ):
         if verdict.verdict is Verdict.SMOOTH_SUFFICIENT:
             out.append((entry, CalculusContext(entry.presentation, verdict.witness)))
     return out
+
+
+def shifted_plane(field):
+    """x1 x2 - x2 x1 = x1 + x2 with its witness twists x1 -> x1 + 1 and
+    x2 -> x2 - 1."""
+    pres = Presentation.skew(field, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)})
+    verdict = decide(pres, 2)
+    assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
+    return CalculusContext(pres, verdict.witness)
 
 
 def quasi_commutative_context(rng, n):
@@ -215,10 +224,8 @@ class TestLeibnizOracle:
 
     def test_shifted_twists_in_characteristic_five(self):
         field = PrimeField(5)
-        pres = Presentation.skew(field, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)})
-        verdict = decide(pres, 2)
-        assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
-        ctx = CalculusContext(pres, verdict.witness)
+        ctx = shifted_plane(field)
+        pres = ctx.pres
         assert ctx.nus[0].shifts == (field.one, -field.one)
         for m in _monomials_up_to(2, 7):
             if sum(m) >= 5:
@@ -363,12 +370,12 @@ class TestDSquaredFailures:
 
 
 class TestOneFactorPerKey:
-    """The d-matrix and the d^2 check build each ladder sum L_i(a) once per
-    (i, a) and twist each prefix x^{m<i} once per (i, prefix)."""
+    """The kernel and the d^2 check build each ladder sum L_i(a) once per
+    (i, a), and neither twists a polynomial: both run on univariate factors."""
 
     @settings(max_examples=60, deadline=None)
     @given(parametric_contexts_and_degrees())
-    def test_ladders_and_prefix_twists_are_cached(self, drawn):
+    def test_each_ladder_once_and_no_twists(self, drawn):
         ctx, max_degree = drawn
         ladders = []
         ladder = ctx._ladder
@@ -385,12 +392,64 @@ class TestOneFactorPerKey:
 
         ctx._ladder = counting_ladder
         with patch.object(calculus, "apply_endo", counting_twist):
-            ctx.d_matrix(max_degree)
+            kernel_of_d_bounded(ctx, max_degree)
             d_squared_failures(ctx, max_degree)
         assert max(Counter(ladders).values()) == 1
-        prefixes = {(i, m[:i - 1]) for m in _monomials_up_to(ctx.n, max_degree)
-                    for i in range(1, ctx.n + 1) if m[i - 1]}
-        assert len(twists) <= len(prefixes)
+        assert twists == []
+
+
+KERNEL_MONOMIALS = 300
+
+
+@st.composite
+def kernel_contexts_and_degrees(draw):
+    """A context and a degree bound for the kernel oracle.  Either a context
+    from ``parametric_contexts`` or the commutative presentation with
+    n = 1..5 over Q, F_5, F_7 or F_101 whose twists act on each generator
+    either as x -> q (x - c) + c around one centre c per generator, or as
+    x -> x + s; so they commute.  The slopes q are 1, -1, p - 1 and 2, 3, 10,
+    36 read in the field (roots of unity of orders 2, 3 and 6 over F_7, 2 and
+    4 over F_5, 2, 4 and 5 over F_101).  The bound goes up to 2p + 1 (11 over F_5, 15
+    over F_7, Q and F_101), lowered until at most ``KERNEL_MONOMIALS``
+    monomials remain."""
+    if draw(st.booleans()):
+        ctx = draw(parametric_contexts())
+    else:
+        field = draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7), PrimeField(101)]))
+        n = draw(st.integers(1, 5))
+        p = getattr(field, "p", 7)
+        slopes = [q for q in (field.coerce(v) for v in (1, -1, p - 1, 2, 3, 10, 36)) if q]
+        small = st.sampled_from([field.coerce(v) for v in (0, 1, -1, 2, 3)])
+        centre = st.sampled_from([field.coerce(v) for v in (0, 0, 0, 1, -1, 2)])
+        centres = [draw(centre) if draw(st.booleans()) else None for _ in range(n)]
+        nus = []
+        for _ in range(n):
+            scaled = [(draw(st.sampled_from(slopes)), c) for c in centres]
+            nus.append(AffineEndo(
+                tuple(field.one if c is None else q for q, c in scaled),
+                tuple(draw(small) if c is None else c * (field.one - q) for q, c in scaled)))
+        ctx = CalculusContext(Presentation.commutative(field, n), nus)
+    p = getattr(ctx.pres.field, "p", 7)
+    max_degree = draw(st.integers(1, 2 * min(p, 7) + 1))
+    while comb(max_degree + ctx.n, ctx.n) > KERNEL_MONOMIALS:
+        max_degree -= 1
+    return ctx, max_degree
+
+
+class TestKernelOracle:
+    """The kernel as a product of per-generator ladder kernels against
+    eliminating the whole matrix of d built from forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_contexts_and_degrees())
+    @example((shifted_plane(PrimeField(5)), 12))
+    def test_matches_the_whole_matrix(self, drawn):
+        ctx, max_degree = drawn
+        got = kernel_of_d_bounded(ctx, max_degree)
+        event(f"kernel dimension {'1' if len(got) == 1 else '> 1'}")
+        shifted = any(nu.shifts[k] for k, nu in enumerate(ctx.nus))
+        event("shifted ladders" if shifted else "diagonal ladders")
+        assert got == naive_kernel(ctx, max_degree)
 
 
 class TestDifferentialCache:
@@ -416,7 +475,7 @@ class TestKernel:
         assert kernel_is_scalars(kernel_of_d_bounded(ctx, 4), ctx.n)
 
     def test_class_2b_at_degree_12_is_scalars(self):
-        # 1092 x 455 d-matrix with about 2000 nonzeros; out of reach densely
+        # 455 monomials; three univariate eliminations on 12 x 13 entries
         pres = three_dim_class("2b", beta=3, b=7)
         ctx = CalculusContext(pres, decide(pres, 3).witness)
         basis = kernel_of_d_bounded(ctx, 12)
@@ -634,11 +693,9 @@ class TestShiftedDiagonalTwists:
     shortcut."""
 
     def build(self):
-        pres = Presentation.skew(QQ, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)})
-        verdict = decide(pres, 2)
-        assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
-        assert verdict.witness[0].shifts == (F(1), F(-1))
-        return CalculusContext(pres, verdict.witness)
+        ctx = shifted_plane(QQ)
+        assert ctx.nus[0].shifts == (F(1), F(-1))
+        return ctx
 
     def test_ladder_with_shift(self):
         ctx = self.build()
