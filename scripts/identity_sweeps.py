@@ -4,6 +4,8 @@
 Pushes the combinatorial and commutation verifications past the defaults:
 ladder recurrences to a configurable height, both power-commutation identities
 for both presentation types, and the determinant identities, with timings.
+An input the verifiers reject (a count that would check nothing) ends in one
+``error: ...`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import time
 from skewsmooth.diffusion import (DiffusionType, verify_determinant_identities,
                                   verify_left_commutation, verify_pq_recurrences,
                                   verify_right_commutation)
+from skewsmooth.errors import SkewSmoothError
 
 
 def main() -> int:
@@ -24,7 +27,15 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    try:
+        sweep(args)
+    except SkewSmoothError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    return 0
 
+
+def sweep(args) -> None:
     t = time.perf_counter()
     pq = verify_pq_recurrences(args.ladder_max, args.samples, args.seed)
     print(f"ladder recurrences n <= {args.ladder_max}: "
@@ -50,7 +61,6 @@ def main() -> int:
     dets = verify_determinant_identities(args.samples, args.seed)
     print(f"determinant identities: {'PASS' if dets.all_pass else 'FAIL'} "
           f"({time.perf_counter() - t:.2f}s)")
-    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from . import linalg
 from .algebra import NcPoly, Ordering, Presentation
 from .endos import (AffineEndo, _univariate_image, apply_endo, commute, compose,
                     identity_endo, invert)
-from .errors import MismatchedArityError, NonDiagonalTailError
+from .errors import IndexRangeError, MismatchedArityError, NonDiagonalTailError
 
 __all__ = [
     "CalculusContext",
@@ -99,7 +99,7 @@ class CalculusContext:
         self.pres = pres
         self.nus = nus
         self._composite_cache: dict = {(): identity_endo(pres.field, pres.n)}
-        self._ladder_cache: dict = {}    # (i, power) -> _ladder(i, power)
+        self._ladder_cache: dict = {(i, 0): {} for i in range(1, pres.n + 1)}
         self._prefix_cache: dict = {}    # (i, prefix exponents) -> nu_i(x^prefix)
         self._pair_cache: dict = {(): pres.field.one}  # index set -> prod_{s<t} -(1/a_st)
         self._closed_form_tables = None  # (columns, rows) of _closed_form_factors
@@ -216,28 +216,28 @@ class CalculusContext:
     # -- the derivation ------------------------------------------------------
 
     def _ladder(self, i: int, power: int) -> dict:
-        """sum_{j=1}^{power} nu_i(x_i)^(j-1) x_i^(power-j) as exponent -> coeff."""
-        field = self.pres.field
-        slope = self.nus[i - 1].slopes[i - 1]
-        shift = self.nus[i - 1].shifts[i - 1]
-        acc = {0: field.one}           # nu_i(x_i)^(j-1)
-        total: dict = {}
-        for j in range(1, power + 1):
-            linalg.add_into(total, {exp + power - j: c for exp, c in acc.items()})
-            if j < power:
-                nxt = {exp + 1: c * slope for exp, c in acc.items()}
-                if shift:
-                    linalg.add_into(nxt, acc, shift)
-                acc = nxt
+        """L_i(power) = sum_{j=1}^{power} nu_i(x_i)^(j-1) x_i^(power-j) as
+        exponent -> coeff, from the cached L_i(power - 1) by
+        L_i(a) = x_i L_i(a-1) + nu_i(x_i)^(a-1): O(power) field operations."""
+        total = {e + 1: c for e, c in self.ladder(i, power - 1).items()}
+        nu = self.nus[i - 1]
+        linalg.add_into(total, _univariate_image(nu.slopes[i - 1], nu.shifts[i - 1],
+                                                 power - 1))
         return total
 
     def ladder(self, i: int, power: int) -> dict:
-        """``_ladder(i, power)``, cached on the context."""
-        key = (i, power)
-        got = self._ladder_cache.get(key)
-        if got is None:
-            got = self._ladder_cache[key] = self._ladder(i, power)
-        return got
+        """L_i(power), cached per (i, power); the missing ones are built up
+        from the longest cached L_i(a), a < power, one ``_ladder`` each."""
+        cache = self._ladder_cache
+        if (i, power) not in cache:
+            if power < 0 or (i, 0) not in cache:
+                raise IndexRangeError(f"no ladder sum L_{i}({power}) for n = {self.n}")
+            start = power
+            while (i, start - 1) not in cache:
+                start -= 1
+            for a in range(start, power + 1):
+                cache[i, a] = self._ladder(i, a)
+        return cache[i, power]
 
     def _twisted_prefix(self, i: int, prefix) -> dict:
         """nu_i(x_1^e_1 ... x_(i-1)^e_(i-1)) for prefix = (e_1, ..., e_(i-1)), as a map

@@ -123,24 +123,35 @@ def encode_presentation(dp: DiffusionPresentation) -> Presentation:
 
 # -- ladder coefficients ------------------------------------------------------
 
-def pq_p(k: int, n: int, lam_ij, lam_ji):
-    """P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) lam_ji^(t-1) lam_ij^(k-t).
-
-    With lam_ij = a/b and lam_ji = c/d, u = a d and v = c b, this is the
-    integer sum sum_t C(n-k+t-1, n-k) v^(t-1) u^(k-t) over (b d)^(k-1),
-    summed by Horner's rule in u and divided into the field once.  Prime-field
-    elements split as (residue, 1), so Q and F_p share this code.
-    """
-    if not 1 <= k <= n:
-        raise IndexRangeError(f"P index k={k} outside 1..{n}")
+def _split(lam_ij, lam_ji):
+    """(u, v, b d) for lam_ij = a/b and lam_ji = c/d: u = a d and v = c b, so
+    lam_ij = u / (b d) and lam_ji = v / (b d).  Prime-field elements split as
+    (residue, 1), so Q and F_p share the integer code below."""
     b, d = lam_ij.denominator, lam_ji.denominator
-    u, v = lam_ij.numerator * d, lam_ji.numerator * b
+    return lam_ij.numerator * d, lam_ji.numerator * b, b * d
+
+
+def _scaled_p(k: int, n: int, u: int, v: int) -> int:
+    """(b d)^(k-1) P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) v^(t-1) u^(k-t), an
+    integer, summed by Horner's rule in u."""
     total, v_pow = 0, 1
     for t in range(1, k + 1):
         total = total * u + comb(n - k + t - 1, n - k) * v_pow
         v_pow *= v
-    value = lam_ij * 0 + total          # the integer sum, in lam_ij's field
-    scale = (b * d) ** (k - 1)
+    return total
+
+
+def pq_p(k: int, n: int, lam_ij, lam_ji):
+    """P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) lam_ji^(t-1) lam_ij^(k-t).
+
+    The integer sum ``_scaled_p`` over the common denominator (b d)^(k-1),
+    divided into the field once.
+    """
+    if not 1 <= k <= n:
+        raise IndexRangeError(f"P index k={k} outside 1..{n}")
+    u, v, bd = _split(lam_ij, lam_ji)
+    value = lam_ij * 0 + _scaled_p(k, n, u, v)     # in lam_ij's field
+    scale = bd ** (k - 1)
     return value / scale if scale != 1 else value
 
 
@@ -172,33 +183,54 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
         P_{n+1}^{n+1} = P_n^n lam_ij + lam_ji^n
         Q_{n+1}^{n+1} = Q_n^n lam_ji + lam_ji^n
 
-    at random coefficient samples (plus the all-ones Pascal degeneration).
+    for 1 <= n < n_max at random coefficient samples (plus the all-ones
+    Pascal degeneration).
 
-    Each draw gets one table of every P_k^n and Q_k^n with 1 <= k <= n <=
-    n_max, filled from the closed forms ``pq_p``/``pq_q`` alone (never from
-    the recurrences it checks) and dropped after the draw.
+    Write lam_ij = u / (b d) and lam_ji = v / (b d) (``_split``).  Each draw
+    gets one table of the integers S_k^n = (b d)^(k-1) P_k^n (``_scaled_p``)
+    and T_k^n = (b d)^(k-1) Q_k^n = C(n, k-1) v^(k-1), 1 <= k <= n <= n_max,
+    filled from the closed forms alone (never from the recurrences it checks)
+    and dropped after the draw.  Multiplying each recurrence by (b d)^(k-1)
+    gives
+
+        S_k^{n+1} = u S_{k-1}^n + T_k^n,      T_k^{n+1} = v T_{k-1}^n + T_k^n,
+        S_{n+1}^{n+1} = u S_n^n + v^n,        T_{n+1}^{n+1} = v T_n^n + v^n,
+
+    and since the scale is a nonzero field element each scaled identity
+    holds exactly when the unscaled one does.  Over Q they are compared as
+    integers, over F_p modulo p (there b = d = 1).  Failures record the
+    field draws.
     """
+    if n_max < 2:
+        raise IndexRangeError(f"the ladder recurrences need n_max >= 2, not {n_max}")
     rng = random.Random(seed)
     draws = [(field.one, field.one)]
     draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(samples)]
+    p = field.char
     failures = []
     checked = 0
     for lam_ij, lam_ji in draws:
-        P = {(k, n): pq_p(k, n, lam_ij, lam_ji)
+        u, v, _ = _split(lam_ij, lam_ji)
+        v_pow = [v ** j for j in range(n_max)]
+        S = {(k, n): _scaled_p(k, n, u, v)
              for n in range(1, n_max + 1) for k in range(1, n + 1)}
-        Q = {(k, n): pq_q(k, n, lam_ji)
+        T = {(k, n): comb(n, k - 1) * v_pow[k - 1]
              for n in range(1, n_max + 1) for k in range(1, n + 1)}
         for n in range(1, n_max):
             for k in range(2, n + 1):
                 checked += 2
-                if P[k, n + 1] != P[k - 1, n] * lam_ij + Q[k, n]:
+                r = S[k, n + 1] - u * S[k - 1, n] - T[k, n]
+                if r % p if p else r:
                     failures.append(("P", n, k, lam_ij, lam_ji))
-                if Q[k, n + 1] != Q[k - 1, n] * lam_ji + Q[k, n]:
+                r = T[k, n + 1] - v * T[k - 1, n] - T[k, n]
+                if r % p if p else r:
                     failures.append(("Q", n, k, lam_ij, lam_ji))
             checked += 2
-            if P[n + 1, n + 1] != P[n, n] * lam_ij + lam_ji ** n:
+            r = S[n + 1, n + 1] - u * S[n, n] - v_pow[n]
+            if r % p if p else r:
                 failures.append(("P-top", n, n + 1, lam_ij, lam_ji))
-            if Q[n + 1, n + 1] != Q[n, n] * lam_ji + lam_ji ** n:
+            r = T[n + 1, n + 1] - v * T[n, n] - v_pow[n]
+            if r % p if p else r:
                 failures.append(("Q-top", n, n + 1, lam_ij, lam_ji))
     return PQReport(n_max, samples, checked, tuple(failures))
 
@@ -265,6 +297,10 @@ def _left_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
 
 def _verify_commutation(side: str, n_max: int, samples: int, seed: int,
                         dtype: DiffusionType, field) -> CommutationReport:
+    # a count below 1 would check nothing and still report PASS
+    if n_max < 1 or samples < 1:
+        raise IndexRangeError(f"the {side} commutation check needs n_max >= 1 and "
+                              f"samples >= 1, not {n_max} and {samples}")
     rng = random.Random(seed)
     minimal = None
     counterexample = None
@@ -481,6 +517,8 @@ def verify_determinant_identities(samples: int = 20, seed: int = 0,
     Both are polynomial identities in the 22 scalars, so exact equality at
     random rational points is a sound refutation test.
     """
+    if samples < 1:
+        raise IndexRangeError(f"the determinant check needs samples >= 1, not {samples}")
     rng = random.Random(seed)
     failures = []
     for s in range(samples):

@@ -14,6 +14,8 @@ from math import comb
 
 from skewsmooth import linalg
 from skewsmooth.algebra import NcPoly, Ordering, Presentation
+from skewsmooth.diffusion import pq_p, pq_q
+from skewsmooth.scalars import QQ
 
 
 def naive_normal_form(pres: Presentation, terms) -> dict:
@@ -140,6 +142,54 @@ def naive_pq_p(k: int, n: int, lam_ij, lam_ji):
     return total
 
 
+def naive_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0, field=QQ):
+    """``(checked, failures)`` of the ladder recurrences on one table per draw
+    of ``pq_p``/``pq_q`` values, every check made in field arithmetic: the
+    oracle for ``diffusion.verify_pq_recurrences``."""
+    rng = random.Random(seed)
+    draws = [(field.one, field.one)]
+    draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(samples)]
+    failures = []
+    checked = 0
+    for lam_ij, lam_ji in draws:
+        P = {(k, n): pq_p(k, n, lam_ij, lam_ji)
+             for n in range(1, n_max + 1) for k in range(1, n + 1)}
+        Q = {(k, n): pq_q(k, n, lam_ji)
+             for n in range(1, n_max + 1) for k in range(1, n + 1)}
+        for n in range(1, n_max):
+            for k in range(2, n + 1):
+                checked += 2
+                if P[k, n + 1] != P[k - 1, n] * lam_ij + Q[k, n]:
+                    failures.append(("P", n, k, lam_ij, lam_ji))
+                if Q[k, n + 1] != Q[k - 1, n] * lam_ji + Q[k, n]:
+                    failures.append(("Q", n, k, lam_ij, lam_ji))
+            checked += 2
+            if P[n + 1, n + 1] != P[n, n] * lam_ij + lam_ji ** n:
+                failures.append(("P-top", n, n + 1, lam_ij, lam_ji))
+            if Q[n + 1, n + 1] != Q[n, n] * lam_ji + lam_ji ** n:
+                failures.append(("Q-top", n, n + 1, lam_ij, lam_ji))
+    return checked, tuple(failures)
+
+
+def naive_ladder(ctx, i: int, power: int) -> dict:
+    """sum_{j=1}^{power} nu_i(x_i)^(j-1) x_i^(power-j) as exponent -> coeff,
+    summed from scratch with a running power of nu_i(x_i): the oracle for
+    ``CalculusContext.ladder``."""
+    field = ctx.pres.field
+    slope = ctx.nus[i - 1].slopes[i - 1]
+    shift = ctx.nus[i - 1].shifts[i - 1]
+    acc = {0: field.one}           # nu_i(x_i)^(j-1)
+    total: dict = {}
+    for j in range(1, power + 1):
+        linalg.add_into(total, {exp + power - j: c for exp, c in acc.items()})
+        if j < power:
+            nxt = {exp + 1: c * slope for exp, c in acc.items()}
+            if shift:
+                linalg.add_into(nxt, acc, shift)
+            acc = nxt
+    return total
+
+
 def poly_dict(p: NcPoly) -> dict:
     return dict(p.terms)
 
@@ -157,7 +207,6 @@ def random_nonzero_rational(rng: random.Random, height: int = 5) -> Fraction:
 
 def random_skew_presentation(rng: random.Random, n: int = 3,
                              with_tails: bool = True, field=None) -> Presentation:
-    from skewsmooth.scalars import QQ
     field = field or QQ
     relations = {}
     for i in range(1, n + 1):

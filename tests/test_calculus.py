@@ -18,12 +18,12 @@ from skewsmooth.calculus import (CalculusContext, DiffForm, d_squared_failures,
                                  ClosedFormCheck, _monomials_up_to)
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
 from skewsmooth.endos import AffineEndo, apply_endo, commute, compose, identity_endo
-from skewsmooth.errors import MismatchedArityError
+from skewsmooth.errors import IndexRangeError, MismatchedArityError
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import SolutionStatus, Verdict, decide, forced_nu
 
 from helpers import (naive_basis_sort, naive_closed_form_products, naive_kernel,
-                     random_nonzero_rational, random_poly)
+                     naive_ladder, random_nonzero_rational, random_poly)
 
 
 def reference_context(alpha=2, beta=3, gamma=5):
@@ -367,6 +367,40 @@ class TestDSquaredFailures:
         for check in (d_squared_failures, kernel_of_d_bounded):
             with pytest.raises(MismatchedArityError, match="at least 1"):
                 check(ctx, 0)
+
+
+LADDER_TWISTS = [(1, 0), (2, 0), (-1, 0), (F(-3, 2), 0),
+                 (1, 1), (1, -1), (2, 3), (F(2, 3), F(-1, 4))]
+
+
+class TestLadderBuiltUp:
+    """L_i(a) = x_i L_i(a-1) + nu_i(x_i)^(a-1) from the cached L_i(a-1)
+    equals the from-scratch sum, for diagonal and shifted twists."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(101)],
+                             ids=["Q", "F5", "F101"])
+    @pytest.mark.parametrize("slope, shift", LADDER_TWISTS)
+    def test_matches_naive_ladder(self, field, slope, shift):
+        pres = Presentation.commutative(field, 1)
+        ctx = CalculusContext(pres, [AffineEndo((field.coerce(slope),),
+                                                (field.coerce(shift),))])
+        powers = list(range(31))
+        random.Random(7).shuffle(powers)     # build up from varied cached points
+        for a in powers:
+            assert ctx.ladder(1, a) == naive_ladder(ctx, 1, a), a
+
+    @pytest.mark.parametrize("i, power", [(1, -1), (0, 3), (3, 2)])
+    def test_out_of_range(self, i, power):
+        with pytest.raises(IndexRangeError):
+            shifted_plane(QQ).ladder(i, power)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(101)],
+                             ids=["Q", "F5", "F101"])
+    def test_shifted_plane(self, field):
+        ctx = shifted_plane(field)
+        for i in (1, 2):
+            for a in (30, 7, 0, 12):
+                assert ctx.ladder(i, a) == naive_ladder(ctx, i, a), (i, a)
 
 
 class TestOneFactorPerKey:

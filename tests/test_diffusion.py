@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skewsmooth import diffusion
 from skewsmooth.algebra import NcPoly, Ordering, relabel
 from skewsmooth.catalog import DIFFUSION_LABELS, diffusion_class_instances
 from skewsmooth.diffusion import (DiffusionPresentation,
@@ -21,7 +23,7 @@ from skewsmooth.linalg import det
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import classify_3d
 
-from helpers import naive_normal_form, naive_pq_p
+from helpers import naive_normal_form, naive_pq_p, naive_pq_recurrences
 
 F7, F_M31 = PrimeField(7), PrimeField(2 ** 31 - 1)
 LADDER_FIELDS = (QQ, F7, F_M31)
@@ -112,6 +114,55 @@ def test_ladder_recurrence_property(n, lam_ij, lam_ji):
             pq_q(k - 1, n, lam_ji) * lam_ji + pq_q(k, n, lam_ji)
     assert pq_p(n + 1, n + 1, lam_ij, lam_ji) == \
         pq_p(n, n, lam_ij, lam_ji) * lam_ij + lam_ji ** n
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5])
+@pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
+def test_scaled_recurrences_match_field_arithmetic_oracle(field, seed):
+    for n_max in (2, 3, 30):
+        report = verify_pq_recurrences(n_max, samples=6, seed=seed, field=field)
+        assert (report.checked, report.failures) == \
+            naive_pq_recurrences(n_max, samples=6, seed=seed, field=field)
+
+
+@pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
+def test_off_by_one_binomial_fails_both_checks_alike(field, monkeypatch):
+    def off_by_one(k, n, u, v):
+        total, v_pow = 0, 1
+        for t in range(1, k + 1):
+            total = total * u + comb(n - k + t, n - k) * v_pow
+            v_pow *= v
+        return total
+
+    monkeypatch.setattr(diffusion, "_scaled_p", off_by_one)
+    report = verify_pq_recurrences(12, samples=4, seed=3, field=field)
+    assert report.failures
+    assert (report.checked, report.failures) == \
+        naive_pq_recurrences(12, samples=4, seed=3, field=field)
+
+
+class TestNoHollowPass:
+    """A check that would run on nothing raises instead of reporting PASS."""
+
+    @pytest.mark.parametrize("n_max", [-1, 0, 1])
+    def test_ladder_recurrences_need_two_rows(self, n_max):
+        with pytest.raises(IndexRangeError):
+            verify_pq_recurrences(n_max, samples=3)
+
+    def test_ladder_recurrences_at_two_rows_check_the_pascal_draw(self):
+        report = verify_pq_recurrences(2, samples=0)
+        assert report.checked == 2 and report.all_pass
+
+    @pytest.mark.parametrize("verify", [verify_right_commutation, verify_left_commutation])
+    @pytest.mark.parametrize("n_max, samples", [(0, 5), (-2, 5), (3, 0), (3, -1)])
+    def test_commutation_needs_a_power_and_a_sample(self, verify, n_max, samples):
+        with pytest.raises(IndexRangeError):
+            verify(n_max, samples=samples)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_determinant_identities_need_a_sample(self, samples):
+        with pytest.raises(IndexRangeError):
+            verify_determinant_identities(samples=samples)
 
 
 @st.composite

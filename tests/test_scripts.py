@@ -1,0 +1,35 @@
+"""``scripts/identity_sweeps.py`` runs end to end, and a count that would
+check nothing ends in one ``error:`` line rather than a traceback."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_sweeps(*flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "scripts/identity_sweeps.py", *flags],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_identity_sweeps_small_run():
+    proc = run_sweeps("--ladder-max", "3", "--power-max", "2", "--samples", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert lines[0].startswith("ladder recurrences n <= 3: PASS (12 instances")
+    assert "right commutation type1 n <= 2: PASS" in lines[1]
+    assert lines[-1].startswith("determinant identities: PASS")
+
+
+def test_identity_sweeps_rejects_an_empty_ladder():
+    proc = run_sweeps("--ladder-max", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
