@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import MismatchedArityError, NonDiagonalTailError, ZeroQuadCoeffError
@@ -176,7 +177,11 @@ class Presentation:
         self.pairs = full
         self._memo: dict = {}           # (core monomial, generator) -> {monomial: coeff}
         self._branch_table: dict = {}   # wrong-order pair (u, v) -> rewrite branches
-        self._core_mask = tuple(0 if g in self.central else 1 for g in range(1, n + 1))
+        noncentral = [g for g in range(1, n + 1) if g not in self.central]
+        lead = (min if self.ordering is Ordering.ASCENDING else max)(noncentral, default=0)
+        # zeroes the exponents a core leaves out: the central ones and the lead's
+        self._core_mask = tuple(0 if g in self.central or g == lead else 1
+                                for g in range(1, n + 1))
         # 0-based non-central positions, from the last letter of a normal word
         scan = range(n - 1, -1, -1) if self.ordering is Ordering.ASCENDING else range(n)
         self._scan = tuple(i for i in scan if i + 1 not in self.central)
@@ -289,28 +294,34 @@ class Presentation:
         exps[i - 1] = 1
         return NcPoly({tuple(exps): self._one})
 
+    def _check_exponents(self, monomials) -> None:
+        n = self.n
+        for exps in monomials:
+            if len(exps) != n or exps and min(exps) < 0:
+                raise MismatchedArityError(f"bad exponent vector {exps}")
+
     def mono(self, exps, coeff=None) -> NcPoly:
         exps = tuple(exps)
-        if len(exps) != self.n or any(e < 0 for e in exps):
-            raise MismatchedArityError(f"bad exponent vector {exps}")
+        self._check_exponents((exps,))
         return NcPoly({exps: self._one if coeff is None else self.field.coerce(coeff)})
 
     def poly(self, terms: Mapping) -> NcPoly:
         out = {}
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != self.n:
-                raise MismatchedArityError(f"bad exponent vector {exps}")
+            self._check_exponents((exps,))
             c = self.field.coerce(c)
             if c:
                 out[exps] = c
         return NcPoly(out)
 
     def monomial_word(self, m: Monomial) -> Word:
-        gens = range(1, self.n + 1)
-        if self.ordering is Ordering.DESCENDING:
-            gens = reversed(gens)
-        return tuple(g for g in gens for _ in range(m[g - 1]))
+        gens = range(1, self.n + 1) if self.ordering is Ordering.ASCENDING \
+            else range(self.n, 0, -1)
+        word: Word = ()
+        for g in gens:
+            word += (g,) * m[g - 1]
+        return word
 
     # -- rewriting -----------------------------------------------------------
     #
@@ -322,13 +333,23 @@ class Presentation:
     # leftmost strategy, so folding its letters one by one into 1 gives exactly
     # the leftmost normal form, whether or not the presentation is PBW.
     #
-    # Products m . x_g are memoised per (core, g), where the core is m with its
-    # central exponents zeroed: a central letter commutes plainly with every
-    # generator, so m . x_g is core . x_g with the central part of m added back
+    # Products m . x_g are memoised per (core, g).  The core is m with its
+    # central exponents and the exponent of the lead generator zeroed; the
+    # lead is the first non-central letter of a normal word (the lowest
+    # non-central index for ASCENDING, the highest for DESCENDING).  A central
+    # letter commutes plainly with every generator, and no pair (lead, v) with
+    # v non-central is ever out of order, so leftmost rewriting of
+    # x_lead^a . w runs step for step as that of w with x_lead^a in front,
+    # PBW or not.  Hence m . x_g is core . x_g with the rest of m added back
     # as an exponent shift, and m . x_c = m + e_c for central c.  Missing memo
     # entries are computed from an explicit work stack, so the depth of a
     # rewrite is bounded by the heap and not by the interpreter's recursion
     # limit.
+    #
+    # multiply(p, q) folds p through the words of q's monomials in sorted
+    # order.  A stack keeps the folds of the prefix each word shares with the
+    # next one, so each word starts from the longest prefix it shares with an
+    # earlier word (in sorted order that is the previous one).
 
     def _branches(self, u: int, v: int):
         """Rewrite branches (coeff, word) for the adjacent wrong-order product
@@ -349,50 +370,49 @@ class Presentation:
         self._branch_table[(u, v)] = out
         return out
 
-    def _image(self, m: Monomial, g: int, missing: list):
-        """m . x_g as {monomial: coeff}, or None when it waits for a memo entry;
-        the missing (core, generator) key is then appended to ``missing``.
-        The returned map may be a memo entry and must not be modified."""
+    def _step(self, terms: dict, g: int, missing: list):
+        """terms . x_g as a new {monomial: coeff}, or None (with the missing
+        memo keys appended to ``missing``) when some product is not memoised
+        yet."""
         gi = g - 1
         if g in self.central:
-            e = list(m)
-            e[gi] += 1
-            return {tuple(e): self._one}
-        core = m
-        if self.central:
-            stripped = tuple(e * k for e, k in zip(m, self._core_mask))
-            if stripped != m:
-                core = stripped
-        normal = not any(core[g:]) if self.ordering is Ordering.ASCENDING \
-            else not any(core[:gi])
-        if normal:
-            e = list(m)
-            e[gi] += 1
-            return {tuple(e): self._one}
-        out = self._memo.get((core, g))
-        if out is None:
-            missing.append((core, g))
-            return None
-        if core is m:
+            out = {}
+            for m, c in terms.items():
+                e = list(m)
+                e[gi] += 1
+                out[tuple(e)] = c
             return out
-        shift = tuple(a - b for a, b in zip(m, core))
-        return {tuple(a + b for a, b in zip(r, shift)): c for r, c in out.items()}
-
-    def _step(self, terms: dict, g: int, missing: list):
-        """terms . x_g, or None (with the missing memo keys appended to
-        ``missing``) when some product is not memoised yet."""
+        mask = self._core_mask
+        memo = self._memo
+        ascending = self.ordering is Ordering.ASCENDING
+        # (coeff, memo entry, shift), or (coeff, None, product) when m . x_g
+        # is already normal
         images = []
         for m, c in terms.items():
-            img = self._image(m, g, missing)
-            if img is not None:
-                images.append((c, img))
+            core = tuple(map(mul, m, mask))
+            if not any(core[g:] if ascending else core[:gi]):
+                e = list(m)
+                e[gi] += 1
+                images.append((c, None, tuple(e)))
+                continue
+            img = memo.get((core, g))
+            if img is None:
+                missing.append((core, g))
+            else:
+                images.append((c, img, None if core == m else tuple(map(sub, m, core))))
         if len(images) < len(terms):
             return None
         one = self._one
         out: dict = {}
         # linalg.add_into inlined: the `is one` skips pay on the rewrite hot path
-        for c, img in images:
-            for r, rc in img.items():
+        for c, img, shift in images:
+            if img is None:
+                entries = ((shift, one),)
+            elif shift is None:
+                entries = img.items()
+            else:
+                entries = zip([tuple(map(add, r, shift)) for r in img], img.values())
+            for r, rc in entries:
                 v = c if rc is one else rc if c is one else c * rc
                 s = out.get(r)
                 if s is None:
@@ -477,9 +497,20 @@ class Presentation:
         return self._poly(out)
 
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:
+        self._check_exponents(chain(p.terms, q.terms))
         out: dict = {}
-        for m2, c2 in q.terms.items():
-            add_into(out, self._fold(p.terms, self.monomial_word(m2)), c2)
+        words = sorted(zip(map(self.monomial_word, q.terms), q.terms.values()))
+        folds = [p.terms]   # folds[k]: p . x_{w_1} ... x_{w_k} for the current word w
+        for i, (word, c) in enumerate(words, 1):
+            shared = 0      # the length of the prefix the next word shares
+            for a, b in zip(word, words[i][0] if i < len(words) else ()):
+                if a != b:
+                    break
+                shared += 1
+            for g in word[len(folds) - 1:shared]:
+                folds.append(self._fold(folds[-1], (g,)))
+            add_into(out, self._fold(folds[-1], word[len(folds) - 1:]), c)
+            del folds[shared + 1:]
         return self._poly(out)
 
     def product(self, *polys: NcPoly) -> NcPoly:

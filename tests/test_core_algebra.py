@@ -71,6 +71,17 @@ class TestMultiply:
         assert pres.multiply(pres.one(), p) == p
         assert pres.multiply(p, pres.one()) == p
 
+    @pytest.mark.parametrize("bad", [(1, 0, 1, 5), (1, 0), (0, -1, 2)])
+    def test_arity_mismatch_in_either_factor(self, bad):
+        pres = from_display(QQ, 2, 3, 5)
+        wrong = NcPoly({bad: F(1)})
+        with pytest.raises(MismatchedArityError):
+            pres.multiply(pres.gen(1), wrong)
+        with pytest.raises(MismatchedArityError):
+            pres.multiply(wrong, pres.gen(1))
+        with pytest.raises(MismatchedArityError):
+            pres.poly({bad: 1})
+
 
 class TestOverlaps:
     def test_commutative_all_pass(self):

@@ -4,11 +4,14 @@ on PBW and non-PBW presentations, deep words and a low recursion limit."""
 import random
 import sys
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewsmooth.algebra import Presentation
+from skewsmooth.algebra import NcPoly, Ordering, Presentation
 from skewsmooth.catalog import diffusion_class_instances, three_dim_class
 from skewsmooth.diffusion import DiffusionPresentation, DiffusionType, encode_presentation
 from skewsmooth.scalars import QQ, PrimeField
@@ -57,6 +60,17 @@ def build(kind: str, rng: random.Random) -> Presentation:
     return NON_PBW[rng.randrange(len(NON_PBW))]()
 
 
+def lead(pres: Presentation) -> int:
+    """The first non-central letter of a normal word."""
+    noncentral = [g for g in range(1, pres.n + 1) if g not in pres.central]
+    return min(noncentral) if pres.ordering is Ordering.ASCENDING else max(noncentral)
+
+
+def assert_cores_drop_lead_and_central(pres: Presentation):
+    dropped = [lead(pres) - 1] + [c - 1 for c in pres.central]
+    assert all(core[i] == 0 for core, _ in pres._memo for i in dropped)
+
+
 def test_non_pbw_cases_fail_the_diamond():
     for make in NON_PBW:
         assert not make().check_pbw_overlaps().all_pass
@@ -71,6 +85,11 @@ def test_normal_form_and_multiply_match_the_oracle(kind, seed):
     for _ in range(3):
         word = random_word(rng, pres.n, 6)
         assert pres.normal_form(word).terms == naive_normal_form(pres, word)
+    # words that begin with a power of the lead generator, so that the
+    # monomials folded into carry a nonzero lead exponent
+    for _ in range(2):
+        word = (lead(pres),) * rng.randint(1, 3) + random_word(rng, pres.n, 5)
+        assert pres.normal_form(word).terms == naive_normal_form(pres, word)
     terms = [(random_rational(rng, 3), random_word(rng, pres.n, 4)) for _ in range(3)]
     assert pres.normal_form(terms).terms == naive_normal_form(pres, terms)
     p = random_poly(pres, rng, max_degree=3)
@@ -79,6 +98,33 @@ def test_normal_form_and_multiply_match_the_oracle(kind, seed):
         (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
         for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
     assert pres.multiply(p, q).terms == expected
+    assert_cores_drop_lead_and_central(pres)
+
+
+def monomials_up_to(n: int, degree: int):
+    for d in range(degree + 1):
+        for gens in combinations_with_replacement(range(n), d):
+            exps = [0] * n
+            for g in gens:
+                exps[g] += 1
+            yield tuple(exps)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["skew", "type1", "type2", "non-pbw"])
+def test_multiply_shares_prefixes_exactly(kind, seed):
+    # q holds every monomial of degree <= 3, the constant one included, so
+    # most words of q share a prefix with an earlier one
+    rng = random.Random(seed)
+    pres = build(kind, rng)
+    q = pres.poly({m: random_nonzero_rational(rng, 5) for m in monomials_up_to(pres.n, 3)})
+    p = random_poly(pres, rng, max_degree=3)
+    expected = naive_normal_form(pres, [
+        (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
+        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
+    assert pres.multiply(p, q).terms == expected
+    assert pres.multiply(p, NcPoly.zero()) == NcPoly.zero()
+    assert pres.multiply(NcPoly.zero(), q) == NcPoly.zero()
 
 
 def test_deep_word_closed_form():
@@ -103,6 +149,15 @@ def test_deep_word_needs_no_recursion():
     # x3 x1 = beta x1 x3 + ...: each of the 20^2 swaps of x3 past x1 gives beta
     assert form.terms[(20, 20, 20)] == 2 ** 400
     assert form.degree() == 60
+
+
+def test_memo_keys_leave_out_the_lead_generator():
+    # tail-free ASCENDING presentation: the lead is x1 and nothing is central
+    pres = Presentation.skew(QQ, 3, {(1, 2): (2, {}, 0), (1, 3): (3, {}, 0),
+                                     (2, 3): (5, {}, 0)})
+    pres.normal_form((3,) * 20 + (2,) * 20 + (1,) * 20)
+    assert all(core[0] == 0 for core, _ in pres._memo)
+    assert len(pres._memo) == 440
 
 
 def test_memo_is_reused_across_calls():
