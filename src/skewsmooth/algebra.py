@@ -349,7 +349,8 @@ class Presentation:
     # multiply(p, q) folds p through the words of q's monomials in sorted
     # order.  A stack keeps the folds of the prefix each word shares with the
     # next one, so each word starts from the longest prefix it shares with an
-    # earlier word (in sorted order that is the previous one).
+    # earlier word (in sorted order that is the previous one).  A q of one
+    # term has no prefix to share, so its word is folded whole.
 
     def _branches(self, u: int, v: int):
         """Rewrite branches (coeff, word) for the adjacent wrong-order product
@@ -499,6 +500,10 @@ class Presentation:
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:
         self._check_exponents(chain(p.terms, q.terms))
         out: dict = {}
+        if len(q.terms) < 2:
+            for m2, c2 in q.terms.items():
+                add_into(out, self._fold(p.terms, self.monomial_word(m2)), c2)
+            return self._poly(out)
         words = sorted(zip(map(self.monomial_word, q.terms), q.terms.values()))
         folds = [p.terms]   # folds[k]: p . x_{w_1} ... x_{w_k} for the current word w
         for i, (word, c) in enumerate(words, 1):

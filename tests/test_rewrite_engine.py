@@ -71,6 +71,13 @@ def assert_cores_drop_lead_and_central(pres: Presentation):
     assert all(core[i] == 0 for core, _ in pres._memo for i in dropped)
 
 
+def naive_product(pres: Presentation, p: NcPoly, q: NcPoly) -> dict:
+    """p q by the oracle, from the concatenated words of every pair of terms."""
+    return naive_normal_form(pres, [
+        (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
+        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
+
+
 def test_non_pbw_cases_fail_the_diamond():
     for make in NON_PBW:
         assert not make().check_pbw_overlaps().all_pass
@@ -94,10 +101,7 @@ def test_normal_form_and_multiply_match_the_oracle(kind, seed):
     assert pres.normal_form(terms).terms == naive_normal_form(pres, terms)
     p = random_poly(pres, rng, max_degree=3)
     q = random_poly(pres, rng, max_degree=3)
-    expected = naive_normal_form(pres, [
-        (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
-        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
-    assert pres.multiply(p, q).terms == expected
+    assert pres.multiply(p, q).terms == naive_product(pres, p, q)
     assert_cores_drop_lead_and_central(pres)
 
 
@@ -119,10 +123,10 @@ def test_multiply_shares_prefixes_exactly(kind, seed):
     pres = build(kind, rng)
     q = pres.poly({m: random_nonzero_rational(rng, 5) for m in monomials_up_to(pres.n, 3)})
     p = random_poly(pres, rng, max_degree=3)
-    expected = naive_normal_form(pres, [
-        (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
-        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
-    assert pres.multiply(p, q).terms == expected
+    assert pres.multiply(p, q).terms == naive_product(pres, p, q)
+    # a one-term q is folded whole, without the sort and the stack
+    single = pres.poly(dict([max(q.terms.items())]))
+    assert pres.multiply(p, single).terms == naive_product(pres, p, single)
     assert pres.multiply(p, NcPoly.zero()) == NcPoly.zero()
     assert pres.multiply(NcPoly.zero(), q) == NcPoly.zero()
 
