@@ -1,12 +1,10 @@
 """Representative presentations for the fifteen three-generator classes and
 the nine three-generator diffusion families, with the expected verdicts.
 
-Class constructors take the conventional display data
-
-    y z - alpha z y = lam,   z x - beta x z = mu,   x y - gamma y x = nu,
-
-with lam/mu/nu linear-plus-constant in x, y, z, and build the ascending
-presentation (generators x, y, z = 1, 2, 3).
+Class representatives are built from the rows of
+``smoothness.THREE_DIM_CLASSES``, which also states the display convention
+that ``from_display`` takes; the result is the ascending presentation on
+generators x, y, z = 1, 2, 3.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import Presentation
 from .diffusion import DiffusionPresentation, DiffusionType
 from .scalars import QQ
-from .smoothness import Verdict
+from .smoothness import THREE_DIM_CLASSES, Verdict
 
 __all__ = [
     "from_display",
@@ -30,7 +28,8 @@ __all__ = [
 
 def from_display(field, alpha, beta, gamma, lam=None, mu=None, nu=None,
                  names=("x", "y", "z")) -> Presentation:
-    """Presentation from display data; lam/mu/nu map {0: const, 1..3: linear}."""
+    """Presentation from the display of ``smoothness.THREE_DIM_CLASSES``;
+    lam/mu/nu map {0: const, 1..3: linear}."""
     alpha = field.coerce(alpha)
     beta = field.coerce(beta)
     gamma = field.coerce(gamma)
@@ -63,41 +62,19 @@ def three_dim_class(label: str, field=QQ, alpha=2, beta=3, gamma=5,
     the class leaves them free; ``a``, ``b`` are the free scalars of the
     lettered classes; class 4 takes ``a_vec``/``b_vec``.
     """
-    one = 1
-    if label == "1":
-        return from_display(field, alpha, beta, gamma)
-    if label == "2a":
-        return from_display(field, one, beta, one, lam={3: 1}, mu={2: 1}, nu={1: 1})
-    if label == "2b":
-        return from_display(field, one, beta, one, lam={3: 1}, mu={0: b}, nu={1: 1})
-    if label == "2c":
-        return from_display(field, one, beta, one, mu={2: 1})
-    if label == "2d":
-        return from_display(field, one, beta, one, mu={0: b})
-    if label == "2e":
-        return from_display(field, one, beta, one, lam={3: a}, nu={1: 1})
-    if label == "2f":
-        return from_display(field, one, beta, one, lam={3: 1})
-    if label == "3a":
-        return from_display(field, alpha, beta, alpha, mu={2: 1, 0: b})
-    if label == "3b":
-        return from_display(field, alpha, beta, alpha, mu={0: b})
-    if label == "4":
-        a1, a2, a3 = a_vec
-        b1, b2, b3 = b_vec
-        return from_display(field, alpha, alpha, alpha,
-                            lam={1: a1, 0: b1}, mu={2: a2, 0: b2}, nu={3: a3, 0: b3})
-    if label == "5a":
-        return from_display(field, one, one, one, lam={1: 1}, mu={2: 1}, nu={3: 1})
-    if label == "5b":
-        return from_display(field, one, one, one, nu={3: 1})
-    if label == "5c":
-        return from_display(field, one, one, one, nu={0: b})
-    if label == "5d":
-        return from_display(field, one, one, one, lam={2: -1}, mu={1: 1, 2: 1})
-    if label == "5e":
-        return from_display(field, one, one, one, lam={3: a}, mu={1: 1})
-    raise ValueError(f"unknown class label {label!r}")
+    shape = next((shape for row, shape, _ in THREE_DIM_CLASSES if row == label), None)
+    if shape is None:
+        raise ValueError(f"unknown class label {label!r}")
+    values = {"alpha": alpha, "beta": beta, "gamma": gamma, "a": a, "b": b,
+              **dict(zip(("a1", "a2", "a3"), a_vec, strict=True)),
+              **dict(zip(("b1", "b2", "b3"), b_vec, strict=True))}
+
+    def fill(slot):
+        return values[slot] if isinstance(slot, str) else slot
+
+    alpha, beta, gamma = map(fill, shape[:3])
+    lam, mu, nu = ({k: fill(slot) for k, slot in vec.items()} for vec in shape[3:])
+    return from_display(field, alpha, beta, gamma, lam, mu, nu)
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,6 @@ def respects_relations(endo: AffineEndo, pres: Presentation) -> RelationReport:
         residue = pres.multiply(images[i], images[j]) \
             - pres.multiply(images[j], images[i]).scale(rule.quad)
         for coeff, word in rule.tail:
-            img = pres.one()
-            for g in word:
-                img = pres.multiply(img, images[g])
-            residue = residue - img.scale(coeff)
+            residue = residue - pres.product(*(images[g] for g in word)).scale(coeff)
         checks.append(RelationCheck((i, j), not residue, residue))
     return RelationReport(tuple(checks))

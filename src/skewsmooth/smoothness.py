@@ -32,6 +32,7 @@ __all__ = [
     "ore_closed_form_conditions",
     "OreDecision",
     "decide_ore_extension",
+    "THREE_DIM_CLASSES",
     "Classification",
     "classify_3d",
 ]
@@ -363,6 +364,36 @@ def decide_ore_extension(n: int, b, a, c, gkdim: int, field=QQ) -> OreDecision:
 
 # -- syntactic three-generator classifier ------------------------------------
 
+# The fifteen three-generator classes, in first-match order.  The order
+# matters because the shapes overlap: 2d and 3b at b = 0 are class 1, and 2e
+# at a = 1 is 2b at b = 0.  A row is (label, shape, names that must not be 1);
+# a shape is (alpha, beta, gamma, lam, mu, nu) for the display
+#
+#     y z - alpha z y = lam,   z x - beta x z = mu,   x y - gamma y x = nu
+#
+# on generators x, y, z = 1, 2, 3, where lam/mu/nu map {0: constant, 1..3:
+# coefficient of x, y, z} and an omitted entry is 0.  A slot holds a constant
+# or a parameter name; a name in two slots binds one value.
+THREE_DIM_CLASSES = (
+    ("1", ("alpha", "beta", "gamma", {}, {}, {}), ()),
+    ("2a", (1, "beta", 1, {3: 1}, {2: 1}, {1: 1}), ("beta",)),
+    ("2b", (1, "beta", 1, {3: 1}, {0: "b"}, {1: 1}), ("beta",)),
+    ("2c", (1, "beta", 1, {}, {2: 1}, {}), ("beta",)),
+    ("2d", (1, "beta", 1, {}, {0: "b"}, {}), ("beta",)),
+    ("2e", (1, "beta", 1, {3: "a"}, {}, {1: 1}), ("beta",)),
+    ("2f", (1, "beta", 1, {3: 1}, {}, {}), ("beta",)),
+    ("3a", ("alpha", "beta", "alpha", {}, {2: 1, 0: "b"}, {}), ("alpha",)),
+    ("3b", ("alpha", "beta", "alpha", {}, {0: "b"}, {}), ("alpha",)),
+    ("4", ("alpha", "alpha", "alpha", {1: "a1", 0: "b1"}, {2: "a2", 0: "b2"},
+           {3: "a3", 0: "b3"}), ("alpha",)),
+    ("5a", (1, 1, 1, {1: 1}, {2: 1}, {3: 1}), ()),
+    ("5b", (1, 1, 1, {}, {}, {3: 1}), ()),
+    ("5c", (1, 1, 1, {}, {}, {0: "b"}), ()),
+    ("5d", (1, 1, 1, {2: -1}, {1: 1, 2: 1}, {}), ()),
+    ("5e", (1, 1, 1, {3: "a"}, {1: 1}, {}), ()),
+)
+
+
 @dataclass(frozen=True)
 class Classification:
     label: str
@@ -371,13 +402,8 @@ class Classification:
 
 
 def _display_form(pres: Presentation):
-    """Recover the conventional relation display (alpha, beta, gamma, lam, mu, nu)
-    for generators x, y, z = 1, 2, 3:
-
-        y z - alpha z y = lam,   z x - beta x z = mu,   x y - gamma y x = nu,
-
-    with lam/mu/nu dense linear+constant vectors indexed 0 (const), 1..3.
-    """
+    """The display (alpha, beta, gamma, lam, mu, nu) of ``THREE_DIM_CLASSES``,
+    with lam/mu/nu dense vectors indexed 0 (constant), 1..3."""
     field = pres.field
     alpha = pres.a(2, 3)
     t23, e23 = pres.tail_vector(2, 3)
@@ -392,71 +418,50 @@ def _display_form(pres: Presentation):
     return alpha, beta, gamma, lam, mu, nu
 
 
+def _positions(shape):
+    """(index into the flat display, slot) for every slot of ``shape``: the
+    written slots in order, then a 0 for each omitted one."""
+    written = dict(enumerate(shape[:3]))
+    for base, vec in zip((3, 7, 11), shape[3:]):
+        written.update((base + k, slot) for k, slot in vec.items())
+    return tuple(written.items()) + tuple((i, 0) for i in range(15) if i not in written)
+
+
+_MATCH_ORDER = tuple((label, _positions(shape), not_one)
+                     for label, shape, not_one in THREE_DIM_CLASSES)
+
+
+def _bind(positions, not_one, flat):
+    """The parameters named in a row, read off the flat display, or None if
+    the row does not fit."""
+    bound = {}
+    for i, slot in positions:
+        if isinstance(slot, str):
+            if bound.setdefault(slot, flat[i]) != flat[i]:
+                return None
+        elif flat[i] != slot:
+            return None
+    if any(bound[name] == 1 for name in not_one):
+        return None
+    return bound
+
+
 def classify_3d(pres: Presentation) -> Classification:
     """Literal shape match against the fifteen three-generator classes.
 
-    No isomorphism search is attempted; first matching shape wins, and the
-    cardinality/header condition of the matched family is reported as a flag.
+    No isomorphism search is attempted; the first row of
+    ``THREE_DIM_CLASSES`` that fits wins.  ``header_ok`` is the matched
+    family's header condition: three distinct slopes for class 1, none for
+    the others, and None when nothing matches.
     """
     if pres.n != 3:
         raise NonDiagonalTailError("classify_3d requires exactly three generators")
-    field = pres.field
     alpha, beta, gamma, lam, mu, nu = _display_form(pres)
-    one = field.one
-
-    def is_zero(vec):
-        return not any(vec)
-
-    def is_const(vec):
-        return not any(vec[1:])
-
-    def is_multiple_of(vec, g):
-        # a scalar multiple of generator g (possibly zero), no constant part
-        return not vec[0] and not any(v for i, v in enumerate(vec[1:], start=1) if i != g)
-
-    def is_exactly(vec, g):
-        return is_multiple_of(vec, g) and vec[g] == one
-
-    if is_zero(lam) and is_zero(mu) and is_zero(nu):
-        return Classification("1", {"alpha": alpha, "beta": beta, "gamma": gamma},
-                              header_ok=len({alpha, beta, gamma}) == 3)
-    if alpha == one and gamma == one and beta != one:
-        params = {"beta": beta}
-        if is_exactly(lam, 3) and is_exactly(mu, 2) and is_exactly(nu, 1):
-            return Classification("2a", params, header_ok=True)
-        if is_exactly(lam, 3) and is_const(mu) and is_exactly(nu, 1):
-            return Classification("2b", dict(params, b=mu[0]), header_ok=True)
-        if is_zero(lam) and is_exactly(mu, 2) and is_zero(nu):
-            return Classification("2c", params, header_ok=True)
-        if is_zero(lam) and is_const(mu) and is_zero(nu):
-            return Classification("2d", dict(params, b=mu[0]), header_ok=True)
-        if is_multiple_of(lam, 3) and is_zero(mu) and is_exactly(nu, 1):
-            return Classification("2e", dict(params, a=lam[3]), header_ok=True)
-        if is_exactly(lam, 3) and is_zero(mu) and is_zero(nu):
-            return Classification("2f", params, header_ok=True)
-    if alpha == gamma and alpha != one and is_zero(lam) and is_zero(nu):
-        params = {"alpha": alpha, "beta": beta}
-        if mu[2] == one and not mu[1] and not mu[3]:
-            return Classification("3a", dict(params, b=mu[0]), header_ok=True)
-        if is_const(mu):
-            return Classification("3b", dict(params, b=mu[0]), header_ok=True)
-    if alpha == beta == gamma and alpha != one:
-        if not lam[2] and not lam[3] and not mu[1] and not mu[3] and not nu[1] and not nu[2]:
-            return Classification("4", {"alpha": alpha,
-                                        "a1": lam[1], "b1": lam[0],
-                                        "a2": mu[2], "b2": mu[0],
-                                        "a3": nu[3], "b3": nu[0]}, header_ok=True)
-    if alpha == one and beta == one and gamma == one:
-        if is_exactly(lam, 1) and is_exactly(mu, 2) and is_exactly(nu, 3):
-            return Classification("5a", {}, header_ok=True)
-        if is_zero(lam) and is_zero(mu) and is_exactly(nu, 3):
-            return Classification("5b", {}, header_ok=True)
-        if is_zero(lam) and is_zero(mu) and is_const(nu):
-            return Classification("5c", {"b": nu[0]}, header_ok=True)
-        if is_multiple_of(lam, 2) and lam[2] == -one and not mu[0] and not mu[3] \
-                and mu[1] == one and mu[2] == one and is_zero(nu):
-            return Classification("5d", {}, header_ok=True)
-        if is_multiple_of(lam, 3) and is_exactly(mu, 1) and is_zero(nu):
-            return Classification("5e", {"a": lam[3]}, header_ok=True)
+    flat = (alpha, beta, gamma, *lam, *mu, *nu)
+    for label, positions, not_one in _MATCH_ORDER:
+        params = _bind(positions, not_one, flat)
+        if params is not None:
+            header_ok = len({alpha, beta, gamma}) == 3 if label == "1" else True
+            return Classification(label, params, header_ok)
     return Classification("NONE", {"alpha": alpha, "beta": beta, "gamma": gamma},
                           header_ok=None)

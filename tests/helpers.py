@@ -16,6 +16,7 @@ from skewsmooth import linalg
 from skewsmooth.algebra import NcPoly, Ordering, Presentation
 from skewsmooth.diffusion import pq_p, pq_q
 from skewsmooth.scalars import QQ
+from skewsmooth.smoothness import Classification, _display_form
 
 
 def naive_normal_form(pres: Presentation, terms) -> dict:
@@ -239,3 +240,67 @@ def random_poly(pres: Presentation, rng: random.Random, max_degree: int = 3,
         if c:
             out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + c
     return pres.poly(out)
+
+
+def naive_classify_3d(pres: Presentation) -> Classification:
+    """The fifteen-class shape match as one hand-written branch per class,
+    in the same first-match order as ``smoothness.THREE_DIM_CLASSES``."""
+    alpha, beta, gamma, lam, mu, nu = _display_form(pres)
+    one = pres.field.one
+
+    def is_zero(vec):
+        return not any(vec)
+
+    def is_const(vec):
+        return not any(vec[1:])
+
+    def is_multiple_of(vec, g):
+        # a scalar multiple of generator g (possibly zero), no constant part
+        return not vec[0] and not any(v for i, v in enumerate(vec[1:], start=1) if i != g)
+
+    def is_exactly(vec, g):
+        return is_multiple_of(vec, g) and vec[g] == one
+
+    if is_zero(lam) and is_zero(mu) and is_zero(nu):
+        return Classification("1", {"alpha": alpha, "beta": beta, "gamma": gamma},
+                              header_ok=len({alpha, beta, gamma}) == 3)
+    if alpha == one and gamma == one and beta != one:
+        params = {"beta": beta}
+        if is_exactly(lam, 3) and is_exactly(mu, 2) and is_exactly(nu, 1):
+            return Classification("2a", params, header_ok=True)
+        if is_exactly(lam, 3) and is_const(mu) and is_exactly(nu, 1):
+            return Classification("2b", dict(params, b=mu[0]), header_ok=True)
+        if is_zero(lam) and is_exactly(mu, 2) and is_zero(nu):
+            return Classification("2c", params, header_ok=True)
+        if is_zero(lam) and is_const(mu) and is_zero(nu):
+            return Classification("2d", dict(params, b=mu[0]), header_ok=True)
+        if is_multiple_of(lam, 3) and is_zero(mu) and is_exactly(nu, 1):
+            return Classification("2e", dict(params, a=lam[3]), header_ok=True)
+        if is_exactly(lam, 3) and is_zero(mu) and is_zero(nu):
+            return Classification("2f", params, header_ok=True)
+    if alpha == gamma and alpha != one and is_zero(lam) and is_zero(nu):
+        params = {"alpha": alpha, "beta": beta}
+        if mu[2] == one and not mu[1] and not mu[3]:
+            return Classification("3a", dict(params, b=mu[0]), header_ok=True)
+        if is_const(mu):
+            return Classification("3b", dict(params, b=mu[0]), header_ok=True)
+    if alpha == beta == gamma and alpha != one:
+        if not lam[2] and not lam[3] and not mu[1] and not mu[3] and not nu[1] and not nu[2]:
+            return Classification("4", {"alpha": alpha,
+                                        "a1": lam[1], "b1": lam[0],
+                                        "a2": mu[2], "b2": mu[0],
+                                        "a3": nu[3], "b3": nu[0]}, header_ok=True)
+    if alpha == one and beta == one and gamma == one:
+        if is_exactly(lam, 1) and is_exactly(mu, 2) and is_exactly(nu, 3):
+            return Classification("5a", {}, header_ok=True)
+        if is_zero(lam) and is_zero(mu) and is_exactly(nu, 3):
+            return Classification("5b", {}, header_ok=True)
+        if is_zero(lam) and is_zero(mu) and is_const(nu):
+            return Classification("5c", {"b": nu[0]}, header_ok=True)
+        if is_multiple_of(lam, 2) and lam[2] == -one and not mu[0] and not mu[3] \
+                and mu[1] == one and mu[2] == one and is_zero(nu):
+            return Classification("5d", {}, header_ok=True)
+        if is_multiple_of(lam, 3) and is_exactly(mu, 1) and is_zero(nu):
+            return Classification("5e", {"a": lam[3]}, header_ok=True)
+    return Classification("NONE", {"alpha": alpha, "beta": beta, "gamma": gamma},
+                          header_ok=None)

@@ -1,24 +1,29 @@
 """``scripts/identity_sweeps.py`` runs end to end, and a count that would
-check nothing ends in one ``error:`` line rather than a traceback."""
+check nothing ends in one ``error:`` line rather than a traceback;
+``scripts/catalog_table.py`` reproduces the verdict table of all fifteen
+three-generator classes."""
 
 import os
 import pathlib
 import subprocess
 import sys
 
+from skewsmooth.smoothness import THREE_DIM_CLASSES
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_sweeps(*flags):
+def run_script(script, *flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "scripts/identity_sweeps.py", *flags],
+    return subprocess.run([sys.executable, f"scripts/{script}", *flags],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_identity_sweeps_small_run():
-    proc = run_sweeps("--ladder-max", "3", "--power-max", "2", "--samples", "1")
+    proc = run_script("identity_sweeps.py",
+                      "--ladder-max", "3", "--power-max", "2", "--samples", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 6
@@ -28,8 +33,17 @@ def test_identity_sweeps_small_run():
 
 
 def test_identity_sweeps_rejects_an_empty_ladder():
-    proc = run_sweeps("--ladder-max", "0")
+    proc = run_script("identity_sweeps.py", "--ladder-max", "0")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
+def test_catalog_table_has_no_mismatch():
+    proc = run_script("catalog_table.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("0 mismatches")
+    rows = lines[1:-2]
+    assert {row.split()[0] for row in rows} == {label for label, _, _ in THREE_DIM_CLASSES}

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from skewsmooth.algebra import Presentation
@@ -14,9 +14,10 @@ from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import (SolutionStatus, Verdict, assemble_constant_checks,
                                    classify_3d, decide, decide_ore_extension,
                                    encode_ore_extension, obstruction_check,
-                                   ore_closed_form_conditions, solve_diagonal_unknowns)
+                                   ore_closed_form_conditions, solve_diagonal_unknowns,
+                                   THREE_DIM_CLASSES, _display_form)
 
-from helpers import random_nonzero_rational
+from helpers import naive_classify_3d, random_nonzero_rational
 
 
 class TestConstantChecks:
@@ -270,22 +271,77 @@ class TestClassify:
     def test_all_catalog_labels_roundtrip(self):
         # the matcher is first-match over overlapping shapes (2e at a=1 equals
         # 2b at b=0, zero tails collapse onto class 1), so the faithful check
-        # is: rebuilding from the matched label and parameters reproduces the
-        # presentation exactly.
-        for entry in three_dim_grid():
-            got = classify_3d(entry.presentation)
-            assert got.label != "NONE", (entry.label, entry.params)
-            kwargs = {}
-            for key, value in got.parameters.items():
-                if key in ("alpha", "beta", "gamma", "a", "b"):
-                    kwargs[key] = value
-            if got.label == "4":
-                kwargs = {"alpha": got.parameters["alpha"],
-                          "a_vec": tuple(got.parameters[f"a{i}"] for i in (1, 2, 3)),
-                          "b_vec": tuple(got.parameters[f"b{i}"] for i in (1, 2, 3))}
-            rebuilt = three_dim_class(got.label, **kwargs)
-            assert rebuilt == entry.presentation, (entry.label, got.label, entry.params)
+        # is: rebuilding from the matched label and parameters, in the grid's
+        # field, reproduces the presentation exactly.
+        for field in (QQ, PrimeField(7), PrimeField(101)):
+            for entry in three_dim_grid(field):
+                got = classify_3d(entry.presentation)
+                assert got.label != "NONE", (field, entry.label, entry.params)
+                kwargs = {}
+                for key, value in got.parameters.items():
+                    if key in ("alpha", "beta", "gamma", "a", "b"):
+                        kwargs[key] = value
+                if got.label == "4":
+                    kwargs = {"alpha": got.parameters["alpha"],
+                              "a_vec": tuple(got.parameters[f"a{i}"] for i in (1, 2, 3)),
+                              "b_vec": tuple(got.parameters[f"b{i}"] for i in (1, 2, 3))}
+                rebuilt = three_dim_class(got.label, field, **kwargs)
+                assert rebuilt == entry.presentation, \
+                    (field, entry.label, got.label, entry.params)
 
     def test_no_match(self):
         pres = from_display(QQ, 2, 3, 5, lam={1: 1}, mu={2: 1}, nu={3: 1})
         assert classify_3d(pres).label == "NONE"
+
+
+@st.composite
+def displays_near_rows(draw):
+    """Display data on or next to one row of ``THREE_DIM_CLASSES``.
+
+    Uniform draws almost never land on 5a or 5d, so each draw starts from a
+    row: every slot keeps the row's constant, or the one value drawn for its
+    name, except that about half the draws give up to two slots a fresh
+    value.  Values come
+    from {0, 1, -1, 2, 3} or at random.
+    """
+    field = draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7), PrimeField(101)]))
+    _, shape, _ = draw(st.sampled_from(THREE_DIM_CLASSES))
+    scalar = st.one_of(st.sampled_from([0, 1, -1, 2, 3]),
+                       st.fractions(-9, 9, max_denominator=9) if field is QQ
+                       else st.integers(0, field.p - 1))
+    fresh = draw(st.one_of(st.just(set()), st.sets(st.integers(0, 14), max_size=2)))
+    names = {}
+    slots = list(shape[:3]) + [vec.get(k, 0) for vec in shape[3:] for k in range(4)]
+    values = []
+    for i, slot in enumerate(slots):
+        if i in fresh:
+            values.append(draw(scalar))
+        elif isinstance(slot, str):
+            if slot not in names:
+                names[slot] = draw(scalar)
+            values.append(names[slot])
+        else:
+            values.append(slot)
+    alpha, beta, gamma = values[:3]
+    lam, mu, nu = ({k: values[3 + 4 * v + k] for k in range(4)} for v in range(3))
+    return field, alpha, beta, gamma, lam, mu, nu
+
+
+@settings(max_examples=1000, deadline=None)
+@given(displays_near_rows())
+def test_classify_3d_matches_the_if_chain(data):
+    """The table matcher agrees with the hand-written chain of the fifteen
+    classes on label, parameters and header flag, and the display read back
+    from the presentation is the display it was built from."""
+    field, alpha, beta, gamma, lam, mu, nu = data
+    assume(all(field.coerce(v) for v in (alpha, beta, gamma)))
+    pres = from_display(field, alpha, beta, gamma, lam, mu, nu)
+    expected = tuple(map(field.coerce, (alpha, beta, gamma))) + tuple(
+        [field.coerce(vec[k]) for k in range(4)] for vec in (lam, mu, nu))
+    assert _display_form(pres) == expected
+    got, want = classify_3d(pres), naive_classify_3d(pres)
+    event(f"label {want.label}")
+    assert got.label == want.label
+    assert [(k, str(v)) for k, v in got.parameters.items()] == \
+        [(k, str(v)) for k, v in want.parameters.items()]
+    assert got.header_ok == want.header_ok
