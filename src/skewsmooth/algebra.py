@@ -177,14 +177,22 @@ class Presentation:
         self.pairs = full
         self._memo: dict = {}           # (core monomial, generator) -> {monomial: coeff}
         self._branch_table: dict = {}   # wrong-order pair (u, v) -> rewrite branches
+        self._tails: dict = {}          # pair (i, j) -> (linear tail tuple, constant)
+        ascending = self.ordering is Ordering.ASCENDING
         noncentral = [g for g in range(1, n + 1) if g not in self.central]
-        lead = (min if self.ordering is Ordering.ASCENDING else max)(noncentral, default=0)
+        lead = (min if ascending else max)(noncentral, default=0)
         # zeroes the exponents a core leaves out: the central ones and the lead's
         self._core_mask = tuple(0 if g in self.central or g == lead else 1
                                 for g in range(1, n + 1))
         # 0-based non-central positions, from the last letter of a normal word
-        scan = range(n - 1, -1, -1) if self.ordering is Ordering.ASCENDING else range(n)
+        scan = range(n - 1, -1, -1) if ascending else range(n)
         self._scan = tuple(i for i in scan if i + 1 not in self.central)
+        # per generator g, the 0-based non-central positions that come after
+        # g in a normal word: m . x_g is normal iff m is zero on all of them
+        self._after = (None,) + tuple(
+            tuple(i for i in (range(g, n) if ascending else range(g - 1))
+                  if i + 1 not in self.central)
+            for g in range(1, n + 1))
 
     def _validate_rule(self, i, j, rule: PairRule):
         n = self.n
@@ -244,27 +252,36 @@ class Presentation:
     def a(self, i: int, j: int):
         return self.pairs[(i, j)].quad
 
+    def _tail(self, i: int, j: int):
+        """Linear tail of the pair as a dense tuple, plus the constant term;
+        built once per pair."""
+        got = self._tails.get((i, j))
+        if got is None:
+            vec = [self.field.zero] * self.n
+            const = self.field.zero
+            for coeff, word in self.pairs[(i, j)].tail:
+                if len(word) == 0:
+                    const = const + coeff
+                elif len(word) == 1:
+                    vec[word[0] - 1] = vec[word[0] - 1] + coeff
+                else:
+                    raise NonDiagonalTailError(f"pair ({i}, {j}) carries a non-linear tail")
+            got = self._tails[(i, j)] = (tuple(vec), const)
+        return got
+
     def tail_vector(self, i: int, j: int):
-        """Linear tail as a dense vector, plus the constant term."""
-        vec = [self.field.zero] * self.n
-        const = self.field.zero
-        for coeff, word in self.pairs[(i, j)].tail:
-            if len(word) == 0:
-                const = const + coeff
-            elif len(word) == 1:
-                vec[word[0] - 1] = vec[word[0] - 1] + coeff
-            else:
-                raise NonDiagonalTailError(f"pair ({i}, {j}) carries a non-linear tail")
-        return vec, const
+        """Linear tail as a dense vector (a new list), plus the constant term."""
+        vec, const = self._tail(i, j)
+        return list(vec), const
 
     def b(self, i: int, j: int):
-        return self.tail_vector(i, j)[0][i - 1]
+        return self._tail(i, j)[0][i - 1]
 
     def c(self, i: int, j: int):
-        return self.tail_vector(i, j)[0][j - 1]
+        return self._tail(i, j)[0][j - 1]
 
     def e(self, i: int, j: int):
-        return self.tail_vector(i, j)[1]
+        return self._tail(i, j)[1]
 
     @property
     def is_linear_tailed(self) -> bool:
@@ -346,11 +363,13 @@ class Presentation:
     # rewrite is bounded by the heap and not by the interpreter's recursion
     # limit.
     #
-    # multiply(p, q) folds p through the words of q's monomials in sorted
-    # order.  A stack keeps the folds of the prefix each word shares with the
-    # next one, so each word starts from the longest prefix it shares with an
-    # earlier word (in sorted order that is the previous one).  A q of one
-    # term has no prefix to share, so its word is folded whole.
+    # multiply(p, q) with a constant factor c on either side is the other
+    # factor scaled by c.  Otherwise it folds p through the words of q's
+    # monomials in sorted order.  A stack keeps the folds of the prefix each
+    # word shares with the next one, so each word starts from the longest
+    # prefix it shares with an earlier word (in sorted order that is the
+    # previous one).  A q of one term has no prefix to share, so its word is
+    # folded whole.
 
     def _branches(self, u: int, v: int):
         """Rewrite branches (coeff, word) for the adjacent wrong-order product
@@ -385,17 +404,20 @@ class Presentation:
             return out
         mask = self._core_mask
         memo = self._memo
-        ascending = self.ordering is Ordering.ASCENDING
+        after = self._after[g]
         # (coeff, memo entry, shift), or (coeff, None, product) when m . x_g
         # is already normal
         images = []
         for m, c in terms.items():
-            core = tuple(map(mul, m, mask))
-            if not any(core[g:] if ascending else core[:gi]):
+            for i in after:
+                if m[i]:
+                    break
+            else:
                 e = list(m)
                 e[gi] += 1
                 images.append((c, None, tuple(e)))
                 continue
+            core = tuple(map(mul, m, mask))
             img = memo.get((core, g))
             if img is None:
                 missing.append((core, g))
@@ -499,6 +521,11 @@ class Presentation:
 
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:
         self._check_exponents(chain(p.terms, q.terms))
+        unit = (0,) * self.n
+        if len(p.terms) == 1 and unit in p.terms:
+            return q.scale(p.terms[unit])
+        if len(q.terms) == 1 and unit in q.terms:
+            return p.scale(q.terms[unit])
         out: dict = {}
         if len(q.terms) < 2:
             for m2, c2 in q.terms.items():

@@ -16,8 +16,7 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import NcPoly, Ordering, Presentation
-from .endos import (AffineEndo, _univariate_image, apply_endo, commute, compose,
-                    identity_endo, invert)
+from .endos import AffineEndo, apply_endo, commute, compose, identity_endo, invert
 from .errors import IndexRangeError, MismatchedArityError, NonDiagonalTailError
 
 __all__ = [
@@ -103,6 +102,8 @@ class CalculusContext:
         self._prefix_cache: dict = {}    # (i, prefix exponents) -> nu_i(x^prefix)
         self._pair_cache: dict = {(): pres.field.one}  # index set -> prod_{s<t} -(1/a_st)
         self._closed_form_tables = None  # (columns, rows) of _closed_form_factors
+        self._sort_cache: dict = {}      # basis word -> basis_sort(word)
+        self._monomial_cache: dict = {}  # degree bound -> _monomials(bound)
 
     @property
     def n(self) -> int:
@@ -159,16 +160,29 @@ class CalculusContext:
     def basis_sort(self, word):
         """Sort a basis word into increasing order.  The scalar is the product
         of -(1/a_ij) over the inverted pairs, i < j with dx_j before dx_i;
-        None for repeated letters."""
+        None for repeated letters.  Cached per word."""
         word = tuple(word)
+        if word in self._sort_cache:
+            return self._sort_cache[word]
         factor = self.pres.field.one
         for s, u in enumerate(word):
             for v in word[s + 1:]:
                 if u > v:
                     factor = -(factor / self.pres.a(v, u))
                 elif u == v:
+                    self._sort_cache[word] = None
                     return None
-        return factor, tuple(sorted(word))
+        got = self._sort_cache[word] = (factor, tuple(sorted(word)))
+        return got
+
+    def _monomials(self, max_degree: int) -> tuple:
+        """The exponent vectors of total degree <= bound in (degree, exponents)
+        order, built once per bound."""
+        got = self._monomial_cache.get(max_degree)
+        if got is None:
+            got = self._monomial_cache[max_degree] = tuple(
+                _monomials_up_to(self.n, max_degree))
+        return got
 
     def _pair_product(self, indices):
         """prod over s < t of -(1/a_st) for an increasing index tuple, each set
@@ -220,9 +234,7 @@ class CalculusContext:
         exponent -> coeff, from the cached L_i(power - 1) by
         L_i(a) = x_i L_i(a-1) + nu_i(x_i)^(a-1): O(power) field operations."""
         total = {e + 1: c for e, c in self.ladder(i, power - 1).items()}
-        nu = self.nus[i - 1]
-        linalg.add_into(total, _univariate_image(nu.slopes[i - 1], nu.shifts[i - 1],
-                                                 power - 1))
+        linalg.add_into(total, self.nus[i - 1].power_image(i, power - 1))
         return total
 
     def ladder(self, i: int, power: int) -> dict:
@@ -341,7 +353,7 @@ def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
         null = linalg.sparse_nullspace(field, rows, max_degree + 1)
         factors.append({max(vec): vec for vec in null})
     basis = []
-    for top in _monomials_up_to(ctx.n, max_degree):
+    for top in ctx._monomials(max_degree):
         if all(t in factor for t, factor in zip(top, factors)):
             terms = {(): field.one}
             for t, factor in zip(top, factors):
@@ -378,19 +390,19 @@ def d_squared_failures(ctx: CalculusContext, max_degree: int) -> list:
     for i, j in combinations(range(1, ctx.n + 1), 2):
         s_ji = ctx.basis_sort((j, i))[0] * minus
         s_ij = minus        # (i, j) is already sorted
-        slope, shift = ctx.nus[j - 1].slopes[i - 1], ctx.nus[j - 1].shifts[i - 1]
+        nu_j = ctx.nus[j - 1]
         broken = set()
         for a in powers:
             u: dict = {}
-            for b, c in _univariate_image(slope, shift, a).items():
+            for b, c in nu_j.power_image(i, a).items():
                 linalg.add_into(u, ctx.ladder(i, b), c * s_ji)
             for t, c in ctx.ladder(i, a).items():
-                linalg.add_into(u, _univariate_image(slope, shift, t), c * s_ij)
+                linalg.add_into(u, nu_j.power_image(i, t), c * s_ij)
             if u:
                 broken.add(a)
         if broken and live[j]:
             checks.append((i - 1, j - 1, broken, live[j]))
-    return [m for m in _monomials_up_to(ctx.n, max_degree)
+    return [m for m in ctx._monomials(max_degree)
             if any(m[i] in broken and m[j] in lj for i, j, broken, lj in checks)]
 
 

@@ -7,6 +7,7 @@ property ``respects_relations``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import comb
 
@@ -33,6 +34,8 @@ class AffineEndo:
 
     slopes: tuple
     shifts: tuple
+    # (g, power) -> power_image(g, power); outside equality, hash and repr
+    _powers: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.slopes) != len(self.shifts):
@@ -49,6 +52,17 @@ class AffineEndo:
         if self.shifts[g - 1]:
             p = p + pres.scalar(self.shifts[g - 1])
         return p
+
+    def power_image(self, g: int, power: int) -> dict:
+        """(slope_g x_g + shift_g)^power as exponent -> coefficient, memoised
+        on the endomorphism; the returned map is shared, so callers only
+        read it."""
+        key = (g, power)
+        got = self._powers.get(key)
+        if got is None:
+            got = self._powers[key] = _univariate_image(
+                self.slopes[g - 1], self.shifts[g - 1], power)
+        return got
 
 
 def identity_endo(field, n: int) -> AffineEndo:
@@ -70,19 +84,21 @@ def apply_endo(endo: AffineEndo, p: NcPoly, pres: Presentation) -> NcPoly:
 
     Images of distinct generators involve distinct generators, so the expanded
     words are already normal-ordered and no rewriting is needed, and the
-    products of the per-generator images never collide.
+    products of the per-generator images never collide.  A constant term is
+    its own image.
     """
     if endo.n != pres.n:
         raise MismatchedArityError("endomorphism arity differs from presentation")
+    unit = (0,) * pres.n
     out: dict = {}
     for m, c in p.terms.items():
-        image = {(0,) * pres.n: c}
-        for g, power in enumerate(m):
-            if not power:
-                continue
-            uni = _univariate_image(endo.slopes[g], endo.shifts[g], power)
-            image = {e[:g] + (t,) + e[g + 1:]: coeff * u
-                     for e, coeff in image.items() for t, u in uni.items()}
+        image = {unit: c}
+        if m != unit:
+            for g, power in enumerate(m):
+                if power:
+                    uni = endo.power_image(g + 1, power)
+                    image = {e[:g] + (t,) + e[g + 1:]: coeff * u
+                             for e, coeff in image.items() for t, u in uni.items()}
         add_into(out, image)
     return NcPoly(out)
 
@@ -106,9 +122,12 @@ def commute(e1: AffineEndo, e2: AffineEndo) -> bool:
     """True iff compose(e1, e2) == compose(e2, e1).
 
     Slopes always commute; the condition is shift compatibility
-    b2*(a1 - 1) == b1*(a2 - 1) on every generator.
+    b2*(a1 - 1) == b1*(a2 - 1) on every generator, tested directly.
     """
-    return compose(e1, e2) == compose(e2, e1)
+    if e1.n != e2.n:
+        raise MismatchedArityError("cannot compose endomorphisms of different arity")
+    return all(b2 * (a1 - 1) == b1 * (a2 - 1)
+               for a1, b1, a2, b2 in zip(e1.slopes, e1.shifts, e2.slopes, e2.shifts))
 
 
 def invert(endo: AffineEndo) -> AffineEndo:

@@ -9,7 +9,6 @@ so field-generic code can use integer literals in formulas.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadCharacteristicError
@@ -53,12 +52,28 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FpElement:
-    """A residue modulo a prime, normalized to 0..p-1."""
+    """A residue modulo a prime, normalized to 0..p-1.
 
-    value: int
-    p: int
+    Immutable: assigning an attribute raises.  Results of arithmetic are
+    built by ``_fp`` from already reduced residues; operands of the same
+    class skip the int lift.
+    """
+
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        _set_value(self, value)
+        _set_p(self, p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FpElement is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FpElement is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FpElement, (self.value, self.p)
 
     # The (numerator, denominator) split of ``Fraction``: integer code that
     # reads it, such as ``diffusion.pq_p``, runs unchanged over Q and F_p.
@@ -76,34 +91,40 @@ class FpElement:
                 raise ValueError("cannot mix residues for different primes")
             return other
         if isinstance(other, int):
-            return FpElement(other % self.p, self.p)
+            return _fp(other % self.p, self.p)
         return NotImplemented
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value + other.value) % self.p, self.p)
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _fp((self.value + other.value) % p, p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FpElement(-self.value % self.p, self.p)
+        return _fp(-self.value % self.p, self.p)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value - other.value) % self.p, self.p)
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _fp((self.value - other.value) % p, p)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value * other.value) % self.p, self.p)
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _fp(self.value * other.value % p, p)
 
     __rmul__ = __mul__
 
@@ -117,17 +138,19 @@ class FpElement:
 
     def __rtruediv__(self, other):
         lifted = self._lift(other)
+        if lifted is NotImplemented:
+            return NotImplemented
         return lifted / self
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return FpElement(pow(self.value, exponent, self.p), self.p)
+        return _fp(pow(self.value, exponent, self.p), self.p)
 
     def inverse(self) -> "FpElement":
         if self.value == 0:
             raise ZeroDivisionError("zero residue has no inverse")
-        return FpElement(pow(self.value, self.p - 2, self.p), self.p)
+        return _fp(pow(self.value, self.p - 2, self.p), self.p)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -146,19 +169,27 @@ class FpElement:
         return str(self.value)
 
 
+_set_value = FpElement.value.__set__
+_set_p = FpElement.p.__set__
+_new = object.__new__
+
+
+def _fp(value: int, p: int) -> FpElement:
+    """An ``FpElement`` for a residue already reduced modulo p."""
+    x = _new(FpElement)
+    _set_value(x, value)
+    _set_p(x, p)
+    return x
+
+
 class RationalField:
     """The rationals; elements are ``Fraction`` instances."""
 
     char = 0
     name = "Q"
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -203,14 +234,8 @@ class PrimeField:
         self.p = p
         self.char = p
         self.name = f"Fp:{p}"
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
+        self.zero = _fp(0, p)
+        self.one = _fp(1, p)
 
     def coerce(self, value) -> FpElement:
         if isinstance(value, FpElement):
@@ -218,21 +243,21 @@ class PrimeField:
                 raise ValueError("residue for a different prime")
             return value
         if isinstance(value, int):
-            return FpElement(value % self.p, self.p)
+            return _fp(value % self.p, self.p)
         if isinstance(value, Fraction):
-            den = FpElement(value.denominator % self.p, self.p)
+            den = _fp(value.denominator % self.p, self.p)
             if not den:
                 raise ZeroDivisionError("denominator divisible by the characteristic")
-            return FpElement(value.numerator % self.p, self.p) / den
+            return _fp(value.numerator % self.p, self.p) / den
         if isinstance(value, str):
             return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
     def random(self, rng: random.Random, height: int = 0) -> FpElement:
-        return FpElement(rng.randrange(self.p), self.p)
+        return _fp(rng.randrange(self.p), self.p)
 
     def random_nonzero(self, rng: random.Random, height: int = 0) -> FpElement:
-        return FpElement(rng.randrange(1, self.p), self.p)
+        return _fp(rng.randrange(1, self.p), self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

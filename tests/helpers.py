@@ -15,6 +15,7 @@ from math import comb
 from skewsmooth import linalg
 from skewsmooth.algebra import NcPoly, Ordering, Presentation
 from skewsmooth.diffusion import pq_p, pq_q
+from skewsmooth.endos import compose
 from skewsmooth.scalars import QQ
 from skewsmooth.smoothness import Classification, _display_form
 
@@ -64,6 +65,13 @@ def naive_normal_form(pres: Presentation, terms) -> dict:
     return out
 
 
+def naive_product(pres: Presentation, p: NcPoly, q: NcPoly) -> dict:
+    """p q by the oracle, from the concatenated words of every pair of terms."""
+    return naive_normal_form(pres, [
+        (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
+        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
+
+
 def naive_basis_sort(pres: Presentation, word):
     """Bubble sort of a basis word, collecting the scalar -(1/a_ij) per
     adjacent transposition and restarting after every pass; None for repeated
@@ -82,6 +90,26 @@ def naive_basis_sort(pres: Presentation, word):
                 factor = -(factor / pres.a(v, u))
                 changed = True
     return factor, tuple(word)
+
+
+def compose_commute(e1, e2) -> bool:
+    """Whether the two composites of a pair of twists are equal, built and
+    compared in full: the oracle for ``endos.commute``."""
+    return compose(e1, e2) == compose(e2, e1)
+
+
+def naive_tail_vector(pres: Presentation, i: int, j: int):
+    """The dense linear tail and the constant of pair (i, j), summed afresh
+    from the relation data: the oracle for ``Presentation.tail_vector`` and
+    the accessors ``b``, ``c`` and ``e``."""
+    vec = [pres.field.zero] * pres.n
+    const = pres.field.zero
+    for coeff, word in pres.pairs[(i, j)].tail:
+        if word:
+            vec[word[0] - 1] += coeff
+        else:
+            const += coeff
+    return vec, const
 
 
 def naive_closed_form_products(pres: Presentation, subset, complement):

@@ -16,7 +16,7 @@ from skewsmooth.catalog import diffusion_class_instances, three_dim_class
 from skewsmooth.diffusion import DiffusionPresentation, DiffusionType, encode_presentation
 from skewsmooth.scalars import QQ, PrimeField
 
-from helpers import (naive_normal_form, random_nonzero_rational, random_poly,
+from helpers import (naive_normal_form, naive_product, random_nonzero_rational, random_poly,
                      random_rational, random_skew_presentation, random_word)
 
 F_MERSENNE = PrimeField(2 ** 31 - 1)
@@ -69,13 +69,6 @@ def lead(pres: Presentation) -> int:
 def assert_cores_drop_lead_and_central(pres: Presentation):
     dropped = [lead(pres) - 1] + [c - 1 for c in pres.central]
     assert all(core[i] == 0 for core, _ in pres._memo for i in dropped)
-
-
-def naive_product(pres: Presentation, p: NcPoly, q: NcPoly) -> dict:
-    """p q by the oracle, from the concatenated words of every pair of terms."""
-    return naive_normal_form(pres, [
-        (c1 * c2, pres.monomial_word(m1) + pres.monomial_word(m2))
-        for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
 
 
 def test_non_pbw_cases_fail_the_diamond():

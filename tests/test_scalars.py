@@ -1,9 +1,14 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skewsmooth.diffusion import _split
 from skewsmooth.errors import BadCharacteristicError
 from skewsmooth.scalars import (_MR_LIMIT, QQ, FpElement, PrimeField, _is_prime,
                                 field_from_name)
@@ -63,6 +68,92 @@ def test_fp_element_zero_is_falsy():
 def test_fp_element_splits_as_residue_over_one():
     x = PrimeField(7).coerce(Fraction(-1, 2))
     assert (x.numerator, x.denominator) == (x.value, 1) == (3, 1)
+
+
+PRIMES = [5, 7, 101, 2 ** 31 - 1]
+
+
+class TestFpElementContract:
+    """The residue class against integer arithmetic mod p."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(-10 ** 12, 10 ** 12),
+           st.integers(-10 ** 12, 10 ** 12), st.integers(0, 12))
+    def test_arithmetic_matches_integers_mod_p(self, p, a, b, e):
+        F = PrimeField(p)
+        x, y = F.coerce(a), F.coerce(b)
+        assert (x.value, x.p) == (a % p, p)
+        for got, want in ((x + y, a + b), (x + b, a + b), (a + y, a + b),
+                          (x - y, a - b), (x - b, a - b), (a - y, a - b),
+                          (x * y, a * b), (x * b, a * b), (a * y, a * b),
+                          (-x, -a), (x ** e, pow(a, e, p))):
+            assert type(got) is FpElement and (got.value, got.p) == (want % p, p)
+        if b % p:
+            inv = pow(b, -1, p)
+            for got in (x / y, x / b):
+                assert (got.value, got.p) == (a * inv % p, p)
+            assert (y ** -e).value == pow(inv, e, p)
+        else:
+            for divide in (lambda: x / y, lambda: x / b, lambda: y ** -1):
+                with pytest.raises(ZeroDivisionError):
+                    divide()
+        if a % p:
+            assert (b / x).value == b * pow(a, -1, p) % p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(-10 ** 6, 10 ** 6))
+    def test_equality_and_hash(self, p, a):
+        v = a % p
+        x = FpElement(v, p)
+        assert x == a and a == x and x == a + 3 * p and x != a + 1
+        assert x == PrimeField(p).coerce(a) and x != FpElement(v, 11 if p != 11 else 13)
+        assert hash(x) == hash((v, p))
+        assert bool(x) == (v != 0)
+
+    def test_immutable(self):
+        x = PrimeField(7).coerce(3)
+        for name in ("value", "p", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (x.value, x.p) == (3, 7)
+        with pytest.raises(AttributeError):
+            x.__dict__
+
+    def test_foreign_operands_raise_type_error(self):
+        x = PrimeField(7).coerce(3)
+        for op in (lambda: Fraction(1, 2) / x, lambda: 1.5 / x, lambda: x / 1.5,
+                   lambda: x + 1.5, lambda: 1.5 - x, lambda: x * "2"):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_mixing_primes_raises(self):
+        x, y = PrimeField(5).coerce(2), PrimeField(7).coerce(2)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+            with pytest.raises(ValueError):
+                op()
+        with pytest.raises(ValueError):
+            PrimeField(5).coerce(y)
+
+    def test_copy_and_pickle(self):
+        F = PrimeField(2 ** 31 - 1)
+        for x in (F.zero, F.one, F.coerce(-5), F.coerce(Fraction(2, 3))):
+            for got in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(got) is FpElement and got == x and hash(got) == hash(x)
+                assert (got.value, got.p) == (x.value, x.p)
+
+    def test_split_runs_on_residues(self):
+        F = PrimeField(101)
+        u, v, bd = _split(F.coerce(Fraction(1, 2)), F.coerce(7))
+        assert (u, v, bd) == (51, 7, 1)
+
+    def test_field_constants_are_fixed(self):
+        F = PrimeField(13)
+        assert F.zero is F.zero and F.one is F.one
+        assert (F.zero.value, F.one.value) == (0, 1)
+        assert QQ.zero is QQ.zero and QQ.one is QQ.one
+        assert (QQ.zero, QQ.one) == (Fraction(0), Fraction(1))
 
 
 def _trial_division(n: int) -> bool:
