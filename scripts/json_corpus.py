@@ -39,6 +39,9 @@ the same JSON when ``diff -r`` finds no difference between their directories:
     PYTHONPATH=src python scripts/json_corpus.py /tmp/corpus-new
     PYTHONPATH=../old/src python scripts/json_corpus.py /tmp/corpus-old
     diff -r /tmp/corpus-old /tmp/corpus-new
+
+The tests compare every file it writes with the SHA-256 recorded in
+``tests/data/json_corpus.sha256``.
 """
 
 from __future__ import annotations

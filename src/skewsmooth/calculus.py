@@ -99,7 +99,6 @@ class CalculusContext:
         self.nus = nus
         self._composite_cache: dict = {(): identity_endo(pres.field, pres.n)}
         self._ladder_cache: dict = {(i, 0): {} for i in range(1, pres.n + 1)}
-        self._prefix_cache: dict = {}    # (i, prefix exponents) -> nu_i(x^prefix)
         self._pair_cache: dict = {(): pres.field.one}  # index set -> prod_{s<t} -(1/a_st)
         self._closed_form_tables = None  # (columns, rows) of _closed_form_factors
         self._sort_cache: dict = {}      # basis word -> basis_sort(word)
@@ -127,9 +126,6 @@ class CalculusContext:
 
     def zero_form(self, degree: int) -> DiffForm:
         return DiffForm(degree, {})
-
-    def from_poly(self, p: NcPoly) -> DiffForm:
-        return DiffForm(0, {(): p})
 
     def dx(self, i: int) -> DiffForm:
         return DiffForm(1, {(i,): self.pres.one()})
@@ -251,17 +247,6 @@ class CalculusContext:
                 cache[i, a] = self._ladder(i, a)
         return cache[i, power]
 
-    def _twisted_prefix(self, i: int, prefix) -> dict:
-        """nu_i(x_1^e_1 ... x_(i-1)^e_(i-1)) for prefix = (e_1, ..., e_(i-1)), as a map
-        from prefix exponents to coefficients.  Cached on the context."""
-        key = (i, prefix)
-        got = self._prefix_cache.get(key)
-        if got is None:
-            image = apply_endo(self.nus[i - 1],
-                               self.pres.mono(prefix + (0,) * (self.n - i + 1)), self.pres)
-            got = self._prefix_cache[key] = {e[:i - 1]: c for e, c in image.terms.items()}
-        return got
-
     def partial(self, i: int, p: NcPoly) -> NcPoly:
         """Coefficient of dx_i in d(p).  Per monomial x^e of p (d is linear over
         the field) it is the twisted prefix nu_i(x^{e<i}), the ladder sum
@@ -274,19 +259,18 @@ class CalculusContext:
                 continue
             ladder = self.ladder(i, li)
             suffix = m[i:]
-            linalg.add_into(out, {e + (t,) + suffix: v * w
-                                  for e, v in self._twisted_prefix(i, m[:i - 1]).items()
+            prefix = apply_endo(self.nus[i - 1],
+                                self.pres.mono(m[:i - 1] + (0,) * (self.n - i + 1)), self.pres)
+            linalg.add_into(out, {e[:i - 1] + (t,) + suffix: v * w
+                                  for e, v in prefix.terms.items()
                                   for t, w in ladder.items()}, c)
         return NcPoly(out)
 
     def d(self, f) -> DiffForm:
-        """The derivation; degree k -> k+1, with d(dx_S) = 0 on basis words."""
+        """The derivation; degree k -> k+1, with d(dx_S) = 0 on basis words.
+        A polynomial is taken as a 0-form."""
         if isinstance(f, NcPoly):
-            f = self.from_poly(f)
-        if f.degree == 0:
-            p = f.components.get((), NcPoly.zero())
-            return DiffForm(1, {(i,): self.partial(i, p)
-                                for i in range(1, self.n + 1)})
+            f = DiffForm(0, {(): f})
         sign = self.pres.field.one if f.degree % 2 == 0 else -self.pres.field.one
         out: dict = {}
         for s, p in f.components.items():
@@ -509,13 +493,15 @@ class IntegrabilityReport:
 
 
 def random_form(ctx: CalculusContext, degree: int, coeff_degree: int,
-                rng: random.Random, terms: int = 2) -> DiffForm:
+                rng: random.Random) -> DiffForm:
+    """Up to two components, each a sum of up to two random terms of degree
+    at most ``coeff_degree``."""
     field = ctx.pres.field
     components: dict = {}
     subsets = list(combinations(range(1, ctx.n + 1), degree))
-    for subset in rng.sample(subsets, k=min(terms, len(subsets))):
+    for subset in rng.sample(subsets, k=min(2, len(subsets))):
         poly: dict = {}
-        for _ in range(terms):
+        for _ in range(2):
             exps = [0] * ctx.n
             budget = rng.randint(0, coeff_degree)
             for _ in range(budget):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Presentation
-from .diffusion import DiffusionPresentation, DiffusionType
+from .diffusion import DIFFUSION_LABELS, DiffusionPresentation, DiffusionType
 from .scalars import QQ
 from .smoothness import THREE_DIM_CLASSES, Verdict
 
@@ -128,9 +128,6 @@ def three_dim_grid(field=QQ):
     for a in (1, 7):
         add("5e", I, a=a)
     return entries
-
-
-DIFFUSION_LABELS = ("A_I", "A_II", "B_I", "B_II", "B_III", "B_IV", "C_I", "C_II", "D")
 
 
 def diffusion_class_instances(label: str, field=QQ):

@@ -71,6 +71,8 @@ def _cmd_smooth(args) -> int:
     pres = alg.payload
     gkdim_defaulted = args.gkdim is None
     gkdim = pres.n if gkdim_defaulted else args.gkdim
+    if not 0 <= gkdim <= pres.n:
+        raise SkewSmoothError(f"--gkdim must be between 0 and {pres.n}, not {gkdim}")
     if gkdim_defaulted and not args.json:
         sys.stderr.write(f"notice: --gkdim not given, defaulting to n = {pres.n}\n")
     verdict = decide(pres, gkdim)

@@ -27,6 +27,7 @@ __all__ = [
     "CommutationReport",
     "verify_right_commutation",
     "verify_left_commutation",
+    "DIFFUSION_LABELS",
     "classify_diffusion_3",
     "crosswalk_to_3d",
     "SigmaCoefficients",
@@ -88,37 +89,29 @@ def encode_presentation(dp: DiffusionPresentation) -> Presentation:
         D_i D_j -> (lambda_ji/lambda_ij) D_j D_i
                    + (x_j/lambda_ij) D_i - (x_i/lambda_ij) D_j
 
-    For type 2 the x tails are words in the central generators x_1..x_n,
-    placed after the D block (generators n+1..2n).
+    For type 1 the x's are scalars and zero tail terms are dropped; for
+    type 2 the x tails are words in the central generators x_1..x_n, placed
+    after the D block (generators n+1..2n).
     """
-    field = dp.field
-    if dp.dtype is DiffusionType.TYPE1:
-        pairs = {}
-        for i in range(1, dp.n + 1):
-            for j in range(i + 1, dp.n + 1):
-                lij = dp.lam(i, j)
-                tail = []
-                cj = dp.x[j - 1] / lij
-                ci = dp.x[i - 1] / lij
-                if cj:
-                    tail.append((cj, (i,)))
-                if ci:
-                    tail.append((-ci, (j,)))
-                pairs[(i, j)] = PairRule(dp.lam(j, i) / lij, tuple(tail))
-        names = tuple(f"D{i}" for i in range(1, dp.n + 1))
-        return Presentation(field, dp.n, Ordering.DESCENDING, pairs, names=names)
-    n = dp.n
+    n, field = dp.n, dp.field
+    type1 = dp.dtype is DiffusionType.TYPE1
     pairs = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             lij = dp.lam(i, j)
-            inv = field.one / lij
-            tail = ((inv, (n + j, i)), (-inv, (n + i, j)))
+            if type1:
+                cj, ci = dp.x[j - 1] / lij, dp.x[i - 1] / lij
+                tail = tuple(t for t in ((cj, (i,)), (-ci, (j,))) if t[0])
+            else:
+                inv = field.one / lij
+                tail = ((inv, (n + j, i)), (-inv, (n + i, j)))
             pairs[(i, j)] = PairRule(dp.lam(j, i) / lij, tail)
-    names = tuple(f"D{i}" for i in range(1, n + 1)) \
-        + tuple(f"x{i}" for i in range(1, n + 1))
+    names = tuple(f"D{i}" for i in range(1, n + 1))
+    if type1:
+        return Presentation(field, n, Ordering.DESCENDING, pairs, names=names)
     return Presentation(field, 2 * n, Ordering.DESCENDING, pairs,
-                        central=range(n + 1, 2 * n + 1), names=names)
+                        central=range(n + 1, 2 * n + 1),
+                        names=names + tuple(f"x{i}" for i in range(1, n + 1)))
 
 
 # -- ladder coefficients ------------------------------------------------------
@@ -256,13 +249,6 @@ def _sign(field, m: int):
     return field.one if m % 2 == 0 else -field.one
 
 
-def _sample_pair_presentation(dtype, lam_ij, lam_ji, x_i, x_j, field):
-    dp = DiffusionPresentation(2, dtype, {(1, 2): lam_ij, (2, 1): lam_ji},
-                               (x_i, x_j) if dtype is DiffusionType.TYPE1 else (),
-                               field)
-    return encode_presentation(dp)
-
-
 def _rhs(pres, dtype, x_i, x_j, parts):
     """The polynomial sum of coeff * D_i^a D_j^b * x_i^u x_j^v over ``parts``
     of the form ((a, b), (u, v), coeff): the x factor is a scalar for type 1
@@ -310,7 +296,9 @@ def _verify_commutation(side: str, n_max: int, samples: int, seed: int,
             lam_ji = field.random(rng, 6) if s % 4 else field.zero
             x_i = field.random(rng, 6)
             x_j = field.random(rng, 6)
-            pres = _sample_pair_presentation(dtype, lam_ij, lam_ji, x_i, x_j, field)
+            # type 2 ignores the x scalars: there the x's are generators
+            pres = encode_presentation(DiffusionPresentation(
+                2, dtype, {(1, 2): lam_ij, (2, 1): lam_ji}, (x_i, x_j), field))
             if side == "right":
                 lhs = pres.normal_form((1,) * n + (2,)).scale(lam_ij ** n)
                 rhs = _right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field)
@@ -349,6 +337,9 @@ def verify_left_commutation(n_max: int, samples: int = 20, seed: int = 0,
 
 
 # -- three-generator classification ------------------------------------------
+
+DIFFUSION_LABELS = ("A_I", "A_II", "B_I", "B_II", "B_III", "B_IV", "C_I", "C_II", "D")
+
 
 def classify_diffusion_3(dp: DiffusionPresentation) -> frozenset:
     """Evaluate all nine family predicates literally; return every match.
@@ -407,7 +398,7 @@ def crosswalk_to_3d(label: str) -> str:
     directly (classes 2e and 1); A_I and B_I need an identification first and
     are UNRESOLVED; the rest have vanishing reverse coefficients and are
     NOT_SKEW on the same generators."""
-    if label not in (set(_CROSSWALK) | {"A_II", "B_II", "B_III", "B_IV", "C_II"}):
+    if label not in DIFFUSION_LABELS:
         raise IndexRangeError(f"unknown diffusion class {label!r}")
     return _CROSSWALK.get(label, "NOT_SKEW")
 

@@ -30,8 +30,6 @@ __all__ = [
     "decide",
     "encode_ore_extension",
     "ore_closed_form_conditions",
-    "OreDecision",
-    "decide_ore_extension",
     "THREE_DIM_CLASSES",
     "Classification",
     "classify_3d",
@@ -325,6 +323,10 @@ def ore_closed_form_conditions(n: int, b, a, c, field=QQ):
     """The two closed-form sufficient conditions, taken as given:
     (1) a_i != 0 and c_i = 0 for all i;
     (2) a_i = 0 for all i and c_i(b_k - 1) + c_k(b_i - 1) = 0 for all i != k.
+
+    They are not checked against ``decide``, which is authoritative: (2) holds
+    at b = (2, 4), a = 0, c = (3, -9), where the twists for x_1 and x_2 do not
+    commute on y and ``decide`` is INCONCLUSIVE.
     """
     a = [field.coerce(v) for v in a]
     b = [field.coerce(v) for v in b]
@@ -334,32 +336,6 @@ def ore_closed_form_conditions(n: int, b, a, c, field=QQ):
         not (c[i] * (b[k] - 1) + c[k] * (b[i] - 1))
         for i in range(n) for k in range(n) if i != k)
     return first, second
-
-
-@dataclass(frozen=True)
-class OreDecision:
-    verdict: SmoothnessVerdict
-    condition_any_nonzero_shift: bool
-    condition_zero_shift_balanced: bool
-    agreement: bool | None
-
-
-def decide_ore_extension(n: int, b, a, c, gkdim: int, field=QQ) -> OreDecision:
-    """Encode the Ore extension, run the general decision, and compare with
-    the closed-form conditions.
-
-    When a closed-form condition holds but the general decision is not
-    SMOOTH_SUFFICIENT, the disagreement is reported rather than asserted away:
-    the second closed-form condition is sign-inconsistent with the twist
-    commutation requirement, so the general decision is authoritative.
-    """
-    pres = encode_ore_extension(n, b, a, c, field)
-    verdict = decide(pres, gkdim)
-    cond1, cond2 = ore_closed_form_conditions(n, b, a, c, field)
-    agreement = None
-    if cond1 or cond2:
-        agreement = verdict.is_smooth_sufficient
-    return OreDecision(verdict, cond1, cond2, agreement)
 
 
 # -- syntactic three-generator classifier ------------------------------------

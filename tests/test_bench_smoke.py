@@ -8,11 +8,20 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_bench_smoke_runs_and_checks_every_workload():
-    proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=ROOT,
+def check_smoke(*flags):
+    proc = subprocess.run([sys.executable, "bench/run.py", "--smoke", *flags], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = {line.split(":", 1)[0]: line for line in proc.stdout.splitlines()
              if not line.startswith(" ")}
     for workload in ("screen", "calculus", "rewrite", "identities"):
         assert "correct=True" in lines.get(workload, ""), proc.stdout
+
+
+def test_bench_smoke_runs_and_checks_every_workload():
+    check_smoke()
+
+
+def test_traced_bench_smoke_finds_every_wrapped_function():
+    # the tracer wraps functions by name and fails when one is gone or renamed
+    check_smoke("--trace", "1")

@@ -91,6 +91,22 @@ def test_smooth_json_payload(files, capsys):
     assert len(payload["witness"]) == 3
 
 
+@pytest.mark.parametrize("value", [-3, -1, 4, 10 ** 100])
+def test_smooth_rejects_gkdim_outside_zero_to_n(files, capsys, value):
+    code, out, err = run(capsys, "smooth", files["class5a"], "--gkdim", str(value), "--json")
+    assert code == 1 and out == ""
+    assert err == f"error: --gkdim must be between 0 and 3, not {value}\n"
+
+
+@pytest.mark.parametrize("value, verdict", [
+    (0, "INCONCLUSIVE"), (2, "INCONCLUSIVE"), (3, "NOT_SMOOTH")])
+def test_smooth_accepts_gkdim_zero_to_n(files, capsys, value, verdict):
+    code, out, _ = run(capsys, "smooth", files["class5a"], "--gkdim", str(value), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gkdim"] == value and payload["verdict"] == verdict
+
+
 def test_classify3d(files, capsys):
     code, out, _ = run(capsys, "classify3d", files["class5a"])
     assert code == 0

@@ -1,8 +1,10 @@
 """``scripts/identity_sweeps.py`` runs end to end, and a count that would
 check nothing ends in one ``error:`` line rather than a traceback;
 ``scripts/catalog_table.py`` reproduces the verdict table of all fifteen
-three-generator classes."""
+three-generator classes; ``scripts/json_corpus.py`` writes exactly the files
+of the checked-in manifest, byte for byte."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -11,6 +13,7 @@ import sys
 from skewsmooth.smoothness import THREE_DIM_CLASSES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS_MANIFEST = ROOT / "tests" / "data" / "json_corpus.sha256"
 
 
 def run_script(script, *flags):
@@ -47,3 +50,27 @@ def test_catalog_table_has_no_mismatch():
     assert lines[-1].startswith("0 mismatches")
     rows = lines[1:-2]
     assert {row.split()[0] for row in rows} == {label for label, _, _ in THREE_DIM_CLASSES}
+
+
+def test_json_corpus_matches_the_manifest(tmp_path):
+    """The byte-identity contract: every input and output the corpus writes
+    has the SHA-256 the manifest records.  A change that alters an output on
+    purpose regenerates the manifest, and says why, with
+
+        PYTHONPATH=src python scripts/json_corpus.py OUT
+        (cd OUT && find . -type f -printf '%P\\n' | LC_ALL=C sort | xargs sha256sum) \\
+            > tests/data/json_corpus.sha256
+    """
+    proc = run_script("json_corpus.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    expected = {}
+    for line in CORPUS_MANIFEST.read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        expected[name] = digest
+    actual = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in tmp_path.rglob("*") if path.is_file()}
+    missing = sorted(set(expected) - set(actual))
+    extra = sorted(set(actual) - set(expected))
+    changed = sorted(name for name in set(expected) & set(actual)
+                     if actual[name] != expected[name])
+    assert (missing, extra, changed) == ([], [], [])

@@ -12,10 +12,9 @@ from skewsmooth.errors import NonDiagonalTailError, ZeroSlopeError
 from skewsmooth.linalg import solve_affine
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import (SolutionStatus, Verdict, assemble_constant_checks,
-                                   classify_3d, decide, decide_ore_extension,
-                                   encode_ore_extension, obstruction_check,
-                                   ore_closed_form_conditions, solve_diagonal_unknowns,
-                                   THREE_DIM_CLASSES, _display_form)
+                                   classify_3d, decide, encode_ore_extension,
+                                   obstruction_check, ore_closed_form_conditions,
+                                   solve_diagonal_unknowns, THREE_DIM_CLASSES, _display_form)
 
 from helpers import naive_classify_3d, random_nonzero_rational
 
@@ -220,26 +219,28 @@ class TestDecide:
 
 class TestOre:
     def test_nonzero_shift_case(self):
-        d = decide_ore_extension(2, (2, 3), (1, 1), (0, 0), 3)
-        assert d.verdict.verdict is Verdict.SMOOTH_SUFFICIENT
-        assert d.condition_any_nonzero_shift and d.agreement
+        verdict = decide(encode_ore_extension(2, (2, 3), (1, 1), (0, 0)), 3)
+        assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
+        assert verdict.is_smooth_sufficient
+        assert ore_closed_form_conditions(2, (2, 3), (1, 1), (0, 0))[0]
 
     def test_balanced_derivation_case_true_condition(self):
         # c_i (b_k - 1) = c_k (b_i - 1): (3)(3) = (9)(1)
-        d = decide_ore_extension(2, (2, 4), (0, 0), (3, 9), 3)
-        assert d.verdict.verdict is Verdict.SMOOTH_SUFFICIENT
+        verdict = decide(encode_ore_extension(2, (2, 4), (0, 0), (3, 9)), 3)
+        assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
 
     def test_balanced_derivation_printed_condition_disagrees(self):
         # the printed closed form accepts c = (3, -9) but the twists for x_1
         # and x_2 then fail to commute on y, so the general decision refuses.
-        d = decide_ore_extension(2, (2, 4), (0, 0), (3, -9), 3)
-        assert d.condition_zero_shift_balanced
-        assert d.verdict.verdict is Verdict.INCONCLUSIVE
-        assert d.agreement is False
+        verdict = decide(encode_ore_extension(2, (2, 4), (0, 0), (3, -9)), 3)
+        assert ore_closed_form_conditions(2, (2, 4), (0, 0), (3, -9))[1]
+        assert verdict.verdict is Verdict.INCONCLUSIVE
+        assert verdict.is_smooth_sufficient is False
+        assert "comm.3(k=3,j=1,t=2) residual -9/4" in verdict.reasons
 
     def test_polynomial_ring(self):
-        d = decide_ore_extension(1, (1,), (0,), (0,), 2)
-        assert d.verdict.verdict is Verdict.SMOOTH_SUFFICIENT
+        verdict = decide(encode_ore_extension(1, (1,), (0,), (0,)), 2)
+        assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
 
     def test_zero_slope_rejected(self):
         with pytest.raises(ZeroSlopeError):
