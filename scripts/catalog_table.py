@@ -3,7 +3,8 @@
 
 Runs the decision procedure over every representative catalog instance and
 prints one row per instance: class label, parameters, verdict, and whether it
-matches the expected partition.
+matches the expected partition.  A ``--gkdim`` outside 0..3 ends in one
+``error: ...`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 import time
 
 from skewsmooth.catalog import three_dim_grid
+from skewsmooth.errors import SkewSmoothError
 from skewsmooth.smoothness import decide
 
 
@@ -20,12 +22,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--gkdim", type=int, default=3)
     args = parser.parse_args()
+    try:
+        return table(args.gkdim)
+    except SkewSmoothError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
+
+def table(gkdim: int) -> int:
     start = time.perf_counter()
+    rows = [(entry, decide(entry.presentation, gkdim)) for entry in three_dim_grid()]
     mismatches = 0
     print(f"{'class':<6} {'parameters':<42} {'verdict':<20} expected")
-    for entry in three_dim_grid():
-        verdict = decide(entry.presentation, args.gkdim)
+    for entry, verdict in rows:
         ok = verdict.verdict is entry.expected
         mismatches += not ok
         params = ", ".join(f"{k}={v}" for k, v in entry.params.items()) or "-"

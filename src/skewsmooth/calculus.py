@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -50,6 +51,16 @@ class DiffForm:
             if len(s) != self.degree or list(s) != sorted(set(s)):
                 raise MismatchedArityError(f"bad index word {s} for degree {self.degree}")
 
+    @classmethod
+    def _trusted(cls, degree: int, components: dict) -> "DiffForm":
+        """The form on ``components`` as given, without the check or the copy
+        of the public constructor: for the builders below, whose words are
+        increasing of length ``degree`` and whose values are never zero."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "components", components)
+        return form
+
     def __bool__(self) -> bool:
         return bool(self.components)
 
@@ -62,10 +73,10 @@ class DiffForm:
             raise MismatchedArityError("cannot add forms of different degree")
         out = dict(self.components)
         linalg.add_into(out, other.components)
-        return DiffForm(self.degree, out)
+        return DiffForm._trusted(self.degree, out)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.degree, {s: -p for s, p in self.components.items()})
+        return DiffForm._trusted(self.degree, {s: -p for s, p in self.components.items()})
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
@@ -122,6 +133,10 @@ class CalculusContext:
     def nu_omega(self) -> AffineEndo:
         return self.composite(range(1, self.n + 1))
 
+    @cached_property
+    def nu_omega_inverse(self) -> AffineEndo:
+        return invert(self.nu_omega)
+
     # -- form builders -------------------------------------------------------
 
     def zero_form(self, degree: int) -> DiffForm:
@@ -142,16 +157,21 @@ class CalculusContext:
     # -- module structure ----------------------------------------------------
 
     def right_mul(self, f: DiffForm, p: NcPoly) -> DiffForm:
-        return DiffForm(f.degree,
-                        {s: self.pres.multiply(q, p) for s, q in f.components.items()})
+        out = {}
+        for s, q in f.components.items():
+            product = self.pres.multiply(q, p)
+            if product:
+                out[s] = product
+        return DiffForm._trusted(f.degree, out)
 
     def left_act(self, a: NcPoly, f: DiffForm) -> DiffForm:
         """a . (dx_S q) = dx_S . nu_S(a) q with nu_S the composite twist."""
         out = {}
         for s, q in f.components.items():
-            moved = apply_endo(self.composite(s), a, self.pres)
-            out[s] = self.pres.multiply(moved, q)
-        return DiffForm(f.degree, out)
+            product = self.pres.multiply(apply_endo(self.composite(s), a, self.pres), q)
+            if product:
+                out[s] = product
+        return DiffForm._trusted(f.degree, out)
 
     def basis_sort(self, word):
         """Sort a basis word into increasing order.  The scalar is the product
@@ -208,8 +228,12 @@ class CalculusContext:
         return self._closed_form_tables
 
     def wedge(self, f: DiffForm, g: DiffForm) -> DiffForm:
+        """(dx_S p) ^ (dx_T q) = dx_S dx_T nu_T(p) q, sorted; a constant p is
+        its own twist image, so then the product is q scaled."""
+        unit = (0,) * self.n
         out: dict = {}
         for s, p in f.components.items():
+            constant = p.terms.get(unit) if len(p.terms) == 1 else None
             for t, q in g.components.items():
                 if set(s) & set(t):
                     continue
@@ -217,11 +241,14 @@ class CalculusContext:
                 if sorted_basis is None:
                     continue
                 factor, idx = sorted_basis
-                moved = apply_endo(self.composite(t), p, self.pres)
-                coeff = self.pres.multiply(moved, q).scale(factor)
+                if constant is not None:
+                    coeff = q.scale(constant * factor)
+                else:
+                    moved = apply_endo(self.composite(t), p, self.pres)
+                    coeff = self.pres.multiply(moved, q).scale(factor)
                 if coeff:
                     linalg.add_into(out, {idx: coeff})
-        return DiffForm(f.degree + g.degree, out)
+        return DiffForm._trusted(f.degree + g.degree, out)
 
     # -- the derivation ------------------------------------------------------
 
@@ -283,7 +310,7 @@ class CalculusContext:
                     continue
                 factor, idx = sorted_basis
                 linalg.add_into(out, {idx: q.scale(factor * sign)})
-        return DiffForm(f.degree + 1, out)
+        return DiffForm._trusted(f.degree + 1, out)
 
 
 def _from_prefixes(cache: dict, key: tuple, extend):
@@ -530,24 +557,27 @@ def verify_integrability(ctx: CalculusContext, max_degree: int, samples: int,
         coefficients = integral_form_coefficients(ctx)
     rng = random.Random(seed)
     n = ctx.n
-    nu_inv = invert(ctx.nu_omega)
     failures = []
     for k in range(1, n):
+        right = [(coefficients.barred(ctx, n - k, complement),
+                  coefficients.unbarred(ctx, k, subset))
+                 for subset, complement in complementary_pairs(n, k)]
+        left = [(coefficients.unbarred(ctx, n - k, complement),
+                 coefficients.barred(ctx, k, subset))
+                for complement, subset in complementary_pairs(n, n - k)]
         for s in range(samples):
             w = random_form(ctx, k, max_degree, rng)
-            lhs_a = ctx.zero_form(k)
-            for subset, complement in complementary_pairs(n, k):
-                bar = coefficients.barred(ctx, n - k, complement)
+            lhs: dict = {}
+            for bar, unb in right:
                 coeff = ctx.pi_omega(ctx.wedge(bar, w))
-                lhs_a = lhs_a + ctx.right_mul(coefficients.unbarred(ctx, k, subset), coeff)
-            if lhs_a != w:
+                linalg.add_into(lhs, ctx.right_mul(unb, coeff).components)
+            if lhs != w.components:
                 failures.append((k, s, "right-coefficient side"))
-            lhs_b = ctx.zero_form(k)
-            for complement, subset in complementary_pairs(n, n - k):
-                unb = coefficients.unbarred(ctx, n - k, complement)
+            lhs = {}
+            for unb, bar in left:
                 coeff = ctx.pi_omega(ctx.wedge(w, unb))
-                moved = apply_endo(nu_inv, coeff, ctx.pres)
-                lhs_b = lhs_b + ctx.left_act(moved, coefficients.barred(ctx, k, subset))
-            if lhs_b != w:
+                moved = apply_endo(ctx.nu_omega_inverse, coeff, ctx.pres)
+                linalg.add_into(lhs, ctx.left_act(moved, bar).components)
+            if lhs != w.components:
                 failures.append((k, s, "left-coefficient side"))
     return IntegrabilityReport(max_degree, samples, tuple(failures))

@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from operator import mul
 
 from . import linalg
 from .algebra import Ordering, PairRule, Presentation
@@ -124,14 +125,56 @@ def _split(lam_ij, lam_ji):
     return lam_ij.numerator * d, lam_ji.numerator * b, b * d
 
 
+def _ladder_weights(g: int, count: int) -> list:
+    """[C(g+t-1, g) for t = 1..count]: the weights of v^(t-1) u^(k-t) in
+    S_k^(g+k), where g = n - k is the gap.  ``_scaled_p`` and the tables of
+    ``verify_pq_recurrences`` both read them from here."""
+    return [comb(g + t - 1, g) for t in range(1, count + 1)]
+
+
 def _scaled_p(k: int, n: int, u: int, v: int) -> int:
     """(b d)^(k-1) P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) v^(t-1) u^(k-t), an
     integer, summed by Horner's rule in u."""
     total, v_pow = 0, 1
-    for t in range(1, k + 1):
-        total = total * u + comb(n - k + t - 1, n - k) * v_pow
+    for weight in _ladder_weights(n - k, k):
+        total = total * u + weight * v_pow
         v_pow *= v
     return total
+
+
+def _powers(x: int, count: int, p: int) -> list:
+    """[x^0, ..., x^(count-1)], reduced modulo p when p is nonzero."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * x % p if p else out[-1] * x)
+    return out
+
+
+def _scaled_tables(weights: list, binomials: list, u: int, v: int, p: int):
+    """``(S, T, v_pow)`` for one draw: S[n][k] = S_k^n and T[n][k] = T_k^n for
+    1 <= k <= n <= n_max = len(weights), lists indexed [n][k] (index 0
+    unused), each entry from its closed form alone, and v_pow[j] = v^j for
+    j < n_max.  Over F_p (p nonzero) the powers and the terms are reduced
+    modulo p, so the entries are right modulo p only.
+
+    weights[g] is ``_ladder_weights(g, n_max - g)`` and binomials[n][k-1] is
+    C(n, k-1); every draw shares them.  Per gap g the terms
+    terms_g[t-1] = C(g+t-1, g) v^(t-1) are built once, and
+    S_k^(g+k) = sum_t terms_g[t-1] u^(k-t) is summed in full for every k.
+    T_k^n = C(n, k-1) v^(k-1) does not reuse terms_(n-k+1)[k-1], the same
+    value: then S_k^(n+1) - u S_(k-1)^n = T_k^n would hold whatever the
+    weights, and the P check could not see a wrong one.
+    """
+    n_max = len(weights)
+    u_pow, v_pow = _powers(u, n_max, p), _powers(v, n_max, p)
+    if p:
+        terms = [[w * x % p for w, x in zip(row, v_pow)] for row in weights]
+    else:
+        terms = [list(map(mul, row, v_pow)) for row in weights]
+    T = [[None] + list(map(mul, row, v_pow)) for row in binomials]
+    S = [[None] + [sum(map(mul, terms[n - k], u_pow[k - 1::-1])) for k in range(1, n + 1)]
+         for n in range(n_max + 1)]
+    return S, T, v_pow
 
 
 def pq_p(k: int, n: int, lam_ij, lam_ji):
@@ -180,10 +223,11 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
     Pascal degeneration).
 
     Write lam_ij = u / (b d) and lam_ji = v / (b d) (``_split``).  Each draw
-    gets one table of the integers S_k^n = (b d)^(k-1) P_k^n (``_scaled_p``)
-    and T_k^n = (b d)^(k-1) Q_k^n = C(n, k-1) v^(k-1), 1 <= k <= n <= n_max,
-    filled from the closed forms alone (never from the recurrences it checks)
-    and dropped after the draw.  Multiplying each recurrence by (b d)^(k-1)
+    gets one table of the integers S_k^n = (b d)^(k-1) P_k^n and
+    T_k^n = (b d)^(k-1) Q_k^n = C(n, k-1) v^(k-1), 1 <= k <= n <= n_max,
+    filled from the closed forms alone (``_scaled_tables``; never from the
+    recurrences it checks) and dropped after the draw; the binomial weights
+    are computed once per call.  Multiplying each recurrence by (b d)^(k-1)
     gives
 
         S_k^{n+1} = u S_{k-1}^n + T_k^n,      T_k^{n+1} = v T_{k-1}^n + T_k^n,
@@ -200,29 +244,28 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
     draws = [(field.one, field.one)]
     draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(samples)]
     p = field.char
+    weights = [_ladder_weights(g, n_max - g) for g in range(n_max)]
+    binomials = [[comb(n, j) for j in range(n)] for n in range(n_max + 1)]
     failures = []
     checked = 0
     for lam_ij, lam_ji in draws:
         u, v, _ = _split(lam_ij, lam_ji)
-        v_pow = [v ** j for j in range(n_max)]
-        S = {(k, n): _scaled_p(k, n, u, v)
-             for n in range(1, n_max + 1) for k in range(1, n + 1)}
-        T = {(k, n): comb(n, k - 1) * v_pow[k - 1]
-             for n in range(1, n_max + 1) for k in range(1, n + 1)}
+        S, T, v_pow = _scaled_tables(weights, binomials, u, v, p)
         for n in range(1, n_max):
+            s_n, s_up, t_n, t_up = S[n], S[n + 1], T[n], T[n + 1]
             for k in range(2, n + 1):
                 checked += 2
-                r = S[k, n + 1] - u * S[k - 1, n] - T[k, n]
+                r = s_up[k] - u * s_n[k - 1] - t_n[k]
                 if r % p if p else r:
                     failures.append(("P", n, k, lam_ij, lam_ji))
-                r = T[k, n + 1] - v * T[k - 1, n] - T[k, n]
+                r = t_up[k] - v * t_n[k - 1] - t_n[k]
                 if r % p if p else r:
                     failures.append(("Q", n, k, lam_ij, lam_ji))
             checked += 2
-            r = S[n + 1, n + 1] - u * S[n, n] - v_pow[n]
+            r = s_up[n + 1] - u * s_n[n] - v_pow[n]
             if r % p if p else r:
                 failures.append(("P-top", n, n + 1, lam_ij, lam_ji))
-            r = T[n + 1, n + 1] - v * T[n, n] - v_pow[n]
+            r = t_up[n + 1] - v * t_n[n] - v_pow[n]
             if r % p if p else r:
                 failures.append(("Q-top", n, n + 1, lam_ij, lam_ji))
     return PQReport(n_max, samples, checked, tuple(failures))

@@ -14,7 +14,7 @@ from enum import Enum
 from . import linalg
 from .algebra import Ordering, Presentation
 from .endos import AffineEndo, commute, respects_relations
-from .errors import NonDiagonalTailError, ZeroSlopeError
+from .errors import IndexRangeError, NonDiagonalTailError, ZeroSlopeError
 from .scalars import QQ
 
 __all__ = [
@@ -246,8 +246,11 @@ def decide(pres: Presentation, gkdim: int) -> SmoothnessVerdict:
     gkdim = n.  SMOOTH_SUFFICIENT requires all constant checks, nonempty
     per-generator systems, and a defense-in-depth pass (pairwise commutation
     and relation preservation of the emitted family).  Anything else is
-    INCONCLUSIVE: the criterion is sufficient, not necessary.
+    INCONCLUSIVE: the criterion is sufficient, not necessary.  A gkdim
+    outside 0..n raises ``IndexRangeError``.
     """
+    if not 0 <= gkdim <= pres.n:
+        raise IndexRangeError(f"gkdim must be between 0 and n = {pres.n}, not {gkdim}")
     obstruction = obstruction_check(pres, gkdim)
     if obstruction is not None:
         i, j, k = obstruction

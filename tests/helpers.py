@@ -14,8 +14,9 @@ from math import comb
 
 from skewsmooth import linalg
 from skewsmooth.algebra import NcPoly, Ordering, Presentation
+from skewsmooth.calculus import DiffForm
 from skewsmooth.diffusion import pq_p, pq_q
-from skewsmooth.endos import compose
+from skewsmooth.endos import apply_endo, compose
 from skewsmooth.scalars import QQ
 from skewsmooth.smoothness import Classification, _display_form
 
@@ -90,6 +91,31 @@ def naive_basis_sort(pres: Presentation, word):
                 factor = -(factor / pres.a(v, u))
                 changed = True
     return factor, tuple(word)
+
+
+def bad_index_words(form) -> list:
+    """The components ``DiffForm``'s public constructor would reject or drop:
+    a word that is not strictly increasing of length ``form.degree``, or a
+    zero value.  The oracle for the forms the calculus builds unchecked."""
+    return [(s, p) for s, p in form.components.items()
+            if len(s) != form.degree or list(s) != sorted(set(s)) or not p]
+
+
+def naive_wedge(ctx, f, g):
+    """(dx_S p) ^ (dx_T q) = basis_sort(S + T) . nu_T(p) q summed term by
+    term, every p twisted and multiplied, constant or not: the oracle for
+    ``CalculusContext.wedge``."""
+    zero = NcPoly.zero()
+    total: dict = {}
+    for s, p in f.components.items():
+        for t, q in g.components.items():
+            sorted_basis = naive_basis_sort(ctx.pres, s + t)
+            if sorted_basis is None:
+                continue
+            factor, idx = sorted_basis
+            moved = apply_endo(ctx.composite(t), p, ctx.pres)
+            total[idx] = total.get(idx, zero) + ctx.pres.multiply(moved, q).scale(factor)
+    return DiffForm(f.degree + g.degree, total)
 
 
 def compose_commute(e1, e2) -> bool:

@@ -22,8 +22,9 @@ from skewsmooth.errors import IndexRangeError, MismatchedArityError
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import SolutionStatus, Verdict, decide, forced_nu
 
-from helpers import (naive_basis_sort, naive_closed_form_products, naive_kernel,
-                     naive_ladder, random_nonzero_rational, random_poly)
+from helpers import (bad_index_words, naive_basis_sort, naive_closed_form_products,
+                     naive_kernel, naive_ladder, naive_wedge, random_nonzero_rational,
+                     random_poly)
 
 
 def reference_context(alpha=2, beta=3, gamma=5):
@@ -682,6 +683,47 @@ class TestOneSortPerIndexSet:
         co = integral_form_coefficients(ctx)
         assert (co.a, co.abar, co.closed_form_checks) == two_sort_table(ctx)
         assert len(calls) == 2 ** pres.n - 2
+
+
+class TestUncheckedBuilders:
+    """``+``, ``-``, ``wedge``, ``left_act``, ``right_mul`` and ``d`` build
+    their forms without the public constructor's check; what they build
+    passes it, and ``wedge`` with a constant left factor equals the product
+    taken in full."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(parametric_contexts(), st.data())
+    def test_builders_keep_the_form_invariant(self, ctx, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        field, n = ctx.pres.field, ctx.n
+
+        def form(degree):
+            w = random_form(ctx, degree, 2, rng)
+            if data.draw(st.booleans()):     # constant components
+                w = DiffForm(degree, {s: ctx.pres.scalar(field.random(rng, 5))
+                                      for s in w.components})
+            return w
+
+        k = data.draw(st.integers(0, n))
+        f, g = form(k), form(k)
+        h = form(data.draw(st.integers(0, n - k)))
+        built = [f + g, f - g, f - f, -f, ctx.wedge(f, h), ctx.wedge(h, f),
+                 ctx.left_act(random_poly(ctx.pres, rng, 2), f), ctx.left_act(NcPoly.zero(), f),
+                 ctx.right_mul(f, random_poly(ctx.pres, rng, 2)), ctx.right_mul(f, NcPoly.zero())]
+        if k < n:
+            built.append(ctx.d(f))
+        for result in built:
+            assert bad_index_words(result) == []
+            assert DiffForm(result.degree, dict(result.components)) == result
+        assert ctx.wedge(f, h) == naive_wedge(ctx, f, h)
+        assert ctx.wedge(h, f) == naive_wedge(ctx, h, f)
+
+    def test_the_check_still_guards_the_public_constructor(self):
+        with pytest.raises(MismatchedArityError):
+            DiffForm(2, {(2, 1): NcPoly({(0, 0): F(1)})})
+        assert bad_index_words(DiffForm._trusted(2, {(2, 1): NcPoly({(0, 0): F(1)}),
+                                                    (1, 2): NcPoly.zero()})) == \
+            [((2, 1), NcPoly({(0, 0): F(1)})), ((1, 2), NcPoly.zero())]
 
 
 class TestIntegrability:

@@ -127,18 +127,39 @@ def test_scaled_recurrences_match_field_arithmetic_oracle(field, seed):
 
 @pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
 def test_off_by_one_binomial_fails_both_checks_alike(field, monkeypatch):
-    def off_by_one(k, n, u, v):
-        total, v_pow = 0, 1
-        for t in range(1, k + 1):
-            total = total * u + comb(n - k + t, n - k) * v_pow
-            v_pow *= v
-        return total
+    # the weights feed pq_p (through _scaled_p, which the oracle reads) and
+    # the S table alike; Q and T keep their own binomial C(n, k-1)
+    def off_by_one(g, count):
+        return [comb(g + t, g) for t in range(1, count + 1)]
 
-    monkeypatch.setattr(diffusion, "_scaled_p", off_by_one)
+    monkeypatch.setattr(diffusion, "_ladder_weights", off_by_one)
     report = verify_pq_recurrences(12, samples=4, seed=3, field=field)
     assert report.failures
     assert (report.checked, report.failures) == \
         naive_pq_recurrences(12, samples=4, seed=3, field=field)
+
+
+@pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
+def test_scaled_tables_hold_the_closed_forms(field):
+    n_max, p = 30, field.char
+
+    def reduced(x):
+        return x % p if p else x
+
+    weights = [diffusion._ladder_weights(g, n_max - g) for g in range(n_max)]
+    binomials = [[comb(n, j) for j in range(n)] for n in range(n_max + 1)]
+    rng = random.Random(11)
+    draws = [(field.one, field.one), (field.one, field.zero)]
+    draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(4)]
+    for lam_ij, lam_ji in draws:
+        u, v, _ = diffusion._split(lam_ij, lam_ji)
+        S, T, v_pow = diffusion._scaled_tables(weights, binomials, u, v, p)
+        assert [len(row) for row in S] == [len(row) for row in T] == list(range(1, n_max + 2))
+        for n in range(1, n_max + 1):
+            for k in range(1, n + 1):
+                assert reduced(S[n][k] - diffusion._scaled_p(k, n, u, v)) == 0
+                assert reduced(T[n][k] - comb(n, k - 1) * v ** (k - 1)) == 0
+        assert [reduced(x - v ** j) for j, x in enumerate(v_pow)] == [0] * n_max
 
 
 class TestNoHollowPass:

@@ -10,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from skewsmooth.smoothness import THREE_DIM_CLASSES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -35,6 +37,27 @@ def test_identity_sweeps_small_run():
     assert lines[-1].startswith("determinant identities: PASS")
 
 
+@pytest.mark.parametrize("prime", ["7", "2147483647"])
+def test_identity_sweeps_over_a_prime_field(prime):
+    proc = run_script("identity_sweeps.py", "--ladder-max", "3", "--power-max", "2",
+                      "--samples", "1", "--prime", prime)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert lines[0].startswith("ladder recurrences n <= 3: PASS (12 instances")
+    assert "right commutation type2 n <= 2: PASS" in lines[2]
+    assert lines[-1].startswith("determinant identities: PASS")
+
+
+@pytest.mark.parametrize("prime", ["4", "3"])
+def test_identity_sweeps_rejects_a_bad_prime(prime):
+    proc = run_script("identity_sweeps.py", "--prime", prime)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: ")
+
+
 def test_identity_sweeps_rejects_an_empty_ladder():
     proc = run_script("identity_sweeps.py", "--ladder-max", "0")
     assert proc.returncode == 1
@@ -50,6 +73,14 @@ def test_catalog_table_has_no_mismatch():
     assert lines[-1].startswith("0 mismatches")
     rows = lines[1:-2]
     assert {row.split()[0] for row in rows} == {label for label, _, _ in THREE_DIM_CLASSES}
+
+
+@pytest.mark.parametrize("gkdim", ["7", "-3"])
+def test_catalog_table_rejects_gkdim_outside_zero_to_three(gkdim):
+    proc = run_script("catalog_table.py", "--gkdim", gkdim)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: gkdim must be between 0 and n = 3, not {gkdim}\n"
 
 
 def test_json_corpus_matches_the_manifest(tmp_path):

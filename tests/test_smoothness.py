@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from skewsmooth.algebra import Presentation
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
 from skewsmooth.endos import commute, respects_relations
-from skewsmooth.errors import NonDiagonalTailError, ZeroSlopeError
+from skewsmooth.errors import IndexRangeError, NonDiagonalTailError, ZeroSlopeError
 from skewsmooth.linalg import solve_affine
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import (SolutionStatus, Verdict, assemble_constant_checks,
@@ -190,6 +190,17 @@ class TestDecide:
     def test_off_diagonal_tail_with_wrong_gkdim_is_inconclusive(self):
         v = decide(three_dim_class("5a"), 2)
         assert v.verdict is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("gkdim", [-3, -1, 4, 7])
+    def test_gkdim_outside_zero_to_n_is_rejected(self, gkdim):
+        with pytest.raises(IndexRangeError,
+                           match=f"^gkdim must be between 0 and n = 3, not {gkdim}$"):
+            decide(three_dim_class("5a"), gkdim)
+
+    @pytest.mark.parametrize("gkdim, verdict", [(0, Verdict.INCONCLUSIVE),
+                                                (3, Verdict.NOT_SMOOTH)])
+    def test_gkdim_bounds_are_accepted(self, gkdim, verdict):
+        assert decide(three_dim_class("5a"), gkdim).verdict is verdict
 
     def test_rescaling_invariance(self):
         # simultaneous x_i -> mu_i x_i with tails rescaled accordingly
