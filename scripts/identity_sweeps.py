@@ -4,11 +4,8 @@
 Pushes the combinatorial and commutation verifications past the defaults:
 ladder recurrences to a configurable height, both power-commutation identities
 for both presentation types, and the determinant identities, with timings.
-They run over Q, or over F_P with ``--prime P``.  An input the verifiers
-reject (a count that would check nothing, or a P that is not a prime >= 5)
-ends in one ``error: ...`` line on stderr and exit status 1.
-
-    PYTHONPATH=src python scripts/identity_sweeps.py --ladder-max 30 --prime 2147483647
+An input the verifiers reject (a count that would check nothing) ends in one
+``error: ...`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from skewsmooth.diffusion import (DiffusionType, verify_determinant_identities,
                                   verify_left_commutation, verify_pq_recurrences,
                                   verify_right_commutation)
 from skewsmooth.errors import SkewSmoothError
-from skewsmooth.scalars import QQ, PrimeField
 
 
 def main() -> int:
@@ -30,8 +26,6 @@ def main() -> int:
     parser.add_argument("--power-max", type=int, default=8)
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--prime", type=int, default=None,
-                        help="run over F_P instead of Q")
     args = parser.parse_args()
     try:
         sweep(args)
@@ -42,24 +36,21 @@ def main() -> int:
 
 
 def sweep(args) -> None:
-    field = QQ if args.prime is None else PrimeField(args.prime)
     t = time.perf_counter()
-    pq = verify_pq_recurrences(args.ladder_max, args.samples, args.seed, field)
+    pq = verify_pq_recurrences(args.ladder_max, args.samples, args.seed)
     print(f"ladder recurrences n <= {args.ladder_max}: "
           f"{'PASS' if pq.all_pass else 'FAIL'} "
           f"({pq.checked} instances, {time.perf_counter() - t:.2f}s)")
 
     for dtype in (DiffusionType.TYPE1, DiffusionType.TYPE2):
         t = time.perf_counter()
-        rep = verify_right_commutation(args.power_max, args.samples, args.seed, dtype,
-                                       field)
+        rep = verify_right_commutation(args.power_max, args.samples, args.seed, dtype)
         print(f"right commutation {dtype.value} n <= {args.power_max}: {rep.status} "
               f"({time.perf_counter() - t:.2f}s)")
 
     for dtype in (DiffusionType.TYPE1, DiffusionType.TYPE2):
         t = time.perf_counter()
-        rep = verify_left_commutation(args.power_max, args.samples, args.seed, dtype,
-                                      field)
+        rep = verify_left_commutation(args.power_max, args.samples, args.seed, dtype)
         line = f"left commutation {dtype.value} n <= {args.power_max}: {rep.status}"
         if rep.counterexample:
             line += (f" (minimal n = {rep.minimal_failing_n}, "
@@ -67,7 +58,7 @@ def sweep(args) -> None:
         print(line + f" ({time.perf_counter() - t:.2f}s)")
 
     t = time.perf_counter()
-    dets = verify_determinant_identities(args.samples, args.seed, field)
+    dets = verify_determinant_identities(args.samples, args.seed)
     print(f"determinant identities: {'PASS' if dets.all_pass else 'FAIL'} "
           f"({time.perf_counter() - t:.2f}s)")
 

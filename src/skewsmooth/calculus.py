@@ -228,12 +228,8 @@ class CalculusContext:
         return self._closed_form_tables
 
     def wedge(self, f: DiffForm, g: DiffForm) -> DiffForm:
-        """(dx_S p) ^ (dx_T q) = dx_S dx_T nu_T(p) q, sorted; a constant p is
-        its own twist image, so then the product is q scaled."""
-        unit = (0,) * self.n
         out: dict = {}
         for s, p in f.components.items():
-            constant = p.terms.get(unit) if len(p.terms) == 1 else None
             for t, q in g.components.items():
                 if set(s) & set(t):
                     continue
@@ -241,11 +237,8 @@ class CalculusContext:
                 if sorted_basis is None:
                     continue
                 factor, idx = sorted_basis
-                if constant is not None:
-                    coeff = q.scale(constant * factor)
-                else:
-                    moved = apply_endo(self.composite(t), p, self.pres)
-                    coeff = self.pres.multiply(moved, q).scale(factor)
+                moved = apply_endo(self.composite(t), p, self.pres)
+                coeff = self.pres.multiply(moved, q).scale(factor)
                 if coeff:
                     linalg.add_into(out, {idx: coeff})
         return DiffForm._trusted(f.degree + g.degree, out)

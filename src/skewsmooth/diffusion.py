@@ -127,8 +127,8 @@ def _split(lam_ij, lam_ji):
 
 def _ladder_weights(g: int, count: int) -> list:
     """[C(g+t-1, g) for t = 1..count]: the weights of v^(t-1) u^(k-t) in
-    S_k^(g+k), where g = n - k is the gap.  ``_scaled_p`` and the tables of
-    ``verify_pq_recurrences`` both read them from here."""
+    S_k^(g+k), where g = n - k is the gap; the tables of
+    ``verify_pq_recurrences`` read them from here."""
     return [comb(g + t - 1, g) for t in range(1, count + 1)]
 
 
@@ -136,8 +136,8 @@ def _scaled_p(k: int, n: int, u: int, v: int) -> int:
     """(b d)^(k-1) P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) v^(t-1) u^(k-t), an
     integer, summed by Horner's rule in u."""
     total, v_pow = 0, 1
-    for weight in _ladder_weights(n - k, k):
-        total = total * u + weight * v_pow
+    for t in range(1, k + 1):
+        total = total * u + comb(n - k + t - 1, n - k) * v_pow
         v_pow *= v
     return total
 

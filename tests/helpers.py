@@ -103,7 +103,7 @@ def bad_index_words(form) -> list:
 
 def naive_wedge(ctx, f, g):
     """(dx_S p) ^ (dx_T q) = basis_sort(S + T) . nu_T(p) q summed term by
-    term, every p twisted and multiplied, constant or not: the oracle for
+    term, every p twisted and multiplied: the oracle for
     ``CalculusContext.wedge``."""
     zero = NcPoly.zero()
     total: dict = {}

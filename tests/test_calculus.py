@@ -688,8 +688,8 @@ class TestOneSortPerIndexSet:
 class TestUncheckedBuilders:
     """``+``, ``-``, ``wedge``, ``left_act``, ``right_mul`` and ``d`` build
     their forms without the public constructor's check; what they build
-    passes it, and ``wedge`` with a constant left factor equals the product
-    taken in full."""
+    passes it, and ``wedge`` equals the product taken term by term, constant
+    components included."""
 
     @settings(max_examples=120, deadline=None)
     @given(parametric_contexts(), st.data())

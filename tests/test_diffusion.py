@@ -127,12 +127,20 @@ def test_scaled_recurrences_match_field_arithmetic_oracle(field, seed):
 
 @pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
 def test_off_by_one_binomial_fails_both_checks_alike(field, monkeypatch):
-    # the weights feed pq_p (through _scaled_p, which the oracle reads) and
-    # the S table alike; Q and T keep their own binomial C(n, k-1)
-    def off_by_one(g, count):
+    # the same wrong weight in pq_p (through _scaled_p, which the oracle reads)
+    # and in the S table; Q and T keep their own binomial C(n, k-1)
+    def off_by_one_weights(g, count):
         return [comb(g + t, g) for t in range(1, count + 1)]
 
-    monkeypatch.setattr(diffusion, "_ladder_weights", off_by_one)
+    def off_by_one(k, n, u, v):
+        total, v_pow = 0, 1
+        for t in range(1, k + 1):
+            total = total * u + comb(n - k + t, n - k) * v_pow
+            v_pow *= v
+        return total
+
+    monkeypatch.setattr(diffusion, "_ladder_weights", off_by_one_weights)
+    monkeypatch.setattr(diffusion, "_scaled_p", off_by_one)
     report = verify_pq_recurrences(12, samples=4, seed=3, field=field)
     assert report.failures
     assert (report.checked, report.failures) == \

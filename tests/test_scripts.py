@@ -37,27 +37,6 @@ def test_identity_sweeps_small_run():
     assert lines[-1].startswith("determinant identities: PASS")
 
 
-@pytest.mark.parametrize("prime", ["7", "2147483647"])
-def test_identity_sweeps_over_a_prime_field(prime):
-    proc = run_script("identity_sweeps.py", "--ladder-max", "3", "--power-max", "2",
-                      "--samples", "1", "--prime", prime)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 6
-    assert lines[0].startswith("ladder recurrences n <= 3: PASS (12 instances")
-    assert "right commutation type2 n <= 2: PASS" in lines[2]
-    assert lines[-1].startswith("determinant identities: PASS")
-
-
-@pytest.mark.parametrize("prime", ["4", "3"])
-def test_identity_sweeps_rejects_a_bad_prime(prime):
-    proc = run_script("identity_sweeps.py", "--prime", prime)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("error: ")
-
-
 def test_identity_sweeps_rejects_an_empty_ladder():
     proc = run_script("identity_sweeps.py", "--ladder-max", "0")
     assert proc.returncode == 1
