@@ -502,22 +502,14 @@ class Presentation:
         res.terms = terms
         return res
 
-    def normal_form(self, word_or_terms) -> NcPoly:
-        """PBW normal form of a raw word or of scalar-weighted word terms."""
-        if isinstance(word_or_terms, tuple):
-            terms = [(self._one, word_or_terms)]
-        else:
-            terms = list(word_or_terms)
-        unit = (0,) * self.n
-        out: dict = {}
-        for coeff, word in terms:
-            for g in word:
-                if not (1 <= g <= self.n):
-                    raise MismatchedArityError(f"generator {g} out of range (n={self.n})")
-            coeff = self.field.coerce(coeff)
-            if coeff:
-                add_into(out, self._fold({unit: coeff}, word))
-        return self._poly(out)
+    def normal_form(self, word) -> NcPoly:
+        """PBW normal form of the raw word x_{w_1} ... x_{w_k}, given as the
+        tuple of generator indices; its terms are a new dict, shared with no
+        memo entry."""
+        for g in word:
+            if not (1 <= g <= self.n):
+                raise MismatchedArityError(f"generator {g} out of range (n={self.n})")
+        return self._poly(self._fold({(0,) * self.n: self._one}, word))
 
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:
         self._check_exponents(chain(p.terms, q.terms))

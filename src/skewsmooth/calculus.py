@@ -23,7 +23,6 @@ from .errors import IndexRangeError, MismatchedArityError, NonDiagonalTailError
 __all__ = [
     "CalculusContext",
     "DiffForm",
-    "VolumeForm",
     "kernel_of_d_bounded",
     "kernel_is_scalars",
     "d_squared_failures",
@@ -82,12 +81,6 @@ class DiffForm:
         return self + (-other)
 
 
-@dataclass(frozen=True)
-class VolumeForm:
-    form: DiffForm
-    nu_omega: AffineEndo
-
-
 class CalculusContext:
     """A presentation together with one twist per generator.
 
@@ -109,9 +102,7 @@ class CalculusContext:
         self.pres = pres
         self.nus = nus
         self._composite_cache: dict = {(): identity_endo(pres.field, pres.n)}
-        self._ladder_cache: dict = {(i, 0): {} for i in range(1, pres.n + 1)}
-        self._pair_cache: dict = {(): pres.field.one}  # index set -> prod_{s<t} -(1/a_st)
-        self._closed_form_tables = None  # (columns, rows) of _closed_form_factors
+        self._ladders = [[{}] for _ in nus]  # _ladders[i - 1][a] = L_i(a)
         self._sort_cache: dict = {}      # basis word -> basis_sort(word)
         self._monomial_cache: dict = {}  # degree bound -> _monomials(bound)
 
@@ -123,11 +114,14 @@ class CalculusContext:
         """The twists of the index set composed in increasing order; each new
         set is built from the cached composite of its longest cached prefix."""
         key = tuple(sorted(indices))
-        got = self._composite_cache.get(key)
-        if got is None:
-            got = _from_prefixes(self._composite_cache, key,
-                                 lambda endo, _, g: compose(endo, self.nus[g - 1]))
-        return got
+        cache = self._composite_cache
+        if key not in cache:
+            known = len(key) - 1
+            while key[:known] not in cache:
+                known -= 1
+            for end in range(known + 1, len(key) + 1):
+                cache[key[:end]] = compose(cache[key[:end - 1]], self.nus[key[end - 1] - 1])
+        return cache[key]
 
     @property
     def nu_omega(self) -> AffineEndo:
@@ -145,9 +139,8 @@ class CalculusContext:
     def dx(self, i: int) -> DiffForm:
         return DiffForm(1, {(i,): self.pres.one()})
 
-    def volume_form(self) -> VolumeForm:
-        full = tuple(range(1, self.n + 1))
-        return VolumeForm(DiffForm(self.n, {full: self.pres.one()}), self.nu_omega)
+    def volume_form(self) -> DiffForm:
+        return DiffForm(self.n, {tuple(range(1, self.n + 1)): self.pres.one()})
 
     def pi_omega(self, f: DiffForm) -> NcPoly:
         if f.degree != self.n:
@@ -200,33 +193,6 @@ class CalculusContext:
                 _monomials_up_to(self.n, max_degree))
         return got
 
-    def _pair_product(self, indices):
-        """prod over s < t of -(1/a_st) for an increasing index tuple, each set
-        built from its prefix's cached product."""
-        def extend(value, prefix, g):
-            for s in prefix:
-                value = -(value / self.pres.a(s, g))
-            return value
-        return _from_prefixes(self._pair_cache, tuple(indices), extend)
-
-    def _closed_form_factors(self):
-        """``(columns, rows)``, built once: columns[u] = prod_{t<u} -a_tu and
-        rows[u][v] = prod_{u<t<=v} -a_ut (1 when v <= u), for 1 <= u, v <= n."""
-        if self._closed_form_tables is None:
-            one, n = self.pres.field.one, self.n
-            columns, rows = [None], [None]
-            for u in range(1, n + 1):
-                value = one
-                for t in range(1, u):
-                    value = -(value * self.pres.a(t, u))
-                columns.append(value)
-                row = [one] * (u + 1)
-                for t in range(u + 1, n + 1):
-                    row.append(-(row[-1] * self.pres.a(u, t)))
-                rows.append(row)
-            self._closed_form_tables = (columns, rows)
-        return self._closed_form_tables
-
     def wedge(self, f: DiffForm, g: DiffForm) -> DiffForm:
         out: dict = {}
         for s, p in f.components.items():
@@ -245,27 +211,19 @@ class CalculusContext:
 
     # -- the derivation ------------------------------------------------------
 
-    def _ladder(self, i: int, power: int) -> dict:
-        """L_i(power) = sum_{j=1}^{power} nu_i(x_i)^(j-1) x_i^(power-j) as
-        exponent -> coeff, from the cached L_i(power - 1) by
-        L_i(a) = x_i L_i(a-1) + nu_i(x_i)^(a-1): O(power) field operations."""
-        total = {e + 1: c for e, c in self.ladder(i, power - 1).items()}
-        linalg.add_into(total, self.nus[i - 1].power_image(i, power - 1))
-        return total
-
     def ladder(self, i: int, power: int) -> dict:
-        """L_i(power), cached per (i, power); the missing ones are built up
-        from the longest cached L_i(a), a < power, one ``_ladder`` each."""
-        cache = self._ladder_cache
-        if (i, power) not in cache:
-            if power < 0 or (i, 0) not in cache:
-                raise IndexRangeError(f"no ladder sum L_{i}({power}) for n = {self.n}")
-            start = power
-            while (i, start - 1) not in cache:
-                start -= 1
-            for a in range(start, power + 1):
-                cache[i, a] = self._ladder(i, a)
-        return cache[i, power]
+        """L_i(power) = sum_{j=1}^{power} nu_i(x_i)^(j-1) x_i^(power-j) as
+        exponent -> coeff.  The list of L_i(a) grows to ``power`` by
+        L_i(a) = x_i L_i(a-1) + nu_i(x_i)^(a-1), O(a) field operations each,
+        and every sum is built once per context."""
+        if not 1 <= i <= self.n or power < 0:
+            raise IndexRangeError(f"no ladder sum L_{i}({power}) for n = {self.n}")
+        sums = self._ladders[i - 1]
+        while len(sums) <= power:
+            total = {e + 1: c for e, c in sums[-1].items()}
+            linalg.add_into(total, self.nus[i - 1].power_image(i, len(sums) - 1))
+            sums.append(total)
+        return sums[power]
 
     def partial(self, i: int, p: NcPoly) -> NcPoly:
         """Coefficient of dx_i in d(p).  Per monomial x^e of p (d is linear over
@@ -304,19 +262,6 @@ class CalculusContext:
                 factor, idx = sorted_basis
                 linalg.add_into(out, {idx: q.scale(factor * sign)})
         return DiffForm._trusted(f.degree + 1, out)
-
-
-def _from_prefixes(cache: dict, key: tuple, extend):
-    """``cache[key]``, first filling in every missing prefix of ``key`` from the
-    next shorter one as ``extend(value, prefix, new letter)``; the longest
-    cached prefix is where the walk starts (``cache`` holds ``()``)."""
-    if key not in cache:
-        known = len(key) - 1
-        while key[:known] not in cache:
-            known -= 1
-        for end in range(known + 1, len(key) + 1):
-            cache[key[:end]] = extend(cache[key[:end - 1]], key[:end - 1], key[end - 1])
-    return cache[key]
 
 
 def _monomials_up_to(n: int, max_degree: int):
@@ -454,18 +399,21 @@ def _closed_form_products(ctx: CalculusContext, subset, complement):
     - otherwise: A = prod_{s<t in S} -(1/a_st) and
       Abar = prod_{u in S} prod_{u<t<=max C} -a_ut.
 
-    Each inner product is read from the context's cached factors.
+    Every inner product is a (cached) sort scalar: for increasing X,
+    prod_{s<t in X} -(1/a_st) sorts X reversed, prod_{t<u} -a_tu is one over
+    the scalar of sorting (u, 1, ..., u-1), and prod_{u<t<=m} -a_ut one over
+    that of sorting (u+1, ..., m, u).
     """
-    columns, rows = ctx._closed_form_factors()
+    one, sort = ctx.pres.field.one, ctx.basis_sort
     if subset[:1] == (1,):
-        a_cf = ctx.pres.field.one
+        a_cf = one
         for u in complement:
-            a_cf = a_cf * columns[u]
-        return a_cf, ctx._pair_product(complement)
-    abar_cf = ctx.pres.field.one
+            a_cf = a_cf / sort((u,) + tuple(range(1, u)))[0]
+        return a_cf, sort(complement[::-1])[0]
+    abar_cf = one
     for u in subset:
-        abar_cf = abar_cf * rows[u][complement[-1]]
-    return ctx._pair_product(subset), abar_cf
+        abar_cf = abar_cf / sort(tuple(range(u + 1, complement[-1] + 1)) + (u,))[0]
+    return sort(subset[::-1])[0], abar_cf
 
 
 def complementary_pairs(n: int, k: int):

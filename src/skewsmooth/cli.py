@@ -178,7 +178,7 @@ def _cmd_calculus(args) -> int:
     kernel = calc.kernel_of_d_bounded(ctx, bound)
     connected = calc.kernel_is_scalars(kernel, pres.n)
     coeffs = calc.integral_form_coefficients(ctx)
-    omega = ctx.volume_form().form
+    omega = ctx.volume_form()
     normalization_ok = all(
         ctx.wedge(coeffs.barred(ctx, pres.n - k, complement),
                   coeffs.unbarred(ctx, k, subset)) == omega

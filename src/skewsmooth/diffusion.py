@@ -14,7 +14,8 @@ from operator import mul
 
 from . import linalg
 from .algebra import Ordering, PairRule, Presentation
-from .errors import IndexRangeError, SingularMatrixError, ZeroLambdaError
+from .errors import (IndexRangeError, MismatchedArityError, SingularMatrixError,
+                     ZeroLambdaError)
 from .scalars import QQ
 
 __all__ = [
@@ -53,7 +54,9 @@ class DiffusionType(str, Enum):
 @dataclass(frozen=True)
 class DiffusionPresentation:
     """n generators D_1..D_n with lambda_ij D_i D_j - lambda_ji D_j D_i =
-    x_j D_i - x_i D_j for i < j; forward coefficients must be nonzero."""
+    x_j D_i - x_i D_j for i < j; forward coefficients must be nonzero.
+    Lambda keys are pairs i != j in 1..n (a missing one is zero), and type 1
+    takes exactly n x scalars; type 2 ignores ``x``."""
 
     n: int
     dtype: DiffusionType
@@ -67,6 +70,10 @@ class DiffusionPresentation:
             for j in range(1, self.n + 1):
                 if i != j:
                     lams[(i, j)] = self.field.coerce(self.lambdas.get((i, j), 0))
+        stray = [key for key in self.lambdas if key not in lams]
+        if stray:
+            raise MismatchedArityError(
+                f"lambda keys {stray} are not pairs i != j in 1..{self.n}")
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
                 if not lams[(i, j)]:
@@ -75,7 +82,9 @@ class DiffusionPresentation:
         if self.dtype is DiffusionType.TYPE1:
             xs = tuple(self.field.coerce(v) for v in self.x)
             if len(xs) != self.n:
-                raise ZeroLambdaError("type-1 presentations need one x scalar per generator")
+                raise MismatchedArityError(
+                    f"type-1 presentations need one x scalar per generator, "
+                    f"{self.n} in all, not {len(xs)}")
             object.__setattr__(self, "x", xs)
         else:
             object.__setattr__(self, "x", ())

@@ -150,7 +150,7 @@ def test_criterion_4_integral_form_normalization(capsys):
             assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
             ctx = CalculusContext(pres, verdict.witness)
             co = integral_form_coefficients(ctx)
-            omega = ctx.volume_form().form
+            omega = ctx.volume_form()
             for k in range(1, n):
                 for subset in combinations(range(1, n + 1), k):
                     complement = tuple(g for g in range(1, n + 1) if g not in subset)

@@ -18,7 +18,8 @@ from skewsmooth.diffusion import (DiffusionPresentation,
                                   verify_determinant_identities,
                                   verify_left_commutation, verify_pq_recurrences,
                                   verify_right_commutation)
-from skewsmooth.errors import IndexRangeError, SingularMatrixError, ZeroLambdaError
+from skewsmooth.errors import (IndexRangeError, MismatchedArityError, SingularMatrixError,
+                              ZeroLambdaError)
 from skewsmooth.linalg import det
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import classify_3d
@@ -53,6 +54,17 @@ class TestEncoding:
     def test_zero_forward_lambda_rejected(self):
         with pytest.raises(ZeroLambdaError):
             DiffusionPresentation(2, DiffusionType.TYPE1, {(1, 2): 0}, (0, 0))
+
+    @pytest.mark.parametrize("xs", [(), (1,), (1, 2, 3)])
+    def test_wrong_number_of_type1_scalars_rejected(self, xs):
+        with pytest.raises(MismatchedArityError, match="one x scalar per generator"):
+            DiffusionPresentation(2, DiffusionType.TYPE1, {(1, 2): 1}, xs)
+
+    @pytest.mark.parametrize("dtype", list(DiffusionType))
+    @pytest.mark.parametrize("key", [(1, 3), (2, 2), (0, 1), (3, 1)])
+    def test_lambda_key_outside_the_pairs_rejected(self, dtype, key):
+        with pytest.raises(MismatchedArityError, match="not pairs i != j in 1..2"):
+            DiffusionPresentation(2, dtype, {(1, 2): 2, key: 5}, (0, 0))
 
     def test_type2_central_generators(self):
         dp = simple_dp(2, 3, dtype=DiffusionType.TYPE2)

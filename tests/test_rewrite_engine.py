@@ -91,7 +91,10 @@ def test_normal_form_and_multiply_match_the_oracle(kind, seed):
         word = (lead(pres),) * rng.randint(1, 3) + random_word(rng, pres.n, 5)
         assert pres.normal_form(word).terms == naive_normal_form(pres, word)
     terms = [(random_rational(rng, 3), random_word(rng, pres.n, 4)) for _ in range(3)]
-    assert pres.normal_form(terms).terms == naive_normal_form(pres, terms)
+    combined = NcPoly.zero()
+    for c, w in terms:
+        combined = combined + pres.normal_form(w).scale(c)
+    assert combined.terms == naive_normal_form(pres, terms)
     p = random_poly(pres, rng, max_degree=3)
     q = random_poly(pres, rng, max_degree=3)
     assert pres.multiply(p, q).terms == naive_product(pres, p, q)
@@ -164,6 +167,20 @@ def test_memo_is_reused_across_calls():
     size = len(pres._memo)
     assert size > 0
     assert pres.normal_form(word) == first and len(pres._memo) == size
+
+
+@pytest.mark.parametrize("kind", ["skew", "type2"])
+def test_normal_form_shares_no_memo_entry(kind):
+    pres = build(kind, random.Random(5))
+    words = [(), (1,), (2, 1), (pres.n,) * 3 + (1,) * 3]
+    expected = [naive_normal_form(pres, w) for w in words]
+    for word, want in zip(words, expected):
+        got = pres.normal_form(word)
+        assert got.terms == want
+        assert all(got.terms is not entry for entry in pres._memo.values())
+        got.terms.clear()       # a shared entry would corrupt the next call
+    for word, want in zip(words, expected):
+        assert pres.normal_form(word).terms == want
 
 
 def test_class_5e_discrepancy_is_minus_a_x1():

@@ -1,5 +1,6 @@
 """``scripts/identity_sweeps.py`` runs end to end, and a count that would
-check nothing ends in one ``error:`` line rather than a traceback;
+check nothing or exceed its bound ends in one ``error:`` line rather than a
+traceback or an unbounded run;
 ``scripts/catalog_table.py`` reproduces the verdict table of all fifteen
 three-generator classes; ``scripts/json_corpus.py`` writes exactly the files
 of the checked-in manifest, byte for byte."""
@@ -43,6 +44,20 @@ def test_identity_sweeps_rejects_an_empty_ladder():
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--ladder-max", "151", "between 2 and 150"),
+    ("--ladder-max", "1", "between 2 and 150"),
+    ("--power-max", "21", "between 1 and 20"),
+    ("--power-max", "0", "between 1 and 20"),
+    ("--samples", "51", "between 1 and 50"),
+    ("--samples", "0", "between 1 and 50")])
+def test_identity_sweeps_rejects_counts_outside_the_bounds(flag, value, bound):
+    proc = run_script("identity_sweeps.py", flag, value)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {flag} must be {bound}, not {value}\n"
 
 
 def test_catalog_table_has_no_mismatch():

@@ -242,8 +242,7 @@ class TestContextTables:
             kernel_of_d_bounded(ctx, 5)
             integral_form_coefficients(ctx)
             ctx.d(pres.mono((1, 2, 1)))
-        for name in ("_sort_cache", "_monomial_cache", "_ladder_cache", "_composite_cache",
-                     "_pair_cache"):
+        for name in ("_sort_cache", "_monomial_cache", "_ladders", "_composite_cache"):
             a, b = getattr(first, name), getattr(second, name)
             assert a and a == b and a is not b, name
         assert first._monomials(5) is not second._monomials(5)
