@@ -15,9 +15,8 @@ import sys
 import time
 
 from skewsmooth.cli import MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES
-from skewsmooth.diffusion import (DiffusionType, verify_determinant_identities,
-                                  verify_left_commutation, verify_pq_recurrences,
-                                  verify_right_commutation)
+from skewsmooth.diffusion import (DiffusionType, verify_commutation,
+                                  verify_determinant_identities, verify_pq_recurrences)
 from skewsmooth.errors import SkewSmoothError
 
 # The ladder check builds about N^2/2 binomials per call and its time grows
@@ -53,20 +52,21 @@ def sweep(args) -> None:
           f"{'PASS' if pq.all_pass else 'FAIL'} "
           f"({pq.checked} instances, {time.perf_counter() - t:.2f}s)")
 
+    # one joint call per type checks both laws; its time is on both lines
+    runs = []
     for dtype in (DiffusionType.TYPE1, DiffusionType.TYPE2):
         t = time.perf_counter()
-        rep = verify_right_commutation(args.power_max, args.samples, args.seed, dtype)
+        runs.append((dtype, verify_commutation(args.power_max, args.samples, args.seed, dtype),
+                     time.perf_counter() - t))
+    for dtype, (rep, _), seconds in runs:
         print(f"right commutation {dtype.value} n <= {args.power_max}: {rep.status} "
-              f"({time.perf_counter() - t:.2f}s)")
-
-    for dtype in (DiffusionType.TYPE1, DiffusionType.TYPE2):
-        t = time.perf_counter()
-        rep = verify_left_commutation(args.power_max, args.samples, args.seed, dtype)
+              f"({seconds:.2f}s)")
+    for dtype, (_, rep), seconds in runs:
         line = f"left commutation {dtype.value} n <= {args.power_max}: {rep.status}"
         if rep.counterexample:
             line += (f" (minimal n = {rep.minimal_failing_n}, "
                      f"residual {rep.counterexample['residual']})")
-        print(line + f" ({time.perf_counter() - t:.2f}s)")
+        print(line + f" ({seconds:.2f}s)")
 
     t = time.perf_counter()
     dets = verify_determinant_identities(args.samples, args.seed)

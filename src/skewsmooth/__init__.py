@@ -13,9 +13,9 @@ from .calculus import (CalculusContext, DiffForm, integral_form_coefficients,
 from .diffusion import (DiffusionPresentation, DiffusionType, build_aut_matrices,
                         check_derivation_constant_terms, classify_diffusion_3,
                         crosswalk_to_3d, encode_presentation, pq_p, pq_q,
-                        solve_sigma_constant_terms, verify_determinant_identities,
-                        verify_left_commutation, verify_pq_recurrences,
-                        verify_right_commutation)
+                        solve_sigma_constant_terms, verify_commutation,
+                        verify_determinant_identities, verify_left_commutation,
+                        verify_pq_recurrences, verify_right_commutation)
 from .endos import (AffineEndo, apply_endo, commute, compose, identity_endo,
                     invert, respects_relations)
 from .scalars import QQ, PrimeField, RationalField

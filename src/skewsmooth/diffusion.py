@@ -13,7 +13,7 @@ from math import comb
 from operator import mul
 
 from . import linalg
-from .algebra import Ordering, PairRule, Presentation
+from .algebra import NcPoly, Ordering, PairRule, Presentation
 from .errors import (IndexRangeError, MismatchedArityError, SingularMatrixError,
                      ZeroLambdaError)
 from .scalars import QQ
@@ -27,6 +27,7 @@ __all__ = [
     "PQReport",
     "verify_pq_recurrences",
     "CommutationReport",
+    "verify_commutation",
     "verify_right_commutation",
     "verify_left_commutation",
     "DIFFUSION_LABELS",
@@ -151,8 +152,8 @@ def _scaled_p(k: int, n: int, u: int, v: int) -> int:
     return total
 
 
-def _powers(x: int, count: int, p: int) -> list:
-    """[x^0, ..., x^(count-1)], reduced modulo p when p is nonzero."""
+def _powers(x, count: int, p: int) -> list:
+    """[1, x, ..., x^(count-1)], reduced modulo p when p is nonzero."""
     out = [1]
     for _ in range(count - 1):
         out.append(out[-1] * x % p if p else out[-1] * x)
@@ -297,52 +298,33 @@ class CommutationReport:
         return self.status == "PASS"
 
 
-def _sign(field, m: int):
-    return field.one if m % 2 == 0 else -field.one
+def verify_commutation(n_max: int, samples: int = 20, seed: int = 0,
+                       dtype: DiffusionType = DiffusionType.TYPE1,
+                       field=QQ) -> tuple:
+    """The (right, left) reports of the power-commutation laws, from one pass
+    over shared draws.  In normal order (D_j before D_i) the laws read
 
+        lambda_ij^n D_i^n D_j = lambda_ji^n D_j D_i^n
+            + sum_k (-1)^(n+k) P_k^n x_i^(n-k) x_j D_i^k
+            + sum_k (-1)^(n+k-1) Q_k^n x_i^(n-k+1) D_j D_i^(k-1),
+        lambda_ij^n D_i D_j^n = lambda_ji^n D_j^n D_i
+            + sum_k Q_k^n x_j^(n-k+1) D_j D_i^(k-1) - sum_k P_k^n x_i x_j^(n-k) D_i^k,
 
-def _rhs(pres, dtype, x_i, x_j, parts):
-    """The polynomial sum of coeff * D_i^a D_j^b * x_i^u x_j^v over ``parts``
-    of the form ((a, b), (u, v), coeff): the x factor is a scalar for type 1
-    and central exponents for type 2."""
-    terms: dict = {}
-    for d_exps, (u, v), coeff in parts:
-        if dtype is DiffusionType.TYPE1:
-            coeff = coeff * x_i ** u * x_j ** v
-        else:
-            d_exps = d_exps + (u, v)
-        if coeff:
-            linalg.add_into(terms, {d_exps: coeff})
-    return pres.poly(terms)
-
-
-def _right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
-    parts = [((n, 1), (0, 0), lam_ji ** n)]
-    for k in range(1, n + 1):
-        parts.append(((k, 0), (n - k, 1), _sign(field, k + n) * pq_p(k, n, lam_ij, lam_ji)))
-        parts.append(((k - 1, 1), (n - k + 1, 0), _sign(field, n + k - 1) * pq_q(k, n, lam_ji)))
-    return _rhs(pres, dtype, x_i, x_j, parts)
-
-
-def _left_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
-    # the left-handed law as given: no alternating signs, D_i powers in both sums
-    parts = [((1, n), (0, 0), lam_ji ** n)]
-    for k in range(1, n + 1):
-        parts.append(((k - 1, 1), (0, n - k + 1), pq_q(k, n, lam_ji)))
-        parts.append(((k, 0), (1, n - k), -pq_p(k, n, lam_ij, lam_ji)))
-    return _rhs(pres, dtype, x_i, x_j, parts)
-
-
-def _verify_commutation(side: str, n_max: int, samples: int, seed: int,
-                        dtype: DiffusionType, field) -> CommutationReport:
+    the left one as stated.  Each draw builds one presentation, whose memo
+    both normal forms share, and one row of P_k^n and Q_k^n, which both laws
+    read.  The statement is verified, not trusted: a law's first failure
+    makes it DISCREPANT, with that (minimal) power and a counterexample;
+    later draws cannot change its report, so it is not checked again.
+    """
     # a count below 1 would check nothing and still report PASS
     if n_max < 1 or samples < 1:
-        raise IndexRangeError(f"the {side} commutation check needs n_max >= 1 and "
+        raise IndexRangeError(f"the commutation checks need n_max >= 1 and "
                               f"samples >= 1, not {n_max} and {samples}")
     rng = random.Random(seed)
-    minimal = None
-    counterexample = None
+    type1 = dtype is DiffusionType.TYPE1
+    found = [None, None]        # the counterexamples of the right and left laws
     for n in range(1, n_max + 1):
+        words = ((1,) * n + (2,), (1,) + (2,) * n)
         for s in range(samples):
             lam_ij = field.random_nonzero(rng, 6)
             lam_ji = field.random(rng, 6) if s % 4 else field.zero
@@ -351,41 +333,51 @@ def _verify_commutation(side: str, n_max: int, samples: int, seed: int,
             # type 2 ignores the x scalars: there the x's are generators
             pres = encode_presentation(DiffusionPresentation(
                 2, dtype, {(1, 2): lam_ij, (2, 1): lam_ji}, (x_i, x_j), field))
-            if side == "right":
-                lhs = pres.normal_form((1,) * n + (2,)).scale(lam_ij ** n)
-                rhs = _right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field)
-            else:
-                lhs = pres.normal_form((1,) + (2,) * n).scale(lam_ij ** n)
-                rhs = _left_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field)
-            residual = lhs - rhs
-            if residual and minimal is None:
-                minimal = n
-                counterexample = {
-                    "n": n,
-                    "lambda_ij": lam_ij, "lambda_ji": lam_ji,
-                    "x_i": x_i, "x_j": x_j,
-                    "residual": pres.format_poly(residual),
-                }
-    status = "PASS" if minimal is None else "DISCREPANT"
-    return CommutationReport(side, dtype, n_max, samples, status, minimal, counterexample)
+            # terms (a, b, u, v, coeff) of coeff * x_i^u x_j^v D_j^b D_i^a
+            top = lam_ji ** n
+            right, left = [(n, 1, 0, 0, top)], [(1, n, 0, 0, top)]
+            for k in range(1, n + 1):
+                p, q = pq_p(k, n, lam_ij, lam_ji), pq_q(k, n, lam_ji)
+                odd = (n + k) % 2
+                right += [(k, 0, n - k, 1, -p if odd else p),
+                          (k - 1, 1, n - k + 1, 0, q if odd else -q)]
+                left += [(k - 1, 1, 0, n - k + 1, q), (k, 0, 1, n - k, -p)]
+            if type1:
+                xi, xj = _powers(x_i, n + 1, 0), _powers(x_j, n + 1, 0)
+            for law, terms in enumerate((right, left)):
+                if found[law] is not None:
+                    continue
+                # the monomials of one law are distinct, so no two terms meet
+                if type1:
+                    rhs = NcPoly({(a, b): c * xi[u] * xj[v] for a, b, u, v, c in terms})
+                else:
+                    rhs = NcPoly({(a, b, u, v): c for a, b, u, v, c in terms})
+                lhs = pres.normal_form(words[law]).scale(lam_ij ** n)
+                if lhs != rhs:
+                    found[law] = {
+                        "n": n,
+                        "lambda_ij": lam_ij, "lambda_ji": lam_ji,
+                        "x_i": x_i, "x_j": x_j,
+                        "residual": pres.format_poly(lhs - rhs),
+                    }
+    return tuple(CommutationReport(side, dtype, n_max, samples,
+                                   "PASS" if ce is None else "DISCREPANT",
+                                   None if ce is None else ce["n"], ce)
+                 for side, ce in zip(("right", "left"), found))
 
 
 def verify_right_commutation(n_max: int, samples: int = 20, seed: int = 0,
                              dtype: DiffusionType = DiffusionType.TYPE1,
                              field=QQ) -> CommutationReport:
-    """lambda_ij^n D_i^n D_j expanded against the stated normal form."""
-    return _verify_commutation("right", n_max, samples, seed, dtype, field)
+    """The right report of ``verify_commutation``."""
+    return verify_commutation(n_max, samples, seed, dtype, field)[0]
 
 
 def verify_left_commutation(n_max: int, samples: int = 20, seed: int = 0,
                             dtype: DiffusionType = DiffusionType.TYPE1,
                             field=QQ) -> CommutationReport:
-    """lambda_ij^n D_i D_j^n against the stated left-handed normal form.
-
-    The statement is verified, not trusted: a systematic failure is reported
-    as DISCREPANT with the minimal failing power and a counterexample.
-    """
-    return _verify_commutation("left", n_max, samples, seed, dtype, field)
+    """The left report of ``verify_commutation``."""
+    return verify_commutation(n_max, samples, seed, dtype, field)[1]
 
 
 # -- three-generator classification ------------------------------------------

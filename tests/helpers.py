@@ -15,7 +15,8 @@ from math import comb
 from skewsmooth import linalg
 from skewsmooth.algebra import NcPoly, Ordering, Presentation
 from skewsmooth.calculus import DiffForm
-from skewsmooth.diffusion import pq_p, pq_q
+from skewsmooth.diffusion import (CommutationReport, DiffusionPresentation,
+                                 DiffusionType, encode_presentation, pq_p, pq_q)
 from skewsmooth.endos import apply_endo, compose
 from skewsmooth.scalars import QQ
 from skewsmooth.smoothness import Classification, _display_form
@@ -224,6 +225,81 @@ def naive_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0, field=QQ)
             if Q[n + 1, n + 1] != Q[n, n] * lam_ji + lam_ji ** n:
                 failures.append(("Q-top", n, n + 1, lam_ij, lam_ji))
     return checked, tuple(failures)
+
+
+def _naive_sign(field, m: int):
+    return field.one if m % 2 == 0 else -field.one
+
+
+def _naive_rhs(pres, dtype, x_i, x_j, parts):
+    """The polynomial sum of coeff * D_i^a D_j^b * x_i^u x_j^v over ``parts``
+    of the form ((a, b), (u, v), coeff): the x factor is a scalar for type 1
+    and central exponents for type 2."""
+    terms: dict = {}
+    for d_exps, (u, v), coeff in parts:
+        if dtype is DiffusionType.TYPE1:
+            coeff = coeff * x_i ** u * x_j ** v
+        else:
+            d_exps = d_exps + (u, v)
+        if coeff:
+            linalg.add_into(terms, {d_exps: coeff})
+    return pres.poly(terms)
+
+
+def _naive_right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
+    parts = [((n, 1), (0, 0), lam_ji ** n)]
+    for k in range(1, n + 1):
+        parts.append(((k, 0), (n - k, 1),
+                      _naive_sign(field, k + n) * pq_p(k, n, lam_ij, lam_ji)))
+        parts.append(((k - 1, 1), (n - k + 1, 0),
+                      _naive_sign(field, n + k - 1) * pq_q(k, n, lam_ji)))
+    return _naive_rhs(pres, dtype, x_i, x_j, parts)
+
+
+def _naive_left_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field):
+    # the left-handed law as given: no alternating signs, D_i powers in both sums
+    parts = [((1, n), (0, 0), lam_ji ** n)]
+    for k in range(1, n + 1):
+        parts.append(((k - 1, 1), (0, n - k + 1), pq_q(k, n, lam_ji)))
+        parts.append(((k, 0), (1, n - k), -pq_p(k, n, lam_ij, lam_ji)))
+    return _naive_rhs(pres, dtype, x_i, x_j, parts)
+
+
+def naive_commutation(side: str, n_max: int, samples: int, seed: int,
+                      dtype, field) -> CommutationReport:
+    """One law (``side`` "right" or "left") checked on its own: per draw a
+    fresh presentation, the right-hand side summed with a field sign and a
+    raised x power per term, and the residual lhs - rhs built and tested at
+    every draw.  The oracle for ``diffusion.verify_commutation``, whose draws
+    it repeats."""
+    rng = random.Random(seed)
+    minimal = None
+    counterexample = None
+    for n in range(1, n_max + 1):
+        for s in range(samples):
+            lam_ij = field.random_nonzero(rng, 6)
+            lam_ji = field.random(rng, 6) if s % 4 else field.zero
+            x_i = field.random(rng, 6)
+            x_j = field.random(rng, 6)
+            pres = encode_presentation(DiffusionPresentation(
+                2, dtype, {(1, 2): lam_ij, (2, 1): lam_ji}, (x_i, x_j), field))
+            if side == "right":
+                lhs = pres.normal_form((1,) * n + (2,)).scale(lam_ij ** n)
+                rhs = _naive_right_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field)
+            else:
+                lhs = pres.normal_form((1,) + (2,) * n).scale(lam_ij ** n)
+                rhs = _naive_left_rhs(pres, dtype, n, lam_ij, lam_ji, x_i, x_j, field)
+            residual = lhs - rhs
+            if residual and minimal is None:
+                minimal = n
+                counterexample = {
+                    "n": n,
+                    "lambda_ij": lam_ij, "lambda_ji": lam_ji,
+                    "x_i": x_i, "x_j": x_j,
+                    "residual": pres.format_poly(residual),
+                }
+    status = "PASS" if minimal is None else "DISCREPANT"
+    return CommutationReport(side, dtype, n_max, samples, status, minimal, counterexample)
 
 
 def naive_ladder(ctx, i: int, power: int) -> dict:

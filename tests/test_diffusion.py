@@ -15,7 +15,7 @@ from skewsmooth.diffusion import (DiffusionPresentation,
                                   classify_diffusion_3, crosswalk_to_3d,
                                   encode_presentation, identity_sigma, pq_p, pq_q,
                                   random_sigma, solve_sigma_constant_terms,
-                                  verify_determinant_identities,
+                                  verify_commutation, verify_determinant_identities,
                                   verify_left_commutation, verify_pq_recurrences,
                                   verify_right_commutation)
 from skewsmooth.errors import (IndexRangeError, MismatchedArityError, SingularMatrixError,
@@ -24,7 +24,8 @@ from skewsmooth.linalg import det
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import classify_3d
 
-from helpers import naive_normal_form, naive_pq_p, naive_pq_recurrences
+from helpers import (naive_commutation, naive_normal_form, naive_pq_p,
+                     naive_pq_recurrences)
 
 F7, F_M31 = PrimeField(7), PrimeField(2 ** 31 - 1)
 LADDER_FIELDS = (QQ, F7, F_M31)
@@ -194,7 +195,8 @@ class TestNoHollowPass:
         report = verify_pq_recurrences(2, samples=0)
         assert report.checked == 2 and report.all_pass
 
-    @pytest.mark.parametrize("verify", [verify_right_commutation, verify_left_commutation])
+    @pytest.mark.parametrize("verify", [verify_commutation, verify_right_commutation,
+                                        verify_left_commutation])
     @pytest.mark.parametrize("n_max, samples", [(0, 5), (-2, 5), (3, 0), (3, -1)])
     def test_commutation_needs_a_power_and_a_sample(self, verify, n_max, samples):
         with pytest.raises(IndexRangeError):
@@ -293,6 +295,34 @@ class TestLeftCommutation:
         for n in (1, 2, 3, 4):
             lhs = pres.normal_form((1,) + (2,) * n).scale(F(2) ** n)
             assert lhs == pres.mono((1, n), F(3) ** n)
+
+
+class TestJointCommutation:
+    """``verify_commutation`` checks both laws in one pass over shared draws;
+    each of its reports equals the old per-side loop,
+    ``helpers.naive_commutation``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", list(DiffusionType))
+    @pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
+    def test_reports_match_the_per_side_oracle(self, field, dtype, seed):
+        # samples >= 2 reaches draws with lambda_ji != 0; n_max 1..6 covers
+        # both statuses of the left law over F_7
+        for n_max in range(1, 7):
+            for samples in range(1, 10):
+                reports = verify_commutation(n_max, samples, seed, dtype, field)
+                for side, report in zip(("right", "left"), reports):
+                    want = naive_commutation(side, n_max, samples, seed, dtype, field)
+                    assert report == want, (n_max, samples, side)
+                    if want.counterexample:     # the JSON key order too
+                        assert list(report.counterexample) == list(want.counterexample)
+
+    @pytest.mark.parametrize("dtype", list(DiffusionType))
+    def test_each_wrapper_is_its_element_of_the_joint_call(self, dtype):
+        right, left = verify_commutation(5, 6, 7, dtype, F7)
+        assert (right.side, left.side) == ("right", "left")
+        assert verify_right_commutation(5, 6, 7, dtype, F7) == right
+        assert verify_left_commutation(5, 6, 7, dtype, F7) == left
 
 
 class TestClassifier:
