@@ -26,8 +26,8 @@ _CALCULUS_SEED = 20240 + 1  # fixed: the calculus command takes no seed flag
 
 # Bounds on ``verify-identities``: below 1 a check would run on nothing and
 # report a hollow PASS; the power-commutation checks grow about as
-# samples * n_max^2, and the two maxima together take about 2 s (1.9-2.0 s
-# and 18 MB per process on a 2-vCPU Intel Xeon VM, Python 3.11).
+# samples * n_max^2, and the two maxima together take about 2 s (1.9-2.2 s
+# and 18 MB per process on a 2-vCPU Intel Xeon VM, Python 3.11.7).
 MAX_IDENTITY_N = 20
 MAX_IDENTITY_SAMPLES = 50
 

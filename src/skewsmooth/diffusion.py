@@ -170,7 +170,10 @@ def _scaled_tables(weights: list, binomials: list, u: int, v: int, p: int):
     weights[g] is ``_ladder_weights(g, n_max - g)`` and binomials[n][k-1] is
     C(n, k-1); every draw shares them.  Per gap g the terms
     terms_g[t-1] = C(g+t-1, g) v^(t-1) are built once, and
-    S_k^(g+k) = sum_t terms_g[t-1] u^(k-t) is summed in full for every k.
+    S_k^(g+k) = sum_t terms_g[t-1] u^(k-t) is summed in full for every k,
+    against the reversed powers [u^(k-1), ..., 1], built once per k since
+    they do not depend on g.  At u = 1 (the all-ones Pascal draw of every
+    call) the sum is the prefix terms_g[:k], summed directly.
     T_k^n = C(n, k-1) v^(k-1) does not reuse terms_(n-k+1)[k-1], the same
     value: then S_k^(n+1) - u S_(k-1)^n = T_k^n would hold whatever the
     weights, and the P check could not see a wrong one.
@@ -182,8 +185,13 @@ def _scaled_tables(weights: list, binomials: list, u: int, v: int, p: int):
     else:
         terms = [list(map(mul, row, v_pow)) for row in weights]
     T = [[None] + list(map(mul, row, v_pow)) for row in binomials]
-    S = [[None] + [sum(map(mul, terms[n - k], u_pow[k - 1::-1])) for k in range(1, n + 1)]
-         for n in range(n_max + 1)]
+    if u == 1:
+        S = [[None] + [sum(terms[n - k][:k]) for k in range(1, n + 1)]
+             for n in range(n_max + 1)]
+    else:
+        rev = [None] + [u_pow[k - 1::-1] for k in range(1, n_max + 1)]
+        S = [[None] + [sum(map(mul, terms[n - k], rev[k])) for k in range(1, n + 1)]
+             for n in range(n_max + 1)]
     return S, T, v_pow
 
 

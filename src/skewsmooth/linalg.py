@@ -1,13 +1,16 @@
 """Small exact linear algebra over an arbitrary field.
 
-Everything runs on one sparse routine: Gauss-Jordan elimination on rows
+Elimination runs on one sparse routine: Gauss-Jordan elimination on rows
 stored as ``{column: value}`` dicts that never hold a zero value, in the
 manner of structured Gaussian elimination; only the stored entries are ever
 touched.  The calculus's per-generator ladder matrices hold one entry per
 column when the twist has no shift, and fill up to a triangle with one.
-``rref``, ``rank``, ``nullspace``, ``solve_affine`` and ``det`` take dense
-matrices as sequences of rows (lists or tuples) and adapt them to that
-routine; ``rref`` and ``nullspace`` return lists of row lists.
+``rref``, ``rank``, ``nullspace`` and ``solve_affine`` take dense matrices
+as sequences of rows (lists or tuples) and adapt them to that routine;
+``rref`` and ``nullspace`` return lists of row lists.  ``det`` does not: it
+eliminates fraction-free on Python ints, so it needs the integer split
+``numerator``/``denominator`` of each entry, which ``Fraction`` (Q), ``int``
+and ``FpElement`` (F_p) all have.
 All arithmetic is exact; pivots are chosen by position, not by size.
 The row update is ``add_into``, which the polynomial, endomorphism and form
 code share as their one way to add sparse maps.
@@ -16,6 +19,7 @@ code share as their one way to add sparse maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 __all__ = ["add_into", "eliminate", "sparse_nullspace", "rref", "rank", "nullspace",
            "solve_affine", "det", "AffineSolutionSet"]
@@ -46,16 +50,14 @@ def add_into(out: dict, terms, factor=None) -> None:
 def _forward(field, rows):
     """Reduce each row against the pivot rows found before it.
 
-    Returns ``(echelon, leads, product)``: ``echelon`` maps each pivot column
-    to a row that is one there and zero in every column left of it; ``leads``
-    lists the pivot column of each independent row, in input order;
-    ``product`` multiplies their pivot values before scaling.  A row that
+    Returns ``(echelon, leads)``: ``echelon`` maps each pivot column to a row
+    that is one there and zero in every column left of it; ``leads`` lists
+    the pivot column of each independent row, in input order.  A row that
     reduces to zero gets no pivot.
     """
     one = field.one
     echelon: dict = {}
     leads = []
-    product = one
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
@@ -66,12 +68,10 @@ def _forward(field, rows):
             add_into(row, pivot_row, -row[lead])
         if not row:
             continue
-        value = row[lead]
-        inv = one / value
+        inv = one / row[lead]
         echelon[lead] = {c: v * inv for c, v in row.items()}
         leads.append(lead)
-        product = product * value
-    return echelon, leads, product
+    return echelon, leads
 
 
 def eliminate(field, rows):
@@ -81,7 +81,7 @@ def eliminate(field, rows):
     pivot order, each one at its pivot column and zero at every other pivot
     column, and the list of pivot columns.  The input is not modified.
     """
-    echelon, _, _ = _forward(field, rows)
+    echelon, _ = _forward(field, rows)
     pivots = sorted(echelon)
     # back substitution, rightmost pivot first: the rows used are already reduced
     for p in reversed(pivots):
@@ -190,14 +190,40 @@ def solve_affine(field, rows, rhs) -> AffineSolutionSet:
 
 
 def det(field, rows):
-    """Exact determinant: the product of the pivots, times the sign of the
-    permutation that takes each row to its pivot column, read from the
-    parity of its inversions."""
+    """Exact determinant by fraction-free elimination (Bareiss, Math. Comp.
+    22, 1968).
+
+    Each row is scaled to integers by the lcm of its entries' denominators,
+    read from the ``numerator``/``denominator`` split that ``Fraction``,
+    ``int`` and ``FpElement`` share.  Bareiss' recurrence then keeps every
+    entry an integer: each division by the previous pivot is exact.  A zero
+    pivot is swapped with a lower row, which flips the sign; when none is
+    left the matrix is singular.  The integer determinant is divided once,
+    in the field, by the product of the row scales.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    _, leads, product = _forward(field, _sparse(rows))
-    if len(leads) < n:
-        return field.zero
-    inversions = sum(u > v for s, u in enumerate(leads) for v in leads[s + 1:])
-    return -product if inversions % 2 else product
+    scale, mat = 1, []
+    for row in rows:
+        dens = [x.denominator for x in row]
+        d = lcm(*dens)
+        mat.append([x.numerator * (d // e) for x, e in zip(row, dens)])
+        scale *= d
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if swap is None:
+                return field.zero
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot_row = mat[k]
+        pivot = pivot_row[k]
+        for row in mat[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+        prev = pivot
+    value = field.one * (sign * mat[-1][-1] if n else 1)
+    return value / scale if scale != 1 else value

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import comb
@@ -155,7 +156,8 @@ def test_off_by_one_binomial_fails_both_checks_alike(field, monkeypatch):
     monkeypatch.setattr(diffusion, "_ladder_weights", off_by_one_weights)
     monkeypatch.setattr(diffusion, "_scaled_p", off_by_one)
     report = verify_pq_recurrences(12, samples=4, seed=3, field=field)
-    assert report.failures
+    # the all-ones Pascal draw (u = 1, the branch that sums prefixes) fails too
+    assert any(f[3] == f[4] == 1 for f in report.failures)
     assert (report.checked, report.failures) == \
         naive_pq_recurrences(12, samples=4, seed=3, field=field)
 
@@ -170,7 +172,8 @@ def test_scaled_tables_hold_the_closed_forms(field):
     weights = [diffusion._ladder_weights(g, n_max - g) for g in range(n_max)]
     binomials = [[comb(n, j) for j in range(n)] for n in range(n_max + 1)]
     rng = random.Random(11)
-    draws = [(field.one, field.one), (field.one, field.zero)]
+    # u = 1 at the first three draws, with v = 1, 0 and 3
+    draws = [(field.one, field.one), (field.one, field.zero), (field.one, field.coerce(3))]
     draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(4)]
     for lam_ij, lam_ji in draws:
         u, v, _ = diffusion._split(lam_ij, lam_ji)
@@ -414,6 +417,27 @@ class TestMatrices:
     def test_determinant_identities_sweep(self):
         report = verify_determinant_identities(samples=20, seed=0)
         assert report.all_pass
+
+    @pytest.mark.parametrize("field", [F7, F_M31], ids=["F7", "F_M31"])
+    def test_determinant_identities_sweep_over_prime_fields(self, field):
+        report = verify_determinant_identities(samples=20, seed=0, field=field)
+        assert report.samples == 20 and report.all_pass
+
+    @pytest.mark.parametrize("name", ["gamma", "theta"])
+    def test_a_perturbed_entry_fails_every_sample(self, name, monkeypatch):
+        # a det that returned zero for every matrix would pass the unperturbed
+        # sweep, both sides agreeing; here one side moves in every sample
+        build = diffusion.build_aut_matrices
+
+        def perturbed(*args, **kwargs):
+            m = build(*args, **kwargs)
+            rows = [list(r) for r in getattr(m, name)]
+            rows[1][2] += 1
+            return dataclasses.replace(m, **{name: tuple(map(tuple, rows))})
+
+        monkeypatch.setattr(diffusion, "build_aut_matrices", perturbed)
+        report = verify_determinant_identities(samples=20, seed=0)
+        assert [(f[0], f[1]) for f in report.failures] == [(name, s) for s in range(20)]
 
     def test_degenerate_duplicate_columns(self):
         img = (F(1), F(2), F(3), F(4), F(0))

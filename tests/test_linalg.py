@@ -190,3 +190,69 @@ def test_det_matches_sympy(field):
             expected = _from_domain(field, _domain_matrix(field, rows).det())
             assert det(field, rows) == expected
     assert det(field, []) == field.one
+
+
+# -- sympy oracle for the fraction-free determinant -----------------------------
+
+def _assert_det_matches_sympy(field, rows):
+    expected = _from_domain(field, _domain_matrix(field, rows).det())
+    assert det(field, rows) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_det_swaps_a_zero_pivot_at_each_stage(field):
+    # an upper triangle with a nonzero diagonal, rows k and k + 1 exchanged:
+    # the pivot of stage k is zero and only row k + 1 can replace it; with all
+    # rows reversed, most stages need a swap
+    rng = random.Random(14)
+    for n in range(2, 7):
+        upper = [[field.zero] * c + [field.random_nonzero(rng, 9) for _ in range(n - c)]
+                 for c in range(n)]
+        for k in range(n - 1):
+            rows = list(upper)
+            rows[k], rows[k + 1] = rows[k + 1], rows[k]
+            _assert_det_matches_sympy(field, rows)
+        _assert_det_matches_sympy(field, upper[::-1])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_det_of_a_zero_column_is_zero(field):
+    rng = random.Random(15)
+    for n in range(1, 6):
+        for c in range(n):
+            rows = [[field.random_nonzero(rng, 9) for _ in range(n)] for _ in range(n)]
+            for r in rows:
+                r[c] = field.zero
+            assert det(field, rows) == field.zero
+            _assert_det_matches_sympy(field, rows)
+
+
+def test_det_of_rows_with_mixed_denominators():
+    rng = random.Random(16)
+    for n in range(1, 6):
+        for _ in range(6):
+            # each row mixes denominators, so each row has its own scale
+            rows = [[F(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 7, 9, 10)))
+                     for _ in range(n)] for _ in range(n)]
+            _assert_det_matches_sympy(QQ, rows)
+    assert det(QQ, [[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == F(1, 14) - F(1, 15)
+
+
+def test_det_of_plain_int_entries():
+    rng = random.Random(17)
+    for n in range(1, 6):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        _assert_det_matches_sympy(QQ, rows)
+        assert isinstance(det(QQ, rows), F)
+    assert det(QQ, [[0, 1], [1, 0]]) == -1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_det_of_random_aut_matrices_matches_sympy(field):
+    from skewsmooth.diffusion import build_aut_matrices, random_sigma
+    rng = random.Random(18)
+    for _ in range(8):
+        m = build_aut_matrices(random_sigma(rng, field, invertible=False),
+                               field.random_nonzero(rng, 9), field.random(rng, 9), field)
+        for rows in (m.a_matrix, m.gamma, m.theta, m.l_matrix):
+            _assert_det_matches_sympy(field, rows)

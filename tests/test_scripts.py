@@ -3,7 +3,8 @@ check nothing or exceed its bound ends in one ``error:`` line rather than a
 traceback or an unbounded run;
 ``scripts/catalog_table.py`` reproduces the verdict table of all fifteen
 three-generator classes; ``scripts/json_corpus.py`` writes exactly the files
-of the checked-in manifest, byte for byte."""
+of the checked-in manifest, byte for byte; ``scripts/stage_times.py`` prints
+one row per stage, alone and against a second checkout."""
 
 import hashlib
 import os
@@ -58,6 +59,31 @@ def test_identity_sweeps_rejects_counts_outside_the_bounds(flag, value, bound):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {flag} must be {bound}, not {value}\n"
+
+
+STAGE_ROWS = ["ladder check", "commutation checks", "determinants", "whole job"]
+
+
+def _stage_table(stdout, columns):
+    rows = [line.split("  ") for line in stdout.splitlines()]
+    rows = [[cell.strip() for cell in row if cell.strip()] for row in rows]
+    assert rows[0] == ["stage"] + columns
+    assert [row[0] for row in rows[1:]] == STAGE_ROWS
+    for row in rows[1:]:
+        assert len(row) == 1 + len(columns) and all(float(ms) >= 0 for ms in row[1:])
+
+
+def test_stage_times_smoke():
+    proc = run_script("stage_times.py", "--rounds", "1")
+    assert proc.returncode == 0, proc.stderr
+    _stage_table(proc.stdout, ["ms/job"])
+
+
+def test_stage_times_against_a_second_checkout():
+    proc = run_script("stage_times.py", "--rounds", "1", "--processes", "1",
+                      "--against", str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    _stage_table(proc.stdout, ["against", "this"])
 
 
 def test_catalog_table_has_no_mismatch():
