@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Per-stage CPU time of the ``identities`` job shape.
 
-Runs ``verify-identities --n-max 4 --samples 1`` for 16 consecutive seeds
-from ``--seed`` and prints the in-process CPU milliseconds per job of its
-three stages (the ladder check, the two joint commutation checks, the four
-determinant pairs) and of the whole CLI call, each the best of ``--rounds``
-rounds.  With ``--against PATH`` it times the ``src`` of a second checkout
-too, in alternating subprocesses (``--processes`` of each), and prints both
-columns, the other checkout first:
+Runs ``verify-identities --n-max 4 --samples 1`` through ``cli.main`` for 16
+consecutive seeds from 0 and prints the in-process CPU milliseconds per job
+of its three stages (the ladder check, the two joint commutation checks, the
+four determinant pairs) and of the whole CLI call, each the best of
+``--rounds`` rounds.  The stages are the ``diffusion`` calls the command
+itself makes, timed inside it.  With ``--against PATH`` it times the ``src``
+of a second checkout too, in five alternating subprocesses per side, and
+prints both columns, the other checkout first:
 
     PYTHONPATH=src python scripts/stage_times.py --against ../parent
 """
@@ -25,84 +26,102 @@ import sys
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-JOBS = 16
-N_MAX, SAMPLES = 4, 1
-STAGES = ("ladder check", "commutation checks", "determinants", "whole job")
+SEED, JOBS = 0, 16
+PROCESSES = 5       # with --against: subprocesses per checkout, alternating
+ARGV = ["verify-identities", "--n-max", "4", "--samples", "1"]
+# stage row -> the diffusion function that verify-identities calls for it
+STAGES = {"ladder check": "verify_pq_recurrences",
+          "commutation checks": "verify_commutation",
+          "determinants": "verify_determinant_identities"}
+ROWS = (*STAGES, "whole job")
 
 
-def _stages(seed: int):
-    from skewsmooth import cli
-    from skewsmooth.diffusion import (DiffusionType, verify_commutation,
-                                      verify_determinant_identities, verify_pq_recurrences)
-    argv = ["verify-identities", "--seed", str(seed), "--n-max", str(N_MAX),
-            "--samples", str(SAMPLES)]
+def time_stages(rounds: int) -> list:
+    """Best CPU ms per job of each row over ``rounds`` rounds of the jobs.
 
-    def whole_job():
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
+    Each stage function is wrapped on the ``diffusion`` module for the run,
+    so the rows follow what the command calls; a stage it does not call is
+    an error rather than a row of zeros.
+    """
+    from skewsmooth import cli, diffusion
+    spent = dict.fromkeys(ROWS, 0.0)
+    called = set()
 
-    # the calls of cli._cmd_verify_identities, in its order
-    return (
-        lambda: verify_pq_recurrences(max(30, N_MAX), SAMPLES, seed),
-        lambda: (verify_commutation(N_MAX, SAMPLES, seed, DiffusionType.TYPE1),
-                 verify_commutation(N_MAX, SAMPLES, seed + 1, DiffusionType.TYPE2)),
-        lambda: verify_determinant_identities(SAMPLES, seed),
-        whole_job,
-    )
-
-
-def time_stages(first_seed: int, rounds: int) -> list:
-    """Best CPU ms per job of each stage over ``rounds`` rounds of the jobs."""
-    jobs = [_stages(first_seed + j) for j in range(JOBS)]
-    best = [float("inf")] * len(STAGES)
-    for _ in range(rounds):
-        for s in range(len(STAGES)):
+    def timed(row, fn):
+        def wrapper(*args, **kwargs):
+            called.add(row)
             start = time.process_time()
-            for job in jobs:
-                job[s]()
-            best[s] = min(best[s], (time.process_time() - start) * 1000 / JOBS)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[row] += time.process_time() - start
+        return wrapper
+
+    originals = {name: getattr(diffusion, name) for name in STAGES.values()}
+    best = [float("inf")] * len(ROWS)
+    try:
+        for row, name in STAGES.items():
+            setattr(diffusion, name, timed(row, originals[name]))
+        for _ in range(rounds):
+            spent.update(dict.fromkeys(ROWS, 0.0))
+            for seed in range(SEED, SEED + JOBS):
+                start = time.process_time()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = cli.main(ARGV + ["--seed", str(seed)])
+                spent["whole job"] += time.process_time() - start
+                if status != 0:
+                    raise RuntimeError(f"verify-identities --seed {seed} exited {status}")
+            missing = [row for row in STAGES if row not in called]
+            if missing:
+                raise RuntimeError(f"verify-identities does not call {', '.join(missing)}")
+            best = [min(b, spent[row] * 1000 / JOBS) for b, row in zip(best, ROWS)]
+    finally:
+        for name, fn in originals.items():
+            setattr(diffusion, name, fn)
     return best
 
 
-def _child(src: pathlib.Path, args) -> list:
+def _child(src: pathlib.Path, rounds: int) -> list:
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--seed", str(args.seed),
-                           "--rounds", str(args.rounds), "--json"],
-                          env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, __file__, "--rounds", str(rounds), "--json"],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{src}: {proc.stderr.strip()}")
     return json.loads(proc.stdout)["ms/job"]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--against", type=pathlib.Path, default=None,
                         help="a second checkout whose src to time as well")
-    parser.add_argument("--processes", type=int, default=5,
-                        help="with --against: subprocesses per checkout, alternating")
     parser.add_argument("--json", action="store_true",
-                        help="print each column's per-stage list as JSON")
-    args = parser.parse_args()
-    if args.rounds < 1 or args.processes < 1:
-        sys.stderr.write("error: --rounds and --processes must be at least 1\n")
+                        help="print each column's per-row list as JSON")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        sys.stderr.write("error: --rounds must be at least 1\n")
         return 1
-    if args.against is None:
-        columns = {"ms/job": time_stages(args.seed, args.rounds)}
-    else:
-        sides = {"against": args.against.resolve() / "src", "this": ROOT / "src"}
-        columns = {name: [float("inf")] * len(STAGES) for name in sides}
-        for _ in range(args.processes):
-            for name, src in sides.items():
-                columns[name] = list(map(min, columns[name], _child(src, args)))
+    try:
+        if args.against is None:
+            columns = {"ms/job": time_stages(args.rounds)}
+        else:
+            sides = {"against": args.against.resolve() / "src", "this": ROOT / "src"}
+            columns = {name: [float("inf")] * len(ROWS) for name in sides}
+            for _ in range(PROCESSES):
+                for name, src in sides.items():
+                    columns[name] = list(map(min, columns[name], _child(src, args.rounds)))
+    except RuntimeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     if args.json:
         sys.stdout.write(json.dumps(columns) + "\n")
         return 0
-    width = max(map(len, STAGES))
+    width = max(map(len, ROWS))
     sys.stdout.write(f"{'stage':<{width}}" + "".join(f"  {c:>10}" for c in columns) + "\n")
-    for s, stage in enumerate(STAGES):
-        sys.stdout.write(f"{stage:<{width}}"
-                         + "".join(f"  {col[s]:>10.3f}" for col in columns.values()) + "\n")
+    for r, row in enumerate(ROWS):
+        sys.stdout.write(f"{row:<{width}}"
+                         + "".join(f"  {col[r]:>10.3f}" for col in columns.values()) + "\n")
     return 0
 
 

@@ -4,9 +4,11 @@ traceback or an unbounded run;
 ``scripts/catalog_table.py`` reproduces the verdict table of all fifteen
 three-generator classes; ``scripts/json_corpus.py`` writes exactly the files
 of the checked-in manifest, byte for byte; ``scripts/stage_times.py`` prints
-one row per stage, alone and against a second checkout."""
+one row per stage, alone and against a second checkout, and refuses a
+stage that ``verify-identities`` does not call."""
 
 import hashlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -79,11 +81,27 @@ def test_stage_times_smoke():
     _stage_table(proc.stdout, ["ms/job"])
 
 
-def test_stage_times_against_a_second_checkout():
-    proc = run_script("stage_times.py", "--rounds", "1", "--processes", "1",
-                      "--against", str(ROOT))
-    assert proc.returncode == 0, proc.stderr
-    _stage_table(proc.stdout, ["against", "this"])
+def _load_stage_times():
+    spec = importlib.util.spec_from_file_location("stage_times",
+                                                  ROOT / "scripts" / "stage_times.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stage_times_against_a_second_checkout(monkeypatch, capsys):
+    stage_times = _load_stage_times()
+    monkeypatch.setattr(stage_times, "PROCESSES", 1)
+    assert stage_times.main(["--rounds", "1", "--against", str(ROOT)]) == 0
+    _stage_table(capsys.readouterr().out, ["against", "this"])
+
+
+def test_stage_times_rejects_a_stage_the_command_does_not_call(monkeypatch, capsys):
+    stage_times = _load_stage_times()
+    monkeypatch.setitem(stage_times.STAGES, "right law alone", "verify_right_commutation")
+    assert stage_times.main(["--rounds", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: verify-identities does not call right law alone\n"
 
 
 def test_catalog_table_has_no_mismatch():
