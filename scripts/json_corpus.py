@@ -23,6 +23,9 @@ The corpus is:
   two disconnected ones, the shifted plane over F_5 at ``--max-degree 30``
   (kernel dimension 28) and class 2b (beta = 3, b = 5) over F_7 at
   ``--max-degree 12`` (kernel dimension 7);
+- ``smooth`` and ``calculus --max-degree 6`` on the shifted quasi-plane
+  x1 x2 - 3 x2 x1 = 3 x1 + x2 + 2 over Q, whose twists both have a shifted
+  diagonal (``SHIFTED_QUASI_PLANE``);
 - ``verify-identities --seed 0`` and ``--seed 3``, and ``verify-identities
   --n-max 4 --samples 1`` (the ``identities`` benchmark job's shape) at the
   seeds in ``BENCH_SHAPE_SEEDS``;
@@ -70,6 +73,7 @@ _SKEW = "kind: skew\nfield: Fp:7\nn: 3\n"
 _DIFF1 = "kind: diffusion1\nfield: Fp:7\nn: 3\n"
 _LONG = "1" * 5000
 BENCH_SHAPE_SEEDS = (0, 3, 271828)
+SHIFTED_QUASI_PLANE = Presentation.skew(QQ, 2, {(1, 2): (3, {1: 3, 2: 1}, 2)})
 WIDE_N = (4, 6)
 # (name, text) or (name, text, calculus flags): each is an input error
 MALFORMED = (
@@ -200,6 +204,12 @@ def main() -> int:
         path = _write_input(outdir, dsl.AlgebraFile(name, "skew", pres.field, pres.n, pres))
         _run(outdir, name, ["calculus", path, "--max-degree", degree,
                             "--verify-integrability", samples])
+        count += 1
+
+    name = "shifted-quasi-plane-q"
+    path = _write_input(outdir, dsl.AlgebraFile(name, "skew", QQ, 2, SHIFTED_QUASI_PLANE))
+    for argv in (["smooth", path], ["calculus", path, "--max-degree", "6"]):
+        _run(outdir, name, argv)
         count += 1
 
     for tag, field in FIELDS:

@@ -1,15 +1,21 @@
 """Decision procedure for sufficient differential smoothness.
 
-The pipeline: screen for the third-generator tail obstruction, evaluate the
-constant coefficient equations (the ones free of diagonal unknowns), solve the
-per-generator 2-unknown affine systems for (a_kk, b_kk), build the candidate
-twist family, and re-verify it end to end before certifying.
+The twist for generator k sends every other generator to a forced image
+and x_k to a_kk x_k - b_kk, with (a_kk, b_kk) unknown.  Every equation the
+procedure solves is a coefficient of one closed form, the residue of a
+relation under a diagonal-affine map (``_relation_residue``), so a change of
+generators by x_g -> s_g x_g + t_g changes no verdict.  The pipeline: screen
+for the third-generator tail obstruction, check the equations free of the
+unknowns, solve the per-generator 2-unknown affine systems for
+(a_kk, b_kk), build the candidate twist family, and re-verify it with the
+rewriting engine before certifying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from . import linalg
 from .algebra import Ordering, Presentation
@@ -29,7 +35,6 @@ __all__ = [
     "SmoothnessVerdict",
     "decide",
     "encode_ore_extension",
-    "ore_closed_form_conditions",
     "THREE_DIM_CLASSES",
     "Classification",
     "classify_3d",
@@ -38,11 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EquationCheck:
-    """One instance of a coefficient equation, evaluated exactly."""
+    """One twist equation free of the diagonal unknowns, evaluated exactly."""
 
-    eq_id: str
-    family: str
-    indices: tuple
+    name: str
     residual: object
     holds: bool
 
@@ -60,62 +63,58 @@ def _require_spag(pres: Presentation):
         raise NonDiagonalTailError("solver requires linear tails")
 
 
-def assemble_constant_checks(pres: Presentation) -> list:
-    """Every diagonal-free coefficient equation over all index triples.
+def _forced_image(pres: Presentation, k: int, g: int):
+    """(slope, shift) of the image of x_g, g != k, under the twist for x_k."""
+    if g < k:
+        return pres.a(g, k), pres.c(g, k)
+    akg = pres.a(k, g)
+    return pres.field.one / akg, -(pres.b(k, g) / akg)
 
-    Families eq3 (j<t<k), eq4 (j<k<t), eq5 (k<j<t) each contribute three
-    equations per triple; the twist-commutation families comm1..comm3
-    contribute one per triple.  Report order: family, then k, then (j, t).
+
+def _relation_residue(pres: Presentation, i: int, j: int, image_i, image_j):
+    """Coefficients on x_i, x_j and 1 of the image of relation (i, j),
+    x_i x_j - a x_j x_i = b x_i + c x_j + e, under x_i -> s_i x_i + t_i,
+    x_j -> s_j x_j + t_j, with ``image_g`` = (s_g, t_g).
+
+    Rewriting a x_j x_i by the relation cancels the x_i x_j terms; with
+    u = 1 - a what is left is the normal form of the residue.
+    """
+    (si, ti), (sj, tj) = image_i, image_j
+    u = 1 - pres.a(i, j)
+    b, c, e = pres.b(i, j), pres.c(i, j), pres.e(i, j)
+    return (si * (b * (sj - 1) + u * tj),
+            sj * (c * (si - 1) + u * ti),
+            e * (si * sj - 1) + u * ti * tj - b * ti - c * tj)
+
+
+def assemble_constant_checks(pres: Presentation) -> list:
+    """The twist equations free of the diagonal unknowns.
+
+    First the residue of the twist for x_k on every relation (i, j) without
+    x_k, at x_i, x_j and 1; these read only forced images.  Then, for k < j,
+    the commutation of the twists for x_k and x_j on each third generator
+    g: the shifts of the two composites differ by t_j (s_k - 1) -
+    t_k (s_j - 1), with (s, t) the images of x_g.  Report order: k, then
+    the relation or j, then the monomial or g.
     """
     _require_spag(pres)
-    a, b, c, e = pres.a, pres.b, pres.c, pres.e
-    checks = []
-
-    def emit(family, sub, k, j, t, residual):
-        checks.append(EquationCheck(
-            f"{family}.{sub}(k={k},j={j},t={t})", f"{family}.{sub}", (k, j, t),
-            residual, not residual))
-
     n = pres.n
+    images = {k: {g: _forced_image(pres, k, g) for g in range(1, n + 1) if g != k}
+              for k in range(1, n + 1)}
+    checks = []
     for k in range(1, n + 1):
-        for j in range(1, n):
-            for t in range(j + 1, n + 1):
-                if k in (j, t):
-                    continue
-                if j < t < k:
-                    emit("eq3", 1, k, j, t, (a(j, t) - 1) * c(t, k) + (a(t, k) - 1) * b(j, t))
-                    emit("eq3", 2, k, j, t, (a(j, t) - 1) * c(j, k) + (a(j, k) - 1) * c(j, t))
-                    emit("eq3", 3, k, j, t,
-                         (a(j, k) * a(t, k) - 1) * e(j, t) + b(j, t) * c(j, k)
-                         + c(j, t) * c(t, k) + (1 - a(j, t)) * c(t, k) * c(j, k))
-                elif j < k < t:
-                    emit("eq4", 1, k, j, t, (a(j, t) - 1) * c(j, k) + (a(j, k) - 1) * c(j, t))
-                    emit("eq4", 2, k, j, t, (a(j, t) - 1) * b(k, t) + b(j, t) * (1 - a(k, t)))
-                    emit("eq4", 3, k, j, t,
-                         (a(j, k) - a(k, t)) * e(j, t) + (c(j, t) + c(j, k)) * b(k, t)
-                         + (b(j, t) * a(k, t) - a(j, t) * b(k, t)) * c(j, k))
-                else:
-                    emit("eq5", 1, k, j, t, (a(j, t) - 1) * b(k, t) + (1 - a(k, t)) * b(j, t))
-                    emit("eq5", 2, k, j, t, b(k, j) * (a(j, t) - 1) + (1 - a(k, j)) * c(j, t))
-                    emit("eq5", 3, k, j, t,
-                         (1 - a(k, j) * a(k, t)) * e(j, t)
-                         + b(k, t) * (b(k, j) + a(k, j) * c(j, t))
-                         + b(k, j) * (a(k, t) * b(j, t) - a(j, t) * b(k, t)))
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            for t in range(j + 1, n + 1):
-                emit("comm", 1, k, j, t, c(k, j) * (a(k, t) - 1) - c(k, t) * (a(k, j) - 1))
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            for t in range(1, k):
-                emit("comm", 2, k, j, t, c(k, j) * (1 - a(t, k)) - b(t, k) * (a(k, j) - 1))
-    for k in range(1, n + 1):
-        for j in range(1, k):
-            for t in range(j + 1, k):
-                emit("comm", 3, k, j, t, b(j, k) * (1 - a(t, k)) - b(t, k) * (1 - a(j, k)))
-    order = {"eq3.1": 0, "eq3.2": 1, "eq3.3": 2, "eq4.1": 3, "eq4.2": 4, "eq4.3": 5,
-             "eq5.1": 6, "eq5.2": 7, "eq5.3": 8, "comm.1": 9, "comm.2": 10, "comm.3": 11}
-    checks.sort(key=lambda ch: (order[ch.family], ch.indices))
+        for i, j in pres.pairs:
+            if k not in (i, j):
+                residue = _relation_residue(pres, i, j, images[k][i], images[k][j])
+                for at, r in zip((f"x_{i}", f"x_{j}", "1"), residue):
+                    checks.append(EquationCheck(
+                        f"twist for x_{k} on relation ({i}, {j}) at {at}", r, not r))
+    for k, j in combinations(range(1, n + 1), 2):
+        for g in range(1, n + 1):
+            if g not in (k, j):
+                (sk, tk), (sj, tj) = images[k][g], images[j][g]
+                r = tj * (sk - 1) - tk * (sj - 1)
+                checks.append(EquationCheck(f"twists for x_{k} and x_{j} on x_{g}", r, not r))
     return checks
 
 
@@ -133,26 +132,38 @@ class NuSystemSolution:
     status: SolutionStatus
     witness: tuple | None
     solution_set: linalg.AffineSolutionSet
-    rows: tuple  # ((eq_id, (coeff_a, coeff_b), rhs), ...)
+    rows: tuple  # ((name, (coeff_a, coeff_b), rhs), ...)
 
     def contains(self, a_kk, b_kk) -> bool:
         return all((ca * a_kk + cb * b_kk) == rhs for _, (ca, cb), rhs in self.rows)
 
 
 def _diagonal_rows(pres: Presentation, k: int):
-    a, b, c, e = pres.a, pres.b, pres.c, pres.e
-    one, zero = pres.field.one, pres.field.zero
-    rows = [("trivial", (zero, zero), zero)]  # keeps the system well-posed when unconstrained
-    for j in range(1, k):
-        rows.append((f"eq1.1(j={j},k={k})", (b(j, k), a(j, k) - 1), b(j, k)))
-        rows.append((f"eq1.2(j={j},k={k})",
-                     (a(j, k) * e(j, k), a(j, k) * c(j, k)), e(j, k) + b(j, k) * c(j, k)))
-        rows.append((f"comm.5(j={j},k={k})", (-b(j, k), 1 - a(j, k)), -b(j, k)))
-    for j in range(k + 1, pres.n + 1):
-        rows.append((f"eq2.1(k={k},j={j})", (c(k, j), a(k, j) - 1), c(k, j)))
-        rows.append((f"eq2.2(k={k},j={j})",
-                     (e(k, j), b(k, j)), a(k, j) * e(k, j) - c(k, j) * b(k, j)))
-        rows.append((f"comm.4(k={k},j={j})", (c(k, j), 1 - a(k, j)), c(k, j)))
+    """The twist equations in (a_kk, b_kk), one per nonzero coefficient of
+    the residue on each relation between x_k and another generator g.
+
+    The residue is affine in (A, B) = (a_kk, b_kk), since x_k -> A x_k - B;
+    a row holds its partial derivatives and minus its constant, so that its
+    value ca A + cb B - rhs is the coefficient itself.  With (s, t) the
+    image of x_g, u = 1 - a, and own and other the tail coefficients on x_k
+    and x_g, the row at x_g is (other s, -u s) = other s and the row at 1
+    is (e s, own - u t) = e + other t.  The coefficient at x_k vanishes for
+    every (A, B), since the image of x_g is forced.  The commutation with
+    the twist for x_g on x_k is the row at x_g divided by s: no row of its
+    own.
+    """
+    rows = []
+    for g in range(1, pres.n + 1):
+        if g == k:
+            continue
+        i, j = (g, k) if g < k else (k, g)
+        own, other = (pres.c(i, j), pres.b(i, j)) if g < k else (pres.b(i, j), pres.c(i, j))
+        u, e = 1 - pres.a(i, j), pres.e(i, j)
+        s, t = _forced_image(pres, k, g)
+        for at, co, rhs in ((f"x_{g}", (other * s, -u * s), other * s),
+                            ("1", (e * s, own - u * t), e + other * t)):
+            if co[0] or co[1] or rhs:
+                rows.append((f"relation ({i}, {j}) at {at}", co, rhs))
     return rows
 
 
@@ -168,8 +179,10 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     _require_spag(pres)
     field = pres.field
     rows = _diagonal_rows(pres, k)
-    sol = linalg.solve_affine(field, [co for _, co, _ in rows],
-                              [rhs for _, _, rhs in rows])
+    zero = field.zero
+    # no rows: x_k is unconstrained, and one zero row keeps the system well-posed
+    sol = linalg.solve_affine(field, [co for _, co, _ in rows] or [(zero, zero)],
+                              [rhs for _, _, rhs in rows] or [zero])
     rowdata = tuple(rows)
     if sol.is_empty:
         return NuSystemSolution(k, SolutionStatus.EMPTY, None, sol, rowdata)
@@ -203,20 +216,9 @@ def obstruction_check(pres: Presentation, gkdim: int):
 def forced_nu(pres: Presentation, k: int, a_kk, b_kk) -> AffineEndo:
     """The twist for generator k: forced off-diagonal images plus the solved
     diagonal (a_kk, b_kk), meaning x_k -> a_kk x_k - b_kk."""
-    slopes, shifts = [], []
-    field = pres.field
-    for g in range(1, pres.n + 1):
-        if g == k:
-            slopes.append(a_kk)
-            shifts.append(-b_kk)
-        elif g < k:
-            slopes.append(pres.a(g, k))
-            shifts.append(pres.c(g, k))
-        else:
-            akg = pres.a(k, g)
-            slopes.append(field.one / akg)
-            shifts.append(-(pres.b(k, g) / akg))
-    return AffineEndo(tuple(slopes), tuple(shifts))
+    slopes, shifts = zip(*((a_kk, -b_kk) if g == k else _forced_image(pres, k, g)
+                           for g in range(1, pres.n + 1)))
+    return AffineEndo(slopes, shifts)
 
 
 class Verdict(str, Enum):
@@ -267,16 +269,14 @@ def decide(pres: Presentation, gkdim: int) -> SmoothnessVerdict:
     if failed:
         return SmoothnessVerdict(
             Verdict.INCONCLUSIVE, gkdim,
-            reasons=tuple(f"{ch.eq_id} residual {ch.residual}" for ch in failed))
+            reasons=tuple(f"{ch.name}: residue {ch.residual}" for ch in failed))
     solutions = tuple(solve_diagonal_unknowns(pres, k) for k in range(1, pres.n + 1))
     empty = [s for s in solutions if s.status is SolutionStatus.EMPTY]
     if empty:
-        reasons = []
-        for s in empty:
-            ids = [rid for rid, (ca, cb), rhs in s.rows if ca or cb or rhs]
-            reasons.append(f"no admissible (a_kk, b_kk) for k={s.k}; constraints: " + ", ".join(ids))
+        reasons = tuple(f"no admissible (a_kk, b_kk) for k={s.k}; constraints: "
+                        + ", ".join(name for name, _, _ in s.rows) for s in empty)
         return SmoothnessVerdict(Verdict.INCONCLUSIVE, gkdim,
-                                 reasons=tuple(reasons), solutions=solutions)
+                                 reasons=reasons, solutions=solutions)
     try:
         family = tuple(forced_nu(pres, s.k, *s.witness) for s in solutions)
     except ZeroSlopeError as exc:
@@ -320,25 +320,6 @@ def encode_ore_extension(n: int, b, a, c, field=QQ) -> Presentation:
         # x_i y - (1/b_i) y x_i = -(c_i/b_i) x_i - (a_i/b_i) y
         relations[(i, y)] = (field.one / bi, {i: -(ci / bi), y: -(ai / bi)}, field.zero)
     return Presentation.skew(field, n + 1, relations)
-
-
-def ore_closed_form_conditions(n: int, b, a, c, field=QQ):
-    """The two closed-form sufficient conditions, taken as given:
-    (1) a_i != 0 and c_i = 0 for all i;
-    (2) a_i = 0 for all i and c_i(b_k - 1) + c_k(b_i - 1) = 0 for all i != k.
-
-    They are not checked against ``decide``, which is authoritative: (2) holds
-    at b = (2, 4), a = 0, c = (3, -9), where the twists for x_1 and x_2 do not
-    commute on y and ``decide`` is INCONCLUSIVE.
-    """
-    a = [field.coerce(v) for v in a]
-    b = [field.coerce(v) for v in b]
-    c = [field.coerce(v) for v in c]
-    first = all(a) and not any(c)
-    second = not any(a) and all(
-        not (c[i] * (b[k] - 1) + c[k] * (b[i] - 1))
-        for i in range(n) for k in range(n) if i != k)
-    return first, second
 
 
 # -- syntactic three-generator classifier ------------------------------------

@@ -139,6 +139,46 @@ def naive_tail_vector(pres: Presentation, i: int, j: int):
     return vec, const
 
 
+def substitute(pres: Presentation, slopes, shifts) -> Presentation:
+    """The same algebra on generators y_1..y_n with x_g = s_g y_g + t_g.
+
+    Relation (i, j), x_i x_j - a x_j x_i = sum_g c_g x_g + e, becomes
+    y_i y_j - a y_j y_i = sum_g c'_g y_g + e' with u = 1 - a and
+
+        c'_g = (c_g s_g - [g = i] s_i t_j u - [g = j] s_j t_i u) / (s_i s_j),
+        e'   = (sum_g c_g t_g + e - t_i t_j u) / (s_i s_j).
+
+    The result is certified with ``multiply``: every original relation holds
+    on the images s_g y_g + t_g with zero residue.  Linear tails only.
+    """
+    field, n = pres.field, pres.n
+    slopes = [field.coerce(s) for s in slopes]
+    shifts = [field.coerce(t) for t in shifts]
+    relations = {}
+    for i, j in pres.pairs:
+        a = pres.a(i, j)
+        u = 1 - a
+        vec, e = pres.tail_vector(i, j)
+        (si, ti), (sj, tj) = (slopes[i - 1], shifts[i - 1]), (slopes[j - 1], shifts[j - 1])
+        tail = [c * s for c, s in zip(vec, slopes)]
+        tail[i - 1] -= si * tj * u
+        tail[j - 1] -= sj * ti * u
+        const = sum((c * t for c, t in zip(vec, shifts)), e) - ti * tj * u
+        scale = si * sj
+        relations[(i, j)] = (a, {g: c / scale for g, c in enumerate(tail, start=1)},
+                             const / scale)
+    copy = Presentation.skew(field, n, relations)
+    images = {g: copy.gen(g).scale(slopes[g - 1]) + copy.scalar(shifts[g - 1])
+              for g in range(1, n + 1)}
+    for (i, j), rule in pres.pairs.items():
+        residue = copy.multiply(images[i], images[j]) \
+            - copy.multiply(images[j], images[i]).scale(rule.quad)
+        for coeff, word in rule.tail:
+            residue = residue - copy.product(*(images[g] for g in word)).scale(coeff)
+        assert not residue, f"substitution breaks relation ({i}, {j})"
+    return copy
+
+
 def naive_closed_form_products(pres: Presentation, subset, complement):
     """The two-branch closed-form double products, every factor multiplied
     in with its stated index ranges: the oracle for

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,18 +6,21 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from skewsmooth.algebra import Presentation
+from skewsmooth import cli
+from skewsmooth.algebra import Ordering, Presentation, relabel
+from skewsmooth.calculus import CalculusContext, d_squared_failures, kernel_of_d_bounded
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
-from skewsmooth.endos import commute, respects_relations
+from skewsmooth.endos import AffineEndo, commute, respects_relations
 from skewsmooth.errors import IndexRangeError, NonDiagonalTailError, ZeroSlopeError
 from skewsmooth.linalg import solve_affine
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import (SolutionStatus, Verdict, assemble_constant_checks,
-                                   classify_3d, decide, encode_ore_extension,
-                                   obstruction_check, ore_closed_form_conditions,
-                                   solve_diagonal_unknowns, THREE_DIM_CLASSES, _display_form)
+                                   classify_3d, decide, encode_ore_extension, forced_nu,
+                                   obstruction_check, solve_diagonal_unknowns,
+                                   THREE_DIM_CLASSES, _diagonal_rows, _display_form,
+                                   _relation_residue)
 
-from helpers import naive_classify_3d, random_nonzero_rational
+from helpers import naive_classify_3d, random_nonzero_rational, substitute
 
 
 class TestConstantChecks:
@@ -29,15 +33,16 @@ class TestConstantChecks:
         pres = three_dim_class("3b", alpha=2, beta=3, b=7)
         assert all(c.holds for c in assemble_constant_checks(pres))
 
-    def test_distinct_coefficients_with_constant_fail_eq4(self):
+    def test_distinct_coefficients_with_constant_fail_at_the_constant(self):
         # yz-2zy=0, zx-3xz=7, xy-5yx=0: the constant relation between x and z
-        # cannot survive the twist for y when alpha != gamma; the eq4 constant
-        # equation (a_12 - a_23) e_13 = (5 - 2)(-7/3) = -7 pinpoints it.
+        # cannot survive the twist for y when alpha != gamma.  That twist is
+        # x -> 5x, z -> z/2 on relation (1, 3), x z - (1/3) z x = -7/3, and
+        # leaves -7/3 (5/2 - 1) = -7/2 at 1.
         pres = from_display(QQ, 2, 3, 5, mu={0: 7})
         checks = assemble_constant_checks(pres)
         failed = [c for c in checks if not c.holds]
-        assert [c.eq_id for c in failed] == ["eq4.3(k=2,j=1,t=3)"]
-        assert failed[0].residual == -7
+        assert [c.name for c in failed] == ["twist for x_2 on relation (1, 3) at 1"]
+        assert failed[0].residual == F(-7, 2)
 
     def test_rejects_third_generator_tails(self):
         pres = three_dim_class("2a", beta=3)
@@ -45,9 +50,15 @@ class TestConstantChecks:
             assemble_constant_checks(pres)
 
     def test_report_order_is_deterministic(self):
+        # by twist, then relation, then monomial; the commutations come last
         pres = three_dim_class("3b", alpha=2, beta=3, b=7)
-        ids = [c.eq_id for c in assemble_constant_checks(pres)]
-        assert ids == sorted(ids, key=lambda _: 0) and ids[0].startswith("eq3")
+        names = [c.name for c in assemble_constant_checks(pres)]
+        residues = [f"twist for x_{k} on relation ({i}, {j}) at {at}"
+                    for k, (i, j) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2)))
+                    for at in (f"x_{i}", f"x_{j}", "1")]
+        assert names == residues + ["twists for x_1 and x_2 on x_3",
+                                    "twists for x_1 and x_3 on x_2",
+                                    "twists for x_2 and x_3 on x_1"]
 
 
 class TestDiagonalSolver:
@@ -67,14 +78,14 @@ class TestDiagonalSolver:
 
     def test_engineered_instance_against_independent_solve(self):
         # n=2, a_12 = 1, b_12 = 1, c_12 = 0, e_12 = 1; solve the k=2 system
-        # independently from the printed equations by 2x2 elimination.
+        # independently, by 2x2 elimination of the equations expanded by hand.
         pres = Presentation.skew(QQ, 2, {(1, 2): (1, {1: 1}, 1)})
         sol = solve_diagonal_unknowns(pres, 2)
-        # independent assembly: eq1.1  b22*(a12-1) + b12*(a22-1) = 0
-        #                       eq1.2  (a22*a12-1)*e12 + (a12*b22-b12)*c12 = 0
-        #                       comm5  b22*(1-a12) = b12*(a22-1)
-        rows = [[F(1), F(0)], [F(1), F(0)], [F(-1), F(0)]]
-        rhs = [F(1), F(1), F(-1)]
+        # x2 -> a22 x2 - b22 maps x1 x2 - x2 x1 - x1 - 1 to
+        # (a22 - 1) x1 + (a22 - 1): zero at x1 and at 1 exactly when a22 = 1,
+        # and the commutation with the twist for x1 (x2 -> x2) asks nothing
+        rows = [[F(1), F(0)], [F(1), F(0)]]
+        rhs = [F(1), F(1)]
         oracle = solve_affine(QQ, rows, rhs)
         assert not oracle.is_empty
         assert sol.status is SolutionStatus.PARAMETRIC
@@ -143,6 +154,124 @@ def test_witness_rule(pres):
             assert sol.witness == (one, zero)
 
 
+SLOPES = (1, -1, 2, -3, F(1, 2))
+SHIFTS = (0, 1, -2, F(3, 2))
+
+
+def _coefficient(pres, residue, g):
+    """The coefficient of a residue at x_g, or at 1 when g is 0."""
+    mono = tuple(int(h == g) for h in range(1, pres.n + 1))
+    return residue.terms.get(mono, pres.field.zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_presentations(), st.data())
+def test_relation_residue_matches_rewriting(pres, data):
+    """The closed-form residue of every relation under a diagonal-affine map
+    equals the normal form the rewriting engine computes, coefficient by
+    coefficient, and the engine's residue has no other monomial."""
+    field, n = pres.field, pres.n
+    slopes = tuple(field.coerce(data.draw(st.sampled_from(SLOPES))) for _ in range(n))
+    shifts = tuple(field.coerce(data.draw(st.sampled_from(SHIFTS))) for _ in range(n))
+    report = respects_relations(AffineEndo(slopes, shifts), pres)
+    for check in report.checks:
+        i, j = check.pair
+        closed = _relation_residue(pres, i, j, (slopes[i - 1], shifts[i - 1]),
+                                   (slopes[j - 1], shifts[j - 1]))
+        engine = tuple(_coefficient(pres, check.residue, g) for g in (i, j, 0))
+        assert closed == engine, check.pair
+        assert len(check.residue.terms) == sum(1 for r in engine if r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_presentations(), st.data())
+def test_diagonal_rows_match_rewriting(pres, data):
+    """At a random (a_kk, b_kk), each row of the system for x_k takes the
+    value of its coefficient of the residue of ``forced_nu`` on the
+    relations with x_k, and every nonzero coefficient there has a row."""
+    field, n = pres.field, pres.n
+    k = data.draw(st.integers(1, n))
+    a_kk = field.coerce(data.draw(st.sampled_from(SLOPES)))
+    b_kk = field.coerce(data.draw(st.sampled_from(SHIFTS)))
+    rows = {name: ca * a_kk + cb * b_kk - rhs for name, (ca, cb), rhs in _diagonal_rows(pres, k)}
+    engine = {}
+    for check in respects_relations(forced_nu(pres, k, a_kk, b_kk), pres).checks:
+        i, j = check.pair
+        if k in (i, j):
+            g = i + j - k
+            assert not _coefficient(pres, check.residue, k)
+            engine[f"relation ({i}, {j}) at x_{g}"] = _coefficient(pres, check.residue, g)
+            engine[f"relation ({i}, {j}) at 1"] = _coefficient(pres, check.residue, 0)
+    assert set(rows) <= set(engine)
+    assert {name: rows.get(name, field.zero) for name in engine} == engine
+
+
+GRID = three_dim_grid()
+
+
+@st.composite
+def regenerated_grid_instances(draw):
+    """A Q grid instance, a change of generators x_g = s_g y_g + t_g and a
+    permutation of the generators."""
+    entry = draw(st.sampled_from(GRID))
+    slopes = draw(st.lists(st.sampled_from(SLOPES), min_size=3, max_size=3))
+    shifts = draw(st.lists(st.sampled_from(SHIFTS), min_size=3, max_size=3))
+    perm = draw(st.permutations((1, 2, 3)))
+    return entry, slopes, shifts, perm
+
+
+@settings(max_examples=150, deadline=None)
+@given(regenerated_grid_instances())
+def test_verdict_does_not_depend_on_the_generators(data):
+    """A diagonal-affine change of generators and a permutation keep the
+    verdict; a certified copy's calculus has d^2 = 0 at D = 4 and the
+    original's kernel dimension at D = 6."""
+    entry, slopes, shifts, perm = data
+    pres = entry.presentation
+    shifted = substitute(pres, slopes, shifts)
+    back = substitute(shifted, [1 / F(s) for s in slopes],
+                      [-F(t) / s for s, t in zip(slopes, shifts)])
+    assert back == pres
+    copy = relabel(shifted, dict(zip((1, 2, 3), perm)), Ordering.ASCENDING)
+    got = decide(copy, 3)
+    event(f"{got.verdict.value}, shifted: {any(shifts)}")
+    assert got.verdict is entry.expected, (entry.label, entry.params, got.reasons)
+    if got.verdict is Verdict.SMOOTH_SUFFICIENT:
+        ctx = CalculusContext(copy, got.witness)
+        assert d_squared_failures(ctx, 4) == []
+        original = CalculusContext(pres, decide(pres, 3).witness)
+        assert len(kernel_of_d_bounded(ctx, 6)) == len(kernel_of_d_bounded(original, 6))
+
+
+class TestShiftedTwist:
+    """x1 x2 - 3 x2 x1 = 3 x1 + x2 + 2: each twist has a shifted diagonal.
+    Commutation with the other twist on x_k asks c A + (a - 1) B = c, the
+    equation at x_g itself; a second row (c, 1 - a) = c would force B = 0."""
+
+    TEXT = "name: shifted-quasi-plane\nkind: skew\nfield: Q\nn: 2\n" \
+           "x1*x2 - 3*x2*x1 = 3*x1 + 1*x2 + 2\n"
+
+    def test_certified_with_both_twists(self):
+        pres = Presentation.skew(QQ, 2, {(1, 2): (3, {1: 3, 2: 1}, 2)})
+        got = decide(pres, 2)
+        assert got.verdict is Verdict.SMOOTH_SUFFICIENT
+        twist = AffineEndo((F(3), F(1, 3)), (F(1), F(-1)))
+        assert got.witness == (twist, twist)
+        assert [s.witness for s in got.solutions] == [(F(3), F(-1)), (F(1, 3), F(1))]
+
+    def test_calculus(self, tmp_path, capsys):
+        path = tmp_path / "shifted.alg"
+        path.write_text(self.TEXT)
+        assert cli.main(["calculus", str(path), "--max-degree", "6", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "SMOOTH_SUFFICIENT"
+        calculus = payload["calculus"]
+        assert calculus["d_squared_zero"] is True
+        assert calculus["connected_at_bound"] is True
+        assert calculus["kernel_dimension"] == 1
+        assert calculus["integral_form_normalization"] is True
+
+
 class TestObstruction:
     def test_class_5a_found(self):
         pres = three_dim_class("5a")
@@ -182,7 +311,7 @@ class TestDecide:
         assert decide(three_dim_class("5e", a=0), 3).verdict is Verdict.SMOOTH_SUFFICIENT
         v = decide(three_dim_class("5e", a=1), 3)
         assert v.verdict is Verdict.INCONCLUSIVE
-        assert any("eq5.3" in r for r in v.reasons)
+        assert v.reasons == ("twist for x_1 on relation (2, 3) at 1: residue -1",)
 
     def test_2c_not_smooth(self):
         assert decide(three_dim_class("2c", beta=3), 3).verdict is Verdict.NOT_SMOOTH
@@ -233,7 +362,6 @@ class TestOre:
         verdict = decide(encode_ore_extension(2, (2, 3), (1, 1), (0, 0)), 3)
         assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
         assert verdict.is_smooth_sufficient
-        assert ore_closed_form_conditions(2, (2, 3), (1, 1), (0, 0))[0]
 
     def test_balanced_derivation_case_true_condition(self):
         # c_i (b_k - 1) = c_k (b_i - 1): (3)(3) = (9)(1)
@@ -241,13 +369,13 @@ class TestOre:
         assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
 
     def test_balanced_derivation_printed_condition_disagrees(self):
-        # the printed closed form accepts c = (3, -9) but the twists for x_1
-        # and x_2 then fail to commute on y, so the general decision refuses.
+        # the printed closed form, c_1(b_2 - 1) + c_2(b_1 - 1) = 0, accepts
+        # c = (3, -9), but the twists for x_1 and x_2 fail to commute on y by
+        # c_2(b_1 - 1) - c_1(b_2 - 1) = -18, so the general decision refuses.
         verdict = decide(encode_ore_extension(2, (2, 4), (0, 0), (3, -9)), 3)
-        assert ore_closed_form_conditions(2, (2, 4), (0, 0), (3, -9))[1]
         assert verdict.verdict is Verdict.INCONCLUSIVE
         assert verdict.is_smooth_sufficient is False
-        assert "comm.3(k=3,j=1,t=2) residual -9/4" in verdict.reasons
+        assert "twists for x_1 and x_2 on x_3: residue -18" in verdict.reasons
 
     def test_polynomial_ring(self):
         verdict = decide(encode_ore_extension(1, (1,), (0,), (0,)), 2)
@@ -256,12 +384,6 @@ class TestOre:
     def test_zero_slope_rejected(self):
         with pytest.raises(ZeroSlopeError):
             encode_ore_extension(2, (0, 1), (0, 0), (0, 0))
-
-    def test_conditions_evaluated_as_given(self):
-        assert ore_closed_form_conditions(2, (2, 3), (1, 1), (0, 0)) == (True, False)
-        assert ore_closed_form_conditions(2, (2, 4), (0, 0), (3, -9)) == (False, True)
-        assert ore_closed_form_conditions(2, (2, 4), (0, 0), (3, 9)) == (False, False)
-        assert ore_closed_form_conditions(2, (2, 4), (1, 0), (0, 0)) == (False, False)
 
 
 class TestClassify:
