@@ -22,11 +22,10 @@ measure, so the engine's work stack always empties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
 from operator import add, mul, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MismatchedArityError, NonDiagonalTailError, ZeroQuadCoeffError
 from .linalg import add_into
@@ -116,16 +115,14 @@ class NcPoly:
         return "NcPoly(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class PairRule:
+class PairRule(NamedTuple):
     """Relation data for a pair i < j: x_i x_j - quad x_j x_i = tail."""
 
     quad: object
     tail: tuple  # ((coeff, word), ...) with normal-ordered words of degree <= 2
 
 
-@dataclass(frozen=True)
-class OverlapCheck:
+class OverlapCheck(NamedTuple):
     i: int
     j: int
     k: int
@@ -133,8 +130,7 @@ class OverlapCheck:
     discrepancy: NcPoly
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     checks: tuple
 
     @property

@@ -11,9 +11,9 @@ wise ladder sums and extends to higher degree with constant basis words.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import NcPoly, Ordering, Presentation
@@ -35,20 +35,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DiffForm:
     """Degree-k form: map from strictly increasing k-index words to right
-    coefficients; zero components are never stored."""
+    coefficients; zero components are never stored.  Immutable: assigning
+    an attribute raises."""
 
-    degree: int
-    components: dict  # tuple(sorted indices) -> NcPoly
+    __slots__ = ("degree", "components")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           {s: p for s, p in self.components.items() if p})
-        for s in self.components:
-            if len(s) != self.degree or list(s) != sorted(set(s)):
-                raise MismatchedArityError(f"bad index word {s} for degree {self.degree}")
+    def __init__(self, degree: int, components: dict):
+        components = {s: p for s, p in components.items() if p}
+        for s in components:
+            if len(s) != degree or list(s) != sorted(set(s)):
+                raise MismatchedArityError(f"bad index word {s} for degree {degree}")
+        _set = object.__setattr__
+        _set(self, "degree", degree)
+        _set(self, "components", components)
 
     @classmethod
     def _trusted(cls, degree: int, components: dict) -> "DiffForm":
@@ -60,12 +61,26 @@ class DiffForm:
         object.__setattr__(form, "components", components)
         return form
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DiffForm is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DiffForm is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return DiffForm, (self.degree, self.components)
+
     def __bool__(self) -> bool:
         return bool(self.components)
 
     def __eq__(self, other):
         return (isinstance(other, DiffForm) and self.degree == other.degree
                 and self.components == other.components)
+
+    __hash__ = None  # the components are a dict
+
+    def __repr__(self):
+        return f"DiffForm(degree={self.degree!r}, components={self.components!r})"
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
         if self.degree != other.degree:
@@ -362,8 +377,7 @@ def kernel_is_scalars(basis, n: int) -> bool:
 
 # -- integral-form coefficients -------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
+class ClosedFormCheck(NamedTuple):
     degree: int
     subset: tuple
     closed_a: object
@@ -372,8 +386,7 @@ class ClosedFormCheck:
     matches_constructive: bool
 
 
-@dataclass(frozen=True)
-class IntegralFormCoefficients:
+class IntegralFormCoefficients(NamedTuple):
     """Scalars A[(k, S)] and Abar[(k, T)] such that the barred complement form
     wedge the unbarred form recovers the volume form at every level."""
 
@@ -449,8 +462,7 @@ def integral_form_coefficients(ctx: CalculusContext) -> IntegralFormCoefficients
     return IntegralFormCoefficients(a, abar, tuple(checks))
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(NamedTuple):
     max_degree: int
     samples: int
     failures: tuple

@@ -9,7 +9,7 @@ generators x, y, z = 1, 2, 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Presentation
 from .diffusion import DIFFUSION_LABELS, DiffusionPresentation, DiffusionType
@@ -77,8 +77,7 @@ def three_dim_class(label: str, field=QQ, alpha=2, beta=3, gamma=5,
     return from_display(field, alpha, beta, gamma, lam, mu, nu)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str
     params: dict
     presentation: Presentation

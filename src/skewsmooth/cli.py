@@ -286,58 +286,64 @@ def _cmd_verify_identities(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_JSON = ("--json", {"action": "store_true"})
+_FILE = ("file", {})
+
+# The subcommands: name -> (help, handler name, arguments), each argument its
+# name or flag and the keywords of ``add_argument``.  The handler is looked up
+# when a parser is built, so a replaced ``_cmd_*`` is the one that runs.
+_COMMANDS = {
+    "smooth": ("decide sufficient differential smoothness", "_cmd_smooth",
+               (_FILE, ("--gkdim", {"type": int, "default": None}), _JSON)),
+    "classify3d": ("match a three-generator presentation against the fifteen "
+                   "standard shapes", "_cmd_classify3d", (_FILE, _JSON)),
+    "calculus": ("build and check the differential calculus", "_cmd_calculus",
+                 (_FILE, ("--max-degree", {"type": int, "required": True}),
+                  ("--verify-integrability", {"type": int, "default": 0, "metavar": "S"}),
+                  _JSON)),
+    "diffusion-classify": ("nine-family classification of a three-generator "
+                           "diffusion presentation", "_cmd_diffusion_classify",
+                           (_FILE, _JSON)),
+    "verify-identities": ("ladder recurrences, power commutation, determinant "
+                          "identities", "_cmd_verify_identities",
+                          (("--n-max", {"type": int, "default": 6}),
+                           ("--samples", {"type": int, "default": 20}),
+                           ("--seed", {"type": int, "default": 0}), _JSON)),
+    "pbw-check": ("overlap (diamond) report", "_cmd_pbw_check", (_FILE, _JSON)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with ``command`` alone.
+
+    A one-subcommand parser parses that subcommand exactly as the full one
+    does.  Its subcommand metavar lists every name, so the usage line it
+    prints with an unrecognized argument is the full parser's too.  Only the
+    full parser can print the top-level help or the errors for a missing or
+    unknown subcommand, which list the names as choices.
+    """
     parser = argparse.ArgumentParser(
         prog="skewsmooth",
         description="Exact smoothness certificates and identity verification "
                     "for quasi-commutation and diffusion-type algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("smooth", help="decide sufficient differential smoothness")
-    p.add_argument("file")
-    p.add_argument("--gkdim", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_smooth)
-
-    p = sub.add_parser("classify3d", help="match a three-generator presentation "
-                                          "against the fifteen standard shapes")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify3d)
-
-    p = sub.add_parser("calculus", help="build and check the differential calculus")
-    p.add_argument("file")
-    p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
-    p.add_argument("--verify-integrability", type=int, default=0,
-                   dest="verify_integrability", metavar="S")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_calculus)
-
-    p = sub.add_parser("diffusion-classify", help="nine-family classification "
-                                                  "of a three-generator diffusion presentation")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_diffusion_classify)
-
-    p = sub.add_parser("verify-identities", help="ladder recurrences, power "
-                                                 "commutation, determinant identities")
-    p.add_argument("--n-max", type=int, default=6, dest="n_max")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify_identities)
-
-    p = sub.add_parser("pbw-check", help="overlap (diamond) report")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_pbw_check)
-
+    if command is None:
+        names, metavar = tuple(_COMMANDS), None
+    else:
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (SkewSmoothError, OSError) as exc:

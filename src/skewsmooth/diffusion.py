@@ -7,10 +7,10 @@ classifier, and the degree-one endomorphism/derivation matrix checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import NcPoly, Ordering, PairRule, Presentation
@@ -52,43 +52,67 @@ class DiffusionType(str, Enum):
     TYPE2 = "type2"      # the x parameters are central generators
 
 
-@dataclass(frozen=True)
 class DiffusionPresentation:
     """n generators D_1..D_n with lambda_ij D_i D_j - lambda_ji D_j D_i =
     x_j D_i - x_i D_j for i < j; forward coefficients must be nonzero.
     Lambda keys are pairs i != j in 1..n (a missing one is zero), and type 1
-    takes exactly n x scalars; type 2 ignores ``x``."""
+    takes exactly n x scalars; type 2 ignores ``x``.  Immutable: assigning
+    an attribute raises."""
 
-    n: int
-    dtype: DiffusionType
-    lambdas: dict
-    x: tuple = ()
-    field: object = QQ
+    __slots__ = ("n", "dtype", "lambdas", "x", "field")
 
-    def __post_init__(self):
+    def __init__(self, n: int, dtype: DiffusionType, lambdas: dict, x: tuple = (),
+                 field=QQ):
         lams = {}
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
                 if i != j:
-                    lams[(i, j)] = self.field.coerce(self.lambdas.get((i, j), 0))
-        stray = [key for key in self.lambdas if key not in lams]
+                    lams[(i, j)] = field.coerce(lambdas.get((i, j), 0))
+        stray = [key for key in lambdas if key not in lams]
         if stray:
             raise MismatchedArityError(
-                f"lambda keys {stray} are not pairs i != j in 1..{self.n}")
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
+                f"lambda keys {stray} are not pairs i != j in 1..{n}")
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
                 if not lams[(i, j)]:
                     raise ZeroLambdaError(f"lambda_{i}{j} must be nonzero")
-        object.__setattr__(self, "lambdas", lams)
-        if self.dtype is DiffusionType.TYPE1:
-            xs = tuple(self.field.coerce(v) for v in self.x)
-            if len(xs) != self.n:
+        if dtype is DiffusionType.TYPE1:
+            xs = tuple(field.coerce(v) for v in x)
+            if len(xs) != n:
                 raise MismatchedArityError(
                     f"type-1 presentations need one x scalar per generator, "
-                    f"{self.n} in all, not {len(xs)}")
-            object.__setattr__(self, "x", xs)
+                    f"{n} in all, not {len(xs)}")
         else:
-            object.__setattr__(self, "x", ())
+            xs = ()
+        _set = object.__setattr__
+        _set(self, "n", n)
+        _set(self, "dtype", dtype)
+        _set(self, "lambdas", lams)
+        _set(self, "x", xs)
+        _set(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DiffusionPresentation is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DiffusionPresentation is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return DiffusionPresentation, self._key()
+
+    def _key(self) -> tuple:
+        return self.n, self.dtype, self.lambdas, self.x, self.field
+
+    def __eq__(self, other):
+        if other.__class__ is not DiffusionPresentation:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # the lambdas are a dict
+
+    def __repr__(self):
+        return (f"DiffusionPresentation(n={self.n!r}, dtype={self.dtype!r}, "
+                f"lambdas={self.lambdas!r}, x={self.x!r}, field={self.field!r})")
 
     def lam(self, i: int, j: int):
         return self.lambdas[(i, j)]
@@ -216,8 +240,7 @@ def pq_q(k: int, n: int, lam_ji):
     return comb(n, k - 1) * lam_ji ** (k - 1)
 
 
-@dataclass(frozen=True)
-class PQReport:
+class PQReport(NamedTuple):
     n_max: int
     samples: int
     checked: int
@@ -291,8 +314,7 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
 
 # -- power commutation identities --------------------------------------------
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     side: str                    # "right" or "left"
     dtype: DiffusionType
     n_max: int
@@ -457,26 +479,51 @@ def crosswalk_to_3d(label: str) -> str:
 
 # -- degree-one endomorphism and derivation matrices ---------------------------
 
-@dataclass(frozen=True)
 class SigmaCoefficients:
     """Coefficients of a linear endomorphism on D_1, D_2, x_1, x_2.
 
-    Each image is a 5-tuple (c_D1, c_D2, c_x1, c_x2, c_const).
+    Each image is a 5-tuple (c_D1, c_D2, c_x1, c_x2, c_const).  Immutable:
+    assigning an attribute raises.
     """
 
-    d1: tuple
-    d2: tuple
-    x1: tuple
-    x2: tuple
+    __slots__ = ("d1", "d2", "x1", "x2")
 
-    def __post_init__(self):
-        for img in (self.d1, self.d2, self.x1, self.x2):
+    def __init__(self, d1: tuple, d2: tuple, x1: tuple, x2: tuple):
+        for img in (d1, d2, x1, x2):
             if len(img) != 5:
                 raise IndexRangeError("each sigma image needs five coefficients")
+        _set = object.__setattr__
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "x1", x1)
+        _set(self, "x2", x2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SigmaCoefficients is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SigmaCoefficients is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return SigmaCoefficients, self._key()
+
+    def _key(self) -> tuple:
+        return self.d1, self.d2, self.x1, self.x2
+
+    def __eq__(self, other):
+        if other.__class__ is not SigmaCoefficients:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SigmaCoefficients(d1={self.d1!r}, d2={self.d2!r}, x1={self.x1!r}, "
+                f"x2={self.x2!r})")
 
 
-@dataclass(frozen=True)
-class AutCoeffMatrices:
+class AutCoeffMatrices(NamedTuple):
     """The degree-one coefficient matrix and its derived matrices."""
 
     field: object
@@ -543,8 +590,7 @@ def random_sigma(rng: random.Random, field=QQ, invertible: bool = True) -> Sigma
             return coeffs
 
 
-@dataclass(frozen=True)
-class DetIdentityReport:
+class DetIdentityReport(NamedTuple):
     samples: int
     failures: tuple
 
@@ -580,8 +626,7 @@ def verify_determinant_identities(samples: int = 20, seed: int = 0,
     return DetIdentityReport(samples, tuple(failures))
 
 
-@dataclass(frozen=True)
-class SigmaConstantsResult:
+class SigmaConstantsResult(NamedTuple):
     values: tuple
     unique: bool
 
@@ -596,8 +641,7 @@ def solve_sigma_constant_terms(m: AutCoeffMatrices) -> SigmaConstantsResult:
     return SigmaConstantsResult((field.zero,) * 4, unique=not ns)
 
 
-@dataclass(frozen=True)
-class DerivationConstantsReport:
+class DerivationConstantsReport(NamedTuple):
     status: str              # HYPOTHESIS_NOT_MET | SINGULAR | ZERO_CONSTANTS
     constants: tuple | None
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Presentation
 from .diffusion import DiffusionPresentation, DiffusionType, encode_presentation
@@ -51,8 +51,7 @@ _TERM_RE = re.compile(
 _SIGNED_TERM_RE = re.compile(r"(?P<signs>[-+\s]*)(?P<term>[^-+\s][^-+]*)")
 
 
-@dataclass(frozen=True)
-class AlgebraFile:
+class AlgebraFile(NamedTuple):
     name: str
     kind: str                      # skew | diffusion1 | diffusion2
     field: object

@@ -7,9 +7,8 @@ property ``respects_relations``.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .algebra import NcPoly, Presentation
 from .errors import MismatchedArityError, ZeroSlopeError
@@ -28,20 +27,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AffineEndo:
-    """Generator-wise affine map; all slopes must be nonzero."""
+    """Generator-wise affine map; all slopes must be nonzero.
 
-    slopes: tuple
-    shifts: tuple
-    # (g, power) -> power_image(g, power); outside equality, hash and repr
-    _powers: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    Immutable: assigning an attribute raises.  Equality, hash and repr read
+    the slopes and shifts only, not the ``power_image`` memo ``_powers``.
+    """
 
-    def __post_init__(self):
-        if len(self.slopes) != len(self.shifts):
+    __slots__ = ("slopes", "shifts", "_powers")
+
+    def __init__(self, slopes: tuple, shifts: tuple):
+        if len(slopes) != len(shifts):
             raise MismatchedArityError("slope/shift length mismatch")
-        if any(not s for s in self.slopes):
+        if any(not s for s in slopes):
             raise ZeroSlopeError("affine endomorphism with zero slope is not invertible")
+        _set = object.__setattr__
+        _set(self, "slopes", slopes)
+        _set(self, "shifts", shifts)
+        _set(self, "_powers", {})  # (g, power) -> power_image(g, power)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AffineEndo is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AffineEndo is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return AffineEndo, (self.slopes, self.shifts)
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineEndo:
+            return NotImplemented
+        return self.slopes == other.slopes and self.shifts == other.shifts
+
+    def __hash__(self):
+        return hash((self.slopes, self.shifts))
+
+    def __repr__(self):
+        return f"AffineEndo(slopes={self.slopes!r}, shifts={self.shifts!r})"
 
     @property
     def n(self) -> int:
@@ -136,15 +159,13 @@ def invert(endo: AffineEndo) -> AffineEndo:
     return AffineEndo(slopes, shifts)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     pair: tuple
     passed: bool
     residue: NcPoly
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     checks: tuple
 
     @property

@@ -18,8 +18,8 @@ code share as their one way to add sparse maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 __all__ = ["add_into", "eliminate", "sparse_nullspace", "rref", "rank", "nullspace",
            "solve_affine", "det", "AffineSolutionSet"]
@@ -150,8 +150,7 @@ def nullspace(field, rows, ncols=None):
     return [_dense(field, v, ncols) for v in sparse_nullspace(field, _sparse(rows), ncols)]
 
 
-@dataclass(frozen=True)
-class AffineSolutionSet:
+class AffineSolutionSet(NamedTuple):
     """Solutions of A x = b: a particular point plus a homogeneous basis.
 
     ``particular`` is None when the system is inconsistent.

@@ -13,9 +13,9 @@ rewriting engine before certifying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import Ordering, Presentation
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EquationCheck:
+class EquationCheck(NamedTuple):
     """One twist equation free of the diagonal unknowns, evaluated exactly."""
 
     name: str
@@ -124,8 +123,7 @@ class SolutionStatus(str, Enum):
     EMPTY = "EMPTY"
 
 
-@dataclass(frozen=True)
-class NuSystemSolution:
+class NuSystemSolution(NamedTuple):
     """Solution data of the per-generator system in (a_kk, b_kk)."""
 
     k: int
@@ -227,8 +225,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class SmoothnessVerdict:
+class SmoothnessVerdict(NamedTuple):
     verdict: Verdict
     gkdim: int
     witness: tuple | None = None       # the full twist family, one AffineEndo per generator
@@ -354,8 +351,7 @@ THREE_DIM_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     label: str
     parameters: dict
     header_ok: bool | None = None

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from math import comb
 
@@ -6,7 +10,7 @@ import pytest
 
 from skewsmooth.cli import (MAX_CALCULUS_DEGREE, MAX_CALCULUS_MONOMIALS, MAX_CALCULUS_N,
                             MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES, MAX_INTEGRABILITY_SAMPLES,
-                            _CALCULUS_SEED, main)
+                            _CALCULUS_SEED, _COMMANDS, build_parser, main)
 
 REFERENCE3 = """\
 name: reference3
@@ -163,13 +167,12 @@ def test_calculus_builds_the_kernel_once(files, capsys, monkeypatch):
 def test_calculus_normalization_wedges_the_table(files, capsys, monkeypatch, key):
     """One wrong Abar entry in the coefficient table makes the normalization
     check, which wedges the table's forms, report false."""
-    from dataclasses import replace
     from skewsmooth import calculus
     original = calculus.integral_form_coefficients
 
     def corrupted(ctx):
         coeffs = original(ctx)
-        return replace(coeffs, abar={**coeffs.abar, key: coeffs.abar[key] * 2})
+        return coeffs._replace(abar={**coeffs.abar, key: coeffs.abar[key] * 2})
 
     monkeypatch.setattr(calculus, "integral_form_coefficients", corrupted)
     code, out, _ = run(capsys, "calculus", files["reference3"], "--max-degree", "1", "--json")
@@ -351,3 +354,57 @@ def test_huge_generator_count_is_a_quick_input_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "line 2" in err
+
+
+# Calls that end in argparse: help, and each kind of usage error.  "FILE"
+# stands for a presentation file.
+USAGE_CASES = [
+    ["--help"], ["-h", "smooth"], [], ["bogus"],
+    *([name, "--help"] for name in _COMMANDS),
+    ["calculus", "FILE"], ["calculus", "FILE", "--max-degree", "q"],
+    ["smooth", "FILE", "--bogus"], ["verify-identities", "--n-max"],
+]
+
+
+def exit_outcome(capsys, call):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+def test_usage_output_is_the_full_parsers(files, capsys, argv):
+    """``main`` builds one subcommand's parser when the first argument names
+    it; what argparse prints and the exit status equal the full tree's."""
+    argv = [files["reference3"] if arg == "FILE" else arg for arg in argv]
+    got = exit_outcome(capsys, lambda: main(list(argv)))
+    want = exit_outcome(capsys, lambda: build_parser().parse_args(list(argv)))
+    assert got == want
+    assert want[1] or want[2]
+
+
+def test_subcommand_errors_name_the_argument_command(capsys):
+    """A missing or unknown subcommand is reported as ``command`` with the
+    names as choices, not under the metavar of a one-subcommand parser."""
+    choices = ", ".join(f"'{name}'" for name in _COMMANDS)
+    _, _, err = exit_outcome(capsys, lambda: main(["bogus"]))
+    assert err.endswith(f"error: argument command: invalid choice: 'bogus' "
+                        f"(choose from {choices})\n")
+    _, _, err = exit_outcome(capsys, lambda: main([]))
+    assert err.endswith("error: the following arguments are required: command\n")
+
+
+def test_console_entry_point_reads_sys_argv(files, capsys, monkeypatch):
+    """``python -m skewsmooth.cli`` parses ``sys.argv``, as the console
+    script does, and prints what an in-process call prints."""
+    import skewsmooth
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(skewsmooth.__file__).resolve().parent.parent))
+    argv = ["smooth", files["reference3"], "--gkdim", "3", "--json"]
+    for args, want in [(argv, run(capsys, *argv)),
+                       (["--help"], exit_outcome(capsys, lambda: main(["--help"])))]:
+        proc = subprocess.run([sys.executable, "-m", "skewsmooth.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 from math import comb
@@ -433,7 +432,7 @@ class TestMatrices:
             m = build(*args, **kwargs)
             rows = [list(r) for r in getattr(m, name)]
             rows[1][2] += 1
-            return dataclasses.replace(m, **{name: tuple(map(tuple, rows))})
+            return m._replace(**{name: tuple(map(tuple, rows))})
 
         monkeypatch.setattr(diffusion, "build_aut_matrices", perturbed)
         report = verify_determinant_identities(samples=20, seed=0)

@@ -1,7 +1,17 @@
 """The shortcuts that skip known work, each against an independent oracle over
 Q, F_5 and F_101: constant factors in ``multiply``, the per-pair tail table,
 the shift-compatibility test in ``commute``, the memoised powers of a twist,
-and the per-context basis sorts and monomial lists."""
+and the per-context basis sorts and monomial lists.  Also what keeps the fixed
+cost of a CLI call down: no module-level table that grows, no
+``dataclasses`` import, and slotted records that still refuse assignment
+and copy and pickle equal."""
+
+import copy
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +21,11 @@ import skewsmooth
 from skewsmooth import (algebra, calculus, catalog, cli, diffusion, dsl, endos, errors, linalg,
                         scalars, smoothness)
 from skewsmooth.algebra import NcPoly, Ordering, PairRule, Presentation
-from skewsmooth.calculus import (CalculusContext, d_squared_failures,
+from skewsmooth.calculus import (CalculusContext, DiffForm, d_squared_failures,
                                  integral_form_coefficients, kernel_of_d_bounded,
                                  _monomials_up_to)
 from skewsmooth.catalog import three_dim_class
+from skewsmooth.diffusion import DiffusionPresentation, DiffusionType, SigmaCoefficients
 from skewsmooth.endos import AffineEndo, _univariate_image, commute
 from skewsmooth.errors import MismatchedArityError, NonDiagonalTailError
 from skewsmooth.scalars import QQ, PrimeField
@@ -260,10 +271,51 @@ def module_containers():
 
 
 def test_no_module_level_table_grows(tmp_path, capsys):
-    path = tmp_path / "plane.alg"
-    path.write_text("kind: skew\nfield: Q\nn: 3\nx1*x2 - x2*x1 = x1\n")
+    plane = tmp_path / "plane.alg"
+    plane.write_text("kind: skew\nfield: Q\nn: 3\nx1*x2 - x2*x1 = x1\n")
+    diffusion_file = tmp_path / "diffusion.alg"
+    diffusion_file.write_text("kind: diffusion1\nfield: Q\nn: 3\nlambda 1 2 = 2\n"
+                              "lambda 1 3 = 3\nlambda 2 3 = 4\nx 1 = 1\nx 2 = 2\nx 3 = 3\n")
+    calls = [["smooth", str(plane)],
+             ["classify3d", str(plane)],
+             ["calculus", str(plane), "--max-degree", "4", "--verify-integrability", "1"],
+             ["diffusion-classify", str(diffusion_file)],
+             ["verify-identities", "--n-max", "3", "--samples", "2"],
+             ["pbw-check", str(diffusion_file)]]
+    assert [argv[0] for argv in calls] == list(cli._COMMANDS)
     before = module_containers()
-    assert cli.main(["calculus", str(path), "--max-degree", "4",
-                     "--verify-integrability", "1", "--json"]) == 0
+    for argv in calls:
+        assert cli.main(argv + ["--json"]) == 0, argv
     capsys.readouterr()
     assert module_containers() == before
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Importing the package and its CLI in a fresh process adds neither
+    module, each of which costs every CLI process import time and memory."""
+    probe = ("import sys; before = set(sys.modules); import skewsmooth, skewsmooth.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(skewsmooth.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineEndo((QQ.coerce(2), QQ.one), (QQ.one, QQ.zero)),
+    lambda: DiffForm(1, {(2,): NcPoly({(1, 0): QQ.coerce(3)})}),
+    lambda: DiffusionPresentation(2, DiffusionType.TYPE1, {(1, 2): 2, (2, 1): 1}, (1, 3)),
+    lambda: SigmaCoefficients(*((QQ.zero,) * g + (QQ.one,) + (QQ.zero,) * (4 - g)
+                                for g in range(4))),
+], ids=["AffineEndo", "DiffForm", "DiffusionPresentation", "SigmaCoefficients"])
+def test_slotted_records_refuse_assignment_and_copy_equal(make):
+    record = make()
+    name = type(record).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    for got in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(got) is type(record) and got == record and repr(got) == repr(record)
