@@ -16,6 +16,7 @@ from . import linalg
 from .algebra import NcPoly, Ordering, PairRule, Presentation
 from .errors import (IndexRangeError, MismatchedArityError, SingularMatrixError,
                      ZeroLambdaError)
+from .frozen import Frozen
 from .scalars import QQ
 
 __all__ = [
@@ -52,14 +53,14 @@ class DiffusionType(str, Enum):
     TYPE2 = "type2"      # the x parameters are central generators
 
 
-class DiffusionPresentation:
+class DiffusionPresentation(Frozen):
     """n generators D_1..D_n with lambda_ij D_i D_j - lambda_ji D_j D_i =
     x_j D_i - x_i D_j for i < j; forward coefficients must be nonzero.
     Lambda keys are pairs i != j in 1..n (a missing one is zero), and type 1
     takes exactly n x scalars; type 2 ignores ``x``.  Immutable: assigning
     an attribute raises."""
 
-    __slots__ = ("n", "dtype", "lambdas", "x", "field")
+    __slots__ = _fields = ("n", "dtype", "lambdas", "x", "field")
 
     def __init__(self, n: int, dtype: DiffusionType, lambdas: dict, x: tuple = (),
                  field=QQ):
@@ -84,35 +85,9 @@ class DiffusionPresentation:
                     f"{n} in all, not {len(xs)}")
         else:
             xs = ()
-        _set = object.__setattr__
-        _set(self, "n", n)
-        _set(self, "dtype", dtype)
-        _set(self, "lambdas", lams)
-        _set(self, "x", xs)
-        _set(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DiffusionPresentation is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"DiffusionPresentation is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return DiffusionPresentation, self._key()
-
-    def _key(self) -> tuple:
-        return self.n, self.dtype, self.lambdas, self.x, self.field
-
-    def __eq__(self, other):
-        if other.__class__ is not DiffusionPresentation:
-            return NotImplemented
-        return self._key() == other._key()
+        self._assign(n, dtype, lams, xs, field)
 
     __hash__ = None  # the lambdas are a dict
-
-    def __repr__(self):
-        return (f"DiffusionPresentation(n={self.n!r}, dtype={self.dtype!r}, "
-                f"lambdas={self.lambdas!r}, x={self.x!r}, field={self.field!r})")
 
     def lam(self, i: int, j: int):
         return self.lambdas[(i, j)]
@@ -479,48 +454,21 @@ def crosswalk_to_3d(label: str) -> str:
 
 # -- degree-one endomorphism and derivation matrices ---------------------------
 
-class SigmaCoefficients:
+class SigmaCoefficients(Frozen):
     """Coefficients of a linear endomorphism on D_1, D_2, x_1, x_2.
 
     Each image is a 5-tuple (c_D1, c_D2, c_x1, c_x2, c_const).  Immutable:
     assigning an attribute raises.
     """
 
-    __slots__ = ("d1", "d2", "x1", "x2")
+    __slots__ = _fields = ("d1", "d2", "x1", "x2")
 
     def __init__(self, d1: tuple, d2: tuple, x1: tuple, x2: tuple):
-        for img in (d1, d2, x1, x2):
+        images = tuple(map(tuple, (d1, d2, x1, x2)))
+        for img in images:
             if len(img) != 5:
                 raise IndexRangeError("each sigma image needs five coefficients")
-        _set = object.__setattr__
-        _set(self, "d1", d1)
-        _set(self, "d2", d2)
-        _set(self, "x1", x1)
-        _set(self, "x2", x2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SigmaCoefficients is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SigmaCoefficients is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return SigmaCoefficients, self._key()
-
-    def _key(self) -> tuple:
-        return self.d1, self.d2, self.x1, self.x2
-
-    def __eq__(self, other):
-        if other.__class__ is not SigmaCoefficients:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"SigmaCoefficients(d1={self.d1!r}, d2={self.d2!r}, x1={self.x1!r}, "
-                f"x2={self.x2!r})")
+        self._assign(*images)
 
 
 class AutCoeffMatrices(NamedTuple):

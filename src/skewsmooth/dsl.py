@@ -235,7 +235,7 @@ def parse_file(path: str) -> AlgebraFile:
         return parse(fh.read())
 
 
-def _linear_text(tail: dict, const, n: int) -> str:
+def _linear_text(tail: dict, const) -> str:
     bits = []
     for g in sorted(tail):
         c = tail[g]
@@ -265,7 +265,7 @@ def emit(alg: AlgebraFile) -> str:
             if rule.quad == pres.field.one and not tail and not const:
                 continue
             lines.append(f"x{i}*x{j} - {rule.quad}*x{j}*x{i} = "
-                         + _linear_text(tail, const, pres.n))
+                         + _linear_text(tail, const))
     else:
         dp: DiffusionPresentation = alg.payload
         for i in range(1, dp.n + 1):

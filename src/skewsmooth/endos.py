@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 from .algebra import NcPoly, Presentation
 from .errors import MismatchedArityError, ZeroSlopeError
+from .frozen import Frozen
 from .linalg import add_into
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-class AffineEndo:
+class AffineEndo(Frozen):
     """Generator-wise affine map; all slopes must be nonzero.
 
     Immutable: assigning an attribute raises.  Equality, hash and repr read
@@ -35,36 +36,16 @@ class AffineEndo:
     """
 
     __slots__ = ("slopes", "shifts", "_powers")
+    _fields = ("slopes", "shifts")
 
     def __init__(self, slopes: tuple, shifts: tuple):
+        slopes, shifts = tuple(slopes), tuple(shifts)
         if len(slopes) != len(shifts):
             raise MismatchedArityError("slope/shift length mismatch")
         if any(not s for s in slopes):
             raise ZeroSlopeError("affine endomorphism with zero slope is not invertible")
-        _set = object.__setattr__
-        _set(self, "slopes", slopes)
-        _set(self, "shifts", shifts)
-        _set(self, "_powers", {})  # (g, power) -> power_image(g, power)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AffineEndo is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"AffineEndo is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return AffineEndo, (self.slopes, self.shifts)
-
-    def __eq__(self, other):
-        if other.__class__ is not AffineEndo:
-            return NotImplemented
-        return self.slopes == other.slopes and self.shifts == other.shifts
-
-    def __hash__(self):
-        return hash((self.slopes, self.shifts))
-
-    def __repr__(self):
-        return f"AffineEndo(slopes={self.slopes!r}, shifts={self.shifts!r})"
+        self._assign(slopes, shifts)
+        object.__setattr__(self, "_powers", {})  # (g, power) -> power_image(g, power)
 
     @property
     def n(self) -> int:

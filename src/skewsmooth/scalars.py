@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import BadCharacteristicError
+from .frozen import Frozen
 
 __all__ = ["QQ", "RationalField", "PrimeField", "FpElement", "field_from_name"]
 
@@ -52,7 +53,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class FpElement:
+class FpElement(Frozen):
     """A residue modulo a prime, normalized to 0..p-1.
 
     Immutable: assigning an attribute raises.  Results of arithmetic are
@@ -60,20 +61,11 @@ class FpElement:
     class skip the int lift.
     """
 
-    __slots__ = ("value", "p")
+    __slots__ = _fields = ("value", "p")
 
     def __init__(self, value: int, p: int):
         _set_value(self, value)
         _set_p(self, p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FpElement is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"FpElement is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return FpElement, (self.value, self.p)
 
     # The (numerator, denominator) split of ``Fraction``: integer code that
     # reads it, such as ``diffusion.pq_p``, runs unchanged over Q and F_p.

@@ -4,12 +4,14 @@ the shift-compatibility test in ``commute``, the memoised powers of a twist,
 and the per-context basis sorts and monomial lists.  Also what keeps the fixed
 cost of a CLI call down: no module-level table that grows, no
 ``dataclasses`` import, and slotted records that still refuse assignment
-and copy and pickle equal."""
+and copy and pickle equal, with the refusal and pickling in one base class."""
 
 import copy
+import importlib
 import os
 import pathlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 
@@ -18,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewsmooth
-from skewsmooth import (algebra, calculus, catalog, cli, diffusion, dsl, endos, errors, linalg,
-                        scalars, smoothness)
+from skewsmooth import (algebra, calculus, catalog, cli, diffusion, dsl, endos, errors, frozen,
+                        linalg, scalars, smoothness)
 from skewsmooth.algebra import NcPoly, Ordering, PairRule, Presentation
 from skewsmooth.calculus import (CalculusContext, DiffForm, d_squared_failures,
                                  integral_form_coefficients, kernel_of_d_bounded,
@@ -28,7 +30,8 @@ from skewsmooth.catalog import three_dim_class
 from skewsmooth.diffusion import DiffusionPresentation, DiffusionType, SigmaCoefficients
 from skewsmooth.endos import AffineEndo, _univariate_image, commute
 from skewsmooth.errors import MismatchedArityError, NonDiagonalTailError
-from skewsmooth.scalars import QQ, PrimeField
+from skewsmooth.frozen import Frozen
+from skewsmooth.scalars import QQ, FpElement, PrimeField
 from skewsmooth.smoothness import Verdict, decide
 
 from helpers import compose_commute, naive_basis_sort, naive_product, naive_tail_vector
@@ -263,7 +266,7 @@ def module_containers():
     """Size of every module-level dict, list and set of the package."""
     sizes = {}
     for mod in (skewsmooth, algebra, calculus, catalog, cli, diffusion, dsl, endos,
-                errors, linalg, scalars, smoothness):
+                errors, frozen, linalg, scalars, smoothness):
         for name, value in vars(mod).items():
             if isinstance(value, (dict, list, set)) and not name.startswith("__"):
                 sizes[(mod.__name__, name)] = len(value)
@@ -303,19 +306,79 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("make", [
-    lambda: AffineEndo((QQ.coerce(2), QQ.one), (QQ.one, QQ.zero)),
-    lambda: DiffForm(1, {(2,): NcPoly({(1, 0): QQ.coerce(3)})}),
-    lambda: DiffusionPresentation(2, DiffusionType.TYPE1, {(1, 2): 2, (2, 1): 1}, (1, 3)),
-    lambda: SigmaCoefficients(*((QQ.zero,) * g + (QQ.one,) + (QQ.zero,) * (4 - g)
-                                for g in range(4))),
-], ids=["AffineEndo", "DiffForm", "DiffusionPresentation", "SigmaCoefficients"])
-def test_slotted_records_refuse_assignment_and_copy_equal(make):
+def _q(*values):
+    return "(" + ", ".join(f"Fraction({v}, 1)" for v in values) + ")"
+
+
+@pytest.mark.parametrize("make, text, refusal", [
+    pytest.param(lambda: AffineEndo((QQ.coerce(2), QQ.one), (QQ.one, QQ.zero)),
+                 f"AffineEndo(slopes={_q(2, 1)}, shifts={_q(1, 0)})",
+                 "AffineEndo is immutable: cannot {} 'slopes'", id="AffineEndo"),
+    pytest.param(lambda: DiffForm(1, {(2,): NcPoly({(1, 0): QQ.coerce(3)})}),
+                 "DiffForm(degree=1, components={(2,): NcPoly((3)*x1)})",
+                 "DiffForm is immutable: cannot {} 'degree'", id="DiffForm"),
+    pytest.param(lambda: DiffusionPresentation(2, DiffusionType.TYPE1, {(1, 2): 2, (2, 1): 1},
+                                               (1, 3)),
+                 "DiffusionPresentation(n=2, dtype=<DiffusionType.TYPE1: 'type1'>, "
+                 "lambdas={(1, 2): Fraction(2, 1), (2, 1): Fraction(1, 1)}, "
+                 f"x={_q(1, 3)}, field=QQ)",
+                 "DiffusionPresentation is immutable: cannot {} 'n'", id="DiffusionPresentation"),
+    pytest.param(lambda: SigmaCoefficients(*((QQ.zero,) * g + (QQ.one,) + (QQ.zero,) * (4 - g)
+                                             for g in range(4))),
+                 f"SigmaCoefficients(d1={_q(1, 0, 0, 0, 0)}, d2={_q(0, 1, 0, 0, 0)}, "
+                 f"x1={_q(0, 0, 1, 0, 0)}, x2={_q(0, 0, 0, 1, 0)})",
+                 "SigmaCoefficients is immutable: cannot {} 'd1'", id="SigmaCoefficients"),
+    pytest.param(lambda: PrimeField(7).coerce(-4), "3",
+                 "FpElement is immutable: cannot {} 'value'", id="FpElement"),
+])
+def test_slotted_records_refuse_assignment_and_copy_equal(make, text, refusal):
     record = make()
+    assert repr(record) == text
     name = type(record).__slots__[0]
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError) as refused:
         setattr(record, name, getattr(record, name))
-    with pytest.raises(AttributeError):
+    assert str(refused.value) == refusal.format("set")
+    with pytest.raises(AttributeError) as refused:
         delattr(record, name)
+    assert str(refused.value) == refusal.format("delete")
+    with pytest.raises(AttributeError) as refused:
+        record.stray = 1
+    assert str(refused.value).endswith(" is immutable: cannot set 'stray'")
     for got in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(got) is type(record) and got == record and repr(got) == repr(record)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seq: AffineEndo(seq([QQ.coerce(2), QQ.one]), seq([QQ.zero, QQ.one])),
+    lambda seq: SigmaCoefficients(*(seq([QQ.coerce(g)] * 5) for g in range(4))),
+], ids=["AffineEndo", "SigmaCoefficients"])
+def test_records_built_from_lists_equal_those_built_from_tuples(make):
+    """The sequences are stored as tuples: before, a record built from lists
+    was unequal to the one built from tuples and could not be hashed."""
+    from_lists, from_tuples = make(list), make(tuple)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert repr(from_lists) == repr(from_tuples)
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(skewsmooth.__path__, "skewsmooth."):
+        mod = importlib.import_module(info.name)
+        for value in vars(mod).values():
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                yield value
+
+
+def test_only_the_frozen_base_refuses_assignment_and_pickles():
+    """Immutability and pickling live in one class, ``frozen.Frozen``: no
+    other class of the package spells them out again."""
+    classes = set(_package_classes())
+    assert Frozen in classes and DiffForm in classes and FpElement in classes
+    copies = sorted(f"{cls.__module__}.{cls.__qualname__}.{method}"
+                    for cls in classes if cls is not Frozen
+                    for method in ("__setattr__", "__delattr__", "__reduce__")
+                    if method in vars(cls))
+    assert copies == []
+    for cls in classes:
+        if issubclass(cls, Frozen) and cls is not Frozen:
+            assert cls._fields and set(cls._fields) <= set(cls.__slots__), cls
