@@ -1,20 +1,24 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields F_p.
 
-Rationals are plain ``fractions.Fraction`` values (canonical lowest terms,
-positive denominator).  Prime-field elements are immutable wrappers around a
-reduced residue.  Both support ``+ - * / **`` and mix freely with Python ints,
-so field-generic code can use integer literals in formulas.
+Rationals are ``Rational`` values, a ``fractions.Fraction`` subclass (canonical
+lowest terms, positive denominator) whose arithmetic with ``Rational``,
+``Fraction`` and ``int`` operands works on the two integers directly.
+Prime-field elements are immutable wrappers around a reduced residue.  Both
+support ``+ - * / **`` and mix freely with Python ints, so field-generic code
+can use integer literals in formulas.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .errors import BadCharacteristicError
 from .frozen import Frozen
 
-__all__ = ["QQ", "RationalField", "PrimeField", "FpElement", "field_from_name"]
+__all__ = ["QQ", "RationalField", "Rational", "PrimeField", "FpElement",
+           "field_from_name"]
 
 
 # Miller-Rabin on the first 13 prime bases decides primality exactly for every
@@ -64,7 +68,7 @@ class FpElement(Frozen):
     __slots__ = _fields = ("value", "p")
 
     def __init__(self, value: int, p: int):
-        _set_value(self, value)
+        _set_value(self, value % p)
         _set_p(self, p)
 
     # The (numerator, denominator) split of ``Fraction``: integer code that
@@ -174,26 +178,197 @@ def _fp(value: int, p: int) -> FpElement:
     return x
 
 
+class Rational(Fraction):
+    """A ``Fraction`` whose arithmetic skips ``Fraction``'s operator dispatch.
+
+    ``+ - * / **``, negation, ``==`` and truth read ``Fraction``'s own
+    ``_numerator``/``_denominator`` slots when the other operand is a
+    ``Rational``, a plain ``Fraction`` or an ``int``, and build the reduced
+    result with ``_q``.  Any other operand (``bool``, ``float``,
+    ``complex``, another ``Fraction`` subclass) and a zero divisor go to
+    ``Fraction``'s own operator, so those results and errors are
+    ``Fraction``'s.  ``str``, ``hash``, ordering, pickling and the repr text
+    ``Fraction(n, d)`` are ``Fraction``'s as well.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __add__(a, b):
+        cls = b.__class__
+        if cls is Rational or cls is Fraction:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if cls is int:
+            return _sum(a._numerator, a._denominator, b, 1)
+        return Fraction.__add__(a, b)
+
+    # exact sums and products commute, and for bool, float and complex
+    # operands Fraction's forward operators give its reflected results, so
+    # one method serves both orders
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        cls = b.__class__
+        if cls is Rational or cls is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if cls is int:
+            return _sum(a._numerator, a._denominator, -b, 1)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(b, a):
+        cls = a.__class__
+        if cls is int:
+            return _sum(a, 1, -b._numerator, b._denominator)
+        if cls is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        return Fraction.__rsub__(b, a)
+
+    def __mul__(a, b):
+        cls = b.__class__
+        if cls is Rational or cls is Fraction:
+            return _prod(a._numerator, a._denominator, b._numerator, b._denominator)
+        if cls is int:
+            return _prod(a._numerator, a._denominator, b, 1)
+        return Fraction.__mul__(a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        cls = b.__class__
+        if cls is Rational or cls is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif cls is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__truediv__(a, b)
+        if nb > 0:
+            return _prod(a._numerator, a._denominator, db, nb)
+        if nb < 0:
+            return _prod(a._numerator, a._denominator, -db, -nb)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(b, a):
+        cls = a.__class__
+        if cls is int:
+            na, da = a, 1
+        elif cls is Fraction:
+            na, da = a._numerator, a._denominator
+        else:
+            return Fraction.__rtruediv__(b, a)
+        nb = b._numerator
+        if nb > 0:
+            return _prod(na, da, b._denominator, nb)
+        if nb < 0:
+            return _prod(na, da, -b._denominator, -nb)
+        return Fraction.__rtruediv__(b, a)
+
+    def __pow__(a, b):
+        cls = b.__class__
+        if cls is not int:
+            if (cls is not Rational and cls is not Fraction) or b._denominator != 1:
+                return Fraction.__pow__(a, b)
+            b = b._numerator
+        na, da = a._numerator, a._denominator
+        if b >= 0:
+            return _q(na ** b, da ** b)
+        if not na:
+            return Fraction.__pow__(a, b)
+        if na < 0:
+            na, da = -na, -da
+        return _q(da ** -b, na ** -b)
+
+    def __rpow__(b, a):
+        cls = a.__class__
+        if cls is int:
+            if b._denominator == 1 and b._numerator >= 0:
+                return a ** b._numerator
+            return _q(a, 1) ** b
+        if cls is Fraction:
+            return _q(a._numerator, a._denominator) ** b
+        return Fraction.__rpow__(b, a)
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __eq__(a, b):
+        cls = b.__class__
+        if cls is Rational or cls is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if cls is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    # defining __eq__ clears the inherited hash
+    __hash__ = Fraction.__hash__
+
+    def __bool__(a):
+        return a._numerator != 0
+
+
+def _q(n: int, d: int) -> Rational:
+    """A ``Rational`` for a pair already in lowest terms with ``d > 0``."""
+    x = _new(Rational)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Rational:
+    """na/da + nb/db for pairs in lowest terms, reduced with the gcd of the
+    denominators only (Knuth, TAOCP vol. 2, 4.5.1), as ``Fraction`` does."""
+    if db == 1:
+        return _q(na + nb * da, da)
+    if da == 1:
+        return _q(na * db + nb, db)
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _prod(na: int, da: int, nb: int, db: int) -> Rational:
+    """(na/da) * (nb/db) for pairs in lowest terms with positive denominators:
+    cancelling across the two pairs leaves the product reduced."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, da * db)
+
+
 class RationalField:
-    """The rationals; elements are ``Fraction`` instances."""
+    """The rationals; elements are ``Rational`` instances."""
 
     char = 0
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = _q(0, 1)
+    one = _q(1, 1)
 
-    def coerce(self, value) -> Fraction:
-        if isinstance(value, Fraction):
+    def coerce(self, value) -> Rational:
+        if value.__class__ is Rational:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return _q(value.numerator, value.denominator)
         if isinstance(value, str):
-            return Fraction(value)
+            return Rational(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
-    def random(self, rng: random.Random, height: int = 9) -> Fraction:
-        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    def random(self, rng: random.Random, height: int = 9) -> Rational:
+        num, den = rng.randint(-height, height), rng.randint(1, height)
+        g = gcd(num, den)
+        return _q(num // g, den // g)
 
     def random_nonzero(self, rng: random.Random, height: int = 9) -> Fraction:
         while True:

@@ -110,6 +110,13 @@ class TestFpElementContract:
         assert hash(x) == hash((v, p))
         assert bool(x) == (v != 0)
 
+    @pytest.mark.parametrize("value", [10, 3, -4, -11, 7 * 10 ** 20 + 3])
+    def test_public_constructor_reduces_the_value(self, value):
+        x = FpElement(value, 7)
+        assert x.value == 3
+        assert x == FpElement(3, 7) and x == 3 and 3 == x
+        assert hash(x) == hash(FpElement(3, 7)) == hash(PrimeField(7).coerce(value))
+
     def test_immutable(self):
         x = PrimeField(7).coerce(3)
         for name in ("value", "p", "other"):
