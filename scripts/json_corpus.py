@@ -9,6 +9,9 @@ The corpus is:
   instance of every diffusion family, over Q and F_101;
 - ``calculus --max-degree 5 --verify-integrability 1`` on the instances the
   catalog expects to be sufficiently smooth, over Q and F_101;
+- ``smooth`` on every instance of ``three_dim_grid()``, and ``calculus
+  --max-degree 5 --verify-integrability 1`` on the sufficiently smooth ones,
+  over F_(2^31 - 1) (``WORD_P``): a prime of the size the benchmark draws;
 - ``calculus --max-degree 7 --verify-integrability 2`` on the instances of
   ``three_dim_grid(PrimeField(7))`` the catalog expects to be sufficiently
   smooth: at degree 7 the binomials C(7, t) of the shifted twists vanish;
@@ -67,6 +70,7 @@ from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import Verdict
 
 FIELDS = (("q", QQ), ("p101", PrimeField(101)))
+WORD_P = PrimeField(2 ** 31 - 1)
 DEGREE_P = PrimeField(7)
 
 _SKEW = "kind: skew\nfield: Fp:7\nn: 3\n"
@@ -179,6 +183,18 @@ def main() -> int:
             for argv in commands:
                 _run(outdir, name, argv)
                 count += 1
+
+    for idx, entry in enumerate(three_dim_grid(WORD_P)):
+        name = f"skew-{idx:02d}-{entry.label}-p{WORD_P.p}"
+        pres = entry.presentation
+        path = _write_input(outdir, dsl.AlgebraFile(name, "skew", WORD_P, pres.n, pres))
+        commands = [["smooth", path]]
+        if entry.expected is Verdict.SMOOTH_SUFFICIENT:
+            commands.append(["calculus", path, "--max-degree", "5",
+                             "--verify-integrability", "1"])
+        for argv in commands:
+            _run(outdir, name, argv)
+            count += 1
 
     for idx, entry in enumerate(three_dim_grid(DEGREE_P)):
         if entry.expected is not Verdict.SMOOTH_SUFFICIENT:
