@@ -101,7 +101,10 @@ class CalculusContext:
                         f"twists for x_{a + 1} and x_{b + 1} do not commute")
         self.pres = pres
         self.nus = nus
-        self._composite_cache: dict = {(): identity_endo(pres.field, pres.n)}
+        # a single index is its own twist, which shares that twist's
+        # power_image memo with ladder, partial and left_act
+        self._composite_cache: dict = {(k,): nu for k, nu in enumerate(nus, 1)}
+        self._composite_cache[()] = identity_endo(pres.field, pres.n)
         self._ladders = [[{}] for _ in nus]  # _ladders[i - 1][a] = L_i(a)
         self._sort_cache: dict = {}      # basis word -> basis_sort(word)
         self._monomial_cache: dict = {}  # degree bound -> _monomials(bound)
@@ -112,7 +115,8 @@ class CalculusContext:
 
     def composite(self, indices) -> AffineEndo:
         """The twists of the index set composed in increasing order; each new
-        set is built from the cached composite of its longest cached prefix."""
+        set is built from the cached composite of its longest cached prefix.
+        The composite of one index k is the twist ``nus[k - 1]`` itself."""
         key = tuple(sorted(indices))
         cache = self._composite_cache
         if key not in cache:
@@ -145,7 +149,10 @@ class CalculusContext:
     def pi_omega(self, f: DiffForm) -> NcPoly:
         if f.degree != self.n:
             raise MismatchedArityError("coefficient extraction needs a top form")
-        return f.components.get(tuple(range(1, self.n + 1)), NcPoly.zero())
+        # dx_1 ^ ... ^ dx_n is the only basis word of a top form
+        for coeff in f.components.values():
+            return coeff
+        return NcPoly()
 
     # -- module structure ----------------------------------------------------
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Presentation
@@ -66,16 +65,17 @@ class AlgebraFile(NamedTuple):
 
 
 def _parse_scalar(text: str, line: int, col: int, field):
+    num, _, den = text.partition("/")
     try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise PresentationSyntaxError(f"scalar {text!r} has zero denominator", line, col)
+        num, den = int(num), int(den or 1)
     except ValueError:
         # ``text`` has the shape of _SCALAR_RE, so only int()'s digit limit is left
         raise PresentationSyntaxError(
             f"scalar has more than {sys.get_int_max_str_digits()} digits", line, col)
+    if not den:
+        raise PresentationSyntaxError(f"scalar {text!r} has zero denominator", line, col)
     try:
-        return field.coerce(value)
+        return field.ratio(num, den)
     except ZeroDivisionError:
         raise PresentationSyntaxError(
             f"scalar {text!r} has a denominator divisible by the characteristic {field.char}",

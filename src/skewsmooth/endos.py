@@ -104,7 +104,11 @@ def apply_endo(endo: AffineEndo, p: NcPoly, pres: Presentation) -> NcPoly:
                     image = {e[:g] + (t,) + e[g + 1:]: coeff * u
                              for e, coeff in image.items() for t, u in uni.items()}
         add_into(out, image)
-    return NcPoly(out)
+    # a product of nonzero scalars is nonzero and add_into drops what cancels,
+    # so ``out`` holds no zero coefficient and needs no filtering copy
+    res = NcPoly.__new__(NcPoly)
+    res.terms = out
+    return res
 
 
 def compose(e1: AffineEndo, e2: AffineEndo) -> AffineEndo:

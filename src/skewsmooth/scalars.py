@@ -3,9 +3,16 @@
 Rationals are ``Rational`` values, a ``fractions.Fraction`` subclass (canonical
 lowest terms, positive denominator) whose arithmetic with ``Rational``,
 ``Fraction`` and ``int`` operands works on the two integers directly.
-Prime-field elements are immutable wrappers around a reduced residue.  Both
+Prime-field elements are immutable wrappers around a reduced residue, with
+the same direct arithmetic on ``FpElement`` and ``int`` operands; an inverse
+is one ``pow(v, -1, p)`` (extended Euclid), not a Fermat power.  Both kinds
 support ``+ - * / **`` and mix freely with Python ints, so field-generic code
-can use integer literals in formulas.
+can use integer literals in formulas.  A field's ``ratio(num, den)`` builds
+the element num/den from two ints in one step.
+
+A modulus is accepted only when it is proven prime: deterministic
+Miller-Rabin on bases proven exact below a bound, three bases for every
+modulus below 2^32.
 """
 
 from __future__ import annotations
@@ -21,9 +28,13 @@ __all__ = ["QQ", "RationalField", "Rational", "PrimeField", "FpElement",
            "field_from_name"]
 
 
-# Miller-Rabin on the first 13 prime bases decides primality exactly for every
-# n below this bound, which is the least strong pseudoprime to all of them
-# (Sorenson & Webster, Math. Comp. 86, 2017).
+# Miller-Rabin decides primality exactly on a fixed base set below the least
+# strong pseudoprime to all of its bases: bases 2, 7 and 61 below 4,759,123,141
+# (Jaeschke, Math. Comp. 61, 1993), which covers every 31-bit prime, and the
+# first 13 prime bases below _MR_LIMIT (Sorenson & Webster, Math. Comp. 86,
+# 2017).
+_MR_SMALL_BASES = (2, 7, 61)
+_MR_SMALL_LIMIT = 4759123141
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
@@ -44,7 +55,11 @@ def _is_prime(p: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_SMALL_BASES if p < _MR_SMALL_LIMIT else _MR_BASES:
+        # a multiple of p says nothing; after the trial division that is
+        # only the base 61 at p = 61
+        if a % p == 0:
+            continue
         x = pow(a, d, p)
         if x == 1 or x == p - 1:
             continue
@@ -61,8 +76,9 @@ class FpElement(Frozen):
     """A residue modulo a prime, normalized to 0..p-1.
 
     Immutable: assigning an attribute raises.  Results of arithmetic are
-    built by ``_fp`` from already reduced residues; operands of the same
-    class skip the int lift.
+    built by ``_fp`` from already reduced residues; a residue for the same
+    prime or an ``int`` operand is read directly, and division multiplies by
+    the inverse ``pow(v, -1, p)``.
     """
 
     __slots__ = _fields = ("value", "p")
@@ -90,12 +106,18 @@ class FpElement(Frozen):
             return _fp(other % self.p, self.p)
         return NotImplemented
 
+    # Operands other than a same-prime residue or an int go through
+    # ``_lift``, which refuses a residue for another prime.
     def __add__(self, other):
         p = self.p
-        if other.__class__ is not FpElement or other.p != p:
-            other = self._lift(other)
-            if other is NotImplemented:
-                return NotImplemented
+        cls = other.__class__
+        if cls is FpElement and other.p == p:
+            return _fp((self.value + other.value) % p, p)
+        if cls is int:
+            return _fp((self.value + other) % p, p)
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         return _fp((self.value + other.value) % p, p)
 
     __radd__ = __add__
@@ -105,32 +127,48 @@ class FpElement(Frozen):
 
     def __sub__(self, other):
         p = self.p
-        if other.__class__ is not FpElement or other.p != p:
-            other = self._lift(other)
-            if other is NotImplemented:
-                return NotImplemented
+        cls = other.__class__
+        if cls is FpElement and other.p == p:
+            return _fp((self.value - other.value) % p, p)
+        if cls is int:
+            return _fp((self.value - other) % p, p)
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         return _fp((self.value - other.value) % p, p)
 
     def __rsub__(self, other):
-        return (-self) + other
+        p = self.p
+        if other.__class__ is int:
+            return _fp((other - self.value) % p, p)
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _fp((other.value - self.value) % p, p)
 
     def __mul__(self, other):
         p = self.p
-        if other.__class__ is not FpElement or other.p != p:
-            other = self._lift(other)
-            if other is NotImplemented:
-                return NotImplemented
+        cls = other.__class__
+        if cls is FpElement and other.p == p:
+            return _fp(self.value * other.value % p, p)
+        if cls is int:
+            return _fp(self.value * other % p, p)
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         return _fp(self.value * other.value % p, p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.value == 0:
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.value:
             raise ZeroDivisionError("division by zero residue")
-        return self * other.inverse()
+        return _fp(self.value * pow(other.value, -1, p) % p, p)
 
     def __rtruediv__(self, other):
         lifted = self._lift(other)
@@ -146,7 +184,7 @@ class FpElement(Frozen):
     def inverse(self) -> "FpElement":
         if self.value == 0:
             raise ZeroDivisionError("zero residue has no inverse")
-        return _fp(pow(self.value, self.p - 2, self.p), self.p)
+        return _fp(pow(self.value, -1, self.p), self.p)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -365,12 +403,23 @@ class RationalField:
             return Rational(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
+    def ratio(self, num: int, den: int) -> Rational:
+        """num/den in lowest terms; ``ZeroDivisionError`` if den is 0."""
+        if den == 1:
+            return _q(num, 1)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        return _q(num // g, den // g)
+
     def random(self, rng: random.Random, height: int = 9) -> Rational:
         num, den = rng.randint(-height, height), rng.randint(1, height)
         g = gcd(num, den)
         return _q(num // g, den // g)
 
-    def random_nonzero(self, rng: random.Random, height: int = 9) -> Fraction:
+    def random_nonzero(self, rng: random.Random, height: int = 9) -> Rational:
         while True:
             x = self.random(rng, height)
             if x:
@@ -412,13 +461,20 @@ class PrimeField:
         if isinstance(value, int):
             return _fp(value % self.p, self.p)
         if isinstance(value, Fraction):
-            den = _fp(value.denominator % self.p, self.p)
-            if not den:
-                raise ZeroDivisionError("denominator divisible by the characteristic")
-            return _fp(value.numerator % self.p, self.p) / den
+            return self.ratio(value.numerator, value.denominator)
         if isinstance(value, str):
             return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+
+    def ratio(self, num: int, den: int) -> FpElement:
+        """The residue of num/den; ``ZeroDivisionError`` if p divides den."""
+        p = self.p
+        if den == 1:
+            return _fp(num % p, p)
+        den %= p
+        if not den:
+            raise ZeroDivisionError("denominator divisible by the characteristic")
+        return _fp(num * pow(den, -1, p) % p, p)
 
     def random(self, rng: random.Random, height: int = 0) -> FpElement:
         return _fp(rng.randrange(self.p), self.p)

@@ -636,6 +636,16 @@ class TestComposite:
             assert ctx.composite(asked) == expected, s
         assert ctx.nu_omega == ctx.composite(range(ctx.n, 0, -1))
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2146146913)])
+    def test_one_index_is_the_twist_itself(self, field):
+        for _, ctx in smooth_contexts(field):
+            for k, nu in enumerate(ctx.nus, 1):
+                got = ctx.composite([k])
+                assert got is nu
+                composed = compose(identity_endo(field, ctx.n), nu)
+                assert got == composed and hash(got) == hash(composed)
+                assert repr(got) == repr(composed)
+
 
 def two_sort_table(ctx):
     """The coefficient table as built with two bubble sorts per index set:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from skewsmooth.diffusion import _split
 from skewsmooth.errors import BadCharacteristicError
-from skewsmooth.scalars import (_MR_LIMIT, QQ, FpElement, PrimeField, _is_prime,
-                                field_from_name)
+from skewsmooth.scalars import (_MR_LIMIT, _MR_SMALL_LIMIT, QQ, FpElement, PrimeField,
+                                _is_prime, field_from_name)
 
 
 def test_rational_coercion_is_canonical():
@@ -51,6 +51,19 @@ def test_characteristic_two_and_three_rejected():
         PrimeField(9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ] + [PrimeField(p) for p in (7, 2146146913)]),
+       st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30))
+def test_ratio_matches_coercing_the_fraction(field, num, den):
+    if den == 0 or (field.char and den % field.char == 0):
+        with pytest.raises(ZeroDivisionError):
+            field.ratio(num, den)
+        return
+    got, want = field.ratio(num, den), field.coerce(Fraction(num, den))
+    assert type(got) is type(want) and got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 def test_field_from_name():
     assert field_from_name("Q") is QQ or field_from_name("Q") == QQ
     assert field_from_name("Fp:7").p == 7
@@ -70,7 +83,9 @@ def test_fp_element_splits_as_residue_over_one():
     assert (x.numerator, x.denominator) == (x.value, 1) == (3, 1)
 
 
-PRIMES = [5, 7, 101, 2 ** 31 - 1]
+# 2146146913 is a prime of the benchmark's top bucket and 10^18 + 3 lies above
+# the three-base bound of _is_prime
+PRIMES = [5, 7, 101, 2146146913, 2 ** 31 - 1, 1000000000000000003]
 
 
 class TestFpElementContract:
@@ -184,6 +199,9 @@ def test_is_prime_rejects_pseudoprimes():
                   321197185, 5394826801, 232250619601, 9746347772161]
     # strong pseudoprimes to the bases 2, 3, 5, 7; to 2..37; to 2..37 (psi_12)
     strong = [3215031751, 3825123056546413051, 318665857834031151167461]
+    # the least strong pseudoprime to the bases 2, 7 and 61
+    assert _MR_SMALL_LIMIT == 4759123141 == 48781 * 97561
+    strong.append(_MR_SMALL_LIMIT)
     for n in carmichael + strong:
         assert not _is_prime(n), n
 
@@ -200,6 +218,23 @@ def test_is_prime_matches_sympy_on_random_large_odd_numbers():
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randrange(10**12, _MR_LIMIT) | 1
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_accepts_the_small_primes_and_the_base_61():
+    # 61 is a Miller-Rabin base below 2^32, where it is 0 mod the modulus
+    primes = [n for n in range(200) if _trial_division(n)]
+    assert 61 in primes and len(primes) == 46
+    assert all(_is_prime(n) for n in primes)
+    assert [n for n in range(200) if _is_prime(n)] == primes
+
+
+def test_is_prime_matches_sympy_below_the_three_base_bound():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    odd = [rng.randrange(200_001, _MR_SMALL_LIMIT, 2) for _ in range(2000)]
+    around = range(_MR_SMALL_LIMIT - 300, _MR_SMALL_LIMIT + 300)
+    for n in odd + list(around):
         assert _is_prime(n) == sympy.isprime(n), n
 
 
