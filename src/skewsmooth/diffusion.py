@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from itertools import accumulate
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -160,37 +161,43 @@ def _powers(x, count: int, p: int) -> list:
 
 
 def _scaled_tables(weights: list, binomials: list, u: int, v: int, p: int):
-    """``(S, T, v_pow)`` for one draw: S[n][k] = S_k^n and T[n][k] = T_k^n for
-    1 <= k <= n <= n_max = len(weights), lists indexed [n][k] (index 0
-    unused), each entry from its closed form alone, and v_pow[j] = v^j for
-    j < n_max.  Over F_p (p nonzero) the powers and the terms are reduced
-    modulo p, so the entries are right modulo p only.
+    """``(S, T, v_pow)`` for one draw, n_max = len(weights): the row of gap
+    g = n - k holds S[g][k-1] = S_k^(g+k) for 1 <= k <= n_max - g, the row of
+    n holds T[n][k-1] = T_k^n for 1 <= k <= n <= n_max, and v_pow[j] = v^j
+    for j < n_max.  Over F_p (p nonzero) the powers, the terms and each
+    Horner step are reduced modulo p, so the entries are right modulo p
+    only.
 
     weights[g] is ``_ladder_weights(g, n_max - g)`` and binomials[n][k-1] is
     C(n, k-1); every draw shares them.  Per gap g the terms
-    terms_g[t-1] = C(g+t-1, g) v^(t-1) are built once, and
-    S_k^(g+k) = sum_t terms_g[t-1] u^(k-t) is summed in full for every k,
-    against the reversed powers [u^(k-1), ..., 1], built once per k since
-    they do not depend on g.  At u = 1 (the all-ones Pascal draw of every
-    call) the sum is the prefix terms_g[:k], summed directly.
+    terms_g[t-1] = C(g+t-1, g) v^(t-1) are evaluated in u by Horner's rule,
+    acc = acc u + terms_g[k-1], and S[g] is the list of its running
+    prefixes: the k-th is sum_{t<=k} terms_g[t-1] u^(k-t) = S_k^(g+k), the
+    closed form itself.  At u = 1 (the all-ones Pascal draw of every call)
+    the prefixes are plain prefix sums, and at v = 1 the terms are the
+    weights and the T rows the binomials, with no product.
     T_k^n = C(n, k-1) v^(k-1) does not reuse terms_(n-k+1)[k-1], the same
     value: then S_k^(n+1) - u S_(k-1)^n = T_k^n would hold whatever the
     weights, and the P check could not see a wrong one.
     """
-    n_max = len(weights)
-    u_pow, v_pow = _powers(u, n_max, p), _powers(v, n_max, p)
-    if p:
-        terms = [[w * x % p for w, x in zip(row, v_pow)] for row in weights]
+    v_pow = _powers(v, len(weights), p)
+    if v == 1:
+        terms, T = weights, binomials
     else:
-        terms = [list(map(mul, row, v_pow)) for row in weights]
-    T = [[None] + list(map(mul, row, v_pow)) for row in binomials]
+        if p:
+            terms = [[w * x % p for w, x in zip(row, v_pow)] for row in weights]
+        else:
+            terms = [list(map(mul, row, v_pow)) for row in weights]
+        T = [list(map(mul, row, v_pow)) for row in binomials]
     if u == 1:
-        S = [[None] + [sum(terms[n - k][:k]) for k in range(1, n + 1)]
-             for n in range(n_max + 1)]
-    else:
-        rev = [None] + [u_pow[k - 1::-1] for k in range(1, n_max + 1)]
-        S = [[None] + [sum(map(mul, terms[n - k], rev[k])) for k in range(1, n + 1)]
-             for n in range(n_max + 1)]
+        return [list(accumulate(row)) for row in terms], T, v_pow
+    S = []
+    for row in terms:
+        acc, prefixes = 0, []
+        for w in row:
+            acc = (acc * u + w) % p if p else acc * u + w
+            prefixes.append(acc)
+        S.append(prefixes)
     return S, T, v_pow
 
 
@@ -241,10 +248,10 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
     Write lam_ij = u / (b d) and lam_ji = v / (b d) (``_split``).  Each draw
     gets one table of the integers S_k^n = (b d)^(k-1) P_k^n and
     T_k^n = (b d)^(k-1) Q_k^n = C(n, k-1) v^(k-1), 1 <= k <= n <= n_max,
-    filled from the closed forms alone (``_scaled_tables``; never from the
-    recurrences it checks) and dropped after the draw; the binomial weights
-    are computed once per call.  Multiplying each recurrence by (b d)^(k-1)
-    gives
+    filled from the closed forms alone (``_scaled_tables``, one Horner
+    evaluation per gap n - k; never from the recurrences it checks) and
+    dropped after the draw; the binomial weights are computed once per
+    call.  Multiplying each recurrence by (b d)^(k-1) gives
 
         S_k^{n+1} = u S_{k-1}^n + T_k^n,      T_k^{n+1} = v T_{k-1}^n + T_k^n,
         S_{n+1}^{n+1} = u S_n^n + v^n,        T_{n+1}^{n+1} = v T_n^n + v^n,
@@ -253,6 +260,15 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
     holds exactly when the unscaled one does.  Over Q they are compared as
     integers, over F_p modulo p (there b = d = 1).  Failures record the
     field draws.
+
+    S_k^(n+1) and S_(k-1)^n lie on one gap g = n + 1 - k, so the P residual
+    there is (weight - C(n, k-1)) v^(k-1) for the table's weight
+    C(g+k-1, g).  A wrong weight C(g+t-1, g) with t >= 2 therefore fails
+    exactly the check P (P-top at g = 0) at n = g + t - 1, k = t, at every
+    draw where that residual is nonzero.  A wrong weight at t = 1, the base
+    case P_1^(g+1) = 1, passes: it adds the same multiple of u^(k-1) to
+    each S_k^(g+k), a solution of the homogeneous recurrences.  That is a
+    limit of the recurrences themselves, which never fix the base case.
     """
     if n_max < 2:
         raise IndexRangeError(f"the ladder recurrences need n_max >= 2, not {n_max}")
@@ -268,20 +284,22 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
         u, v, _ = _split(lam_ij, lam_ji)
         S, T, v_pow = _scaled_tables(weights, binomials, u, v, p)
         for n in range(1, n_max):
-            s_n, s_up, t_n, t_up = S[n], S[n + 1], T[n], T[n + 1]
+            t_n, t_up = T[n], T[n + 1]
             for k in range(2, n + 1):
+                # S_k^(n+1) and S_(k-1)^n share the gap n + 1 - k
+                s_gap = S[n + 1 - k]
                 checked += 2
-                r = s_up[k] - u * s_n[k - 1] - t_n[k]
+                r = s_gap[k - 1] - u * s_gap[k - 2] - t_n[k - 1]
                 if r % p if p else r:
                     failures.append(("P", n, k, lam_ij, lam_ji))
-                r = t_up[k] - v * t_n[k - 1] - t_n[k]
+                r = t_up[k - 1] - v * t_n[k - 2] - t_n[k - 1]
                 if r % p if p else r:
                     failures.append(("Q", n, k, lam_ij, lam_ji))
             checked += 2
-            r = s_up[n + 1] - u * s_n[n] - v_pow[n]
+            r = S[0][n] - u * S[0][n - 1] - v_pow[n]
             if r % p if p else r:
                 failures.append(("P-top", n, n + 1, lam_ij, lam_ji))
-            r = t_up[n + 1] - v * t_n[n] - v_pow[n]
+            r = t_up[n] - v * t_n[n - 1] - v_pow[n]
             if r % p if p else r:
                 failures.append(("Q-top", n, n + 1, lam_ij, lam_ji))
     return PQReport(n_max, samples, checked, tuple(failures))

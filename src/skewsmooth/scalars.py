@@ -225,14 +225,23 @@ class Rational(Fraction):
     result with ``_q``.  Any other operand (``bool``, ``float``,
     ``complex``, another ``Fraction`` subclass) and a zero divisor go to
     ``Fraction``'s own operator, so those results and errors are
-    ``Fraction``'s.  ``str``, ``hash``, ordering, pickling and the repr text
-    ``Fraction(n, d)`` are ``Fraction``'s as well.
+    ``Fraction``'s.  ``hash``, ordering, pickling and the repr text
+    ``Fraction(n, d)`` are ``Fraction``'s as well.  ``str`` gives
+    ``Fraction``'s text, also for a numerator or denominator past the
+    interpreter's int-to-str digit limit, where ``Fraction``'s raises.
     """
 
     __slots__ = ()
 
     def __repr__(self):
         return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __str__(self):
+        n, d = self._numerator, self._denominator
+        try:
+            return str(n) if d == 1 else f"{n}/{d}"
+        except ValueError:      # past the digit limit
+            return _long_str(n) if d == 1 else f"{_long_str(n)}/{_long_str(d)}"
 
     def __add__(a, b):
         cls = b.__class__
@@ -343,6 +352,25 @@ class Rational(Fraction):
 
     def __bool__(a):
         return a._numerator != 0
+
+
+# str() refuses an int of more than sys.get_int_max_str_digits() digits, a
+# limit that cannot be set below 640; chunks of 600 digits print under any
+# setting, without changing the process-wide limit
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _long_str(i: int) -> str:
+    """The decimal text of i, built from 600-digit chunks divided off by
+    ``divmod``: the same text as ``str(i)`` where that has no limit."""
+    sign, i = ("-", -i) if i < 0 else ("", i)
+    chunks = []
+    while i >= _CHUNK:
+        i, low = divmod(i, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(i))
+    return sign + "".join(reversed(chunks))
 
 
 def _q(n: int, d: int) -> Rational:

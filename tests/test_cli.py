@@ -1,16 +1,20 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from skewsmooth.cli import (MAX_CALCULUS_DEGREE, MAX_CALCULUS_MONOMIALS, MAX_CALCULUS_N,
                             MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES, MAX_INTEGRABILITY_SAMPLES,
-                            _CALCULUS_SEED, _COMMANDS, build_parser, main)
+                            LADDER_N_MAX, _CALCULUS_SEED, _COMMANDS, build_parser, main)
+from skewsmooth.dsl import parse_file
+from skewsmooth.smoothness import assemble_constant_checks
 
 REFERENCE3 = """\
 name: reference3
@@ -201,6 +205,8 @@ def test_verify_identities_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pq_recurrences"]["pass"] is True
+    # the ladder height is fixed, and above every --n-max the command takes
+    assert payload["pq_recurrences"]["n_max"] == LADDER_N_MAX == 30 > MAX_IDENTITY_N
     assert all(rep["status"] == "PASS" for rep in payload["right_commutation"])
     assert all(rep["status"] == "DISCREPANT" for rep in payload["left_commutation"])
     assert payload["left_commutation"][0]["minimal_failing_n"] == 1
@@ -237,6 +243,39 @@ def test_verify_identities_accepts_the_least_counts(capsys):
     code, out, _ = run(capsys, "verify-identities", "--n-max", "1", "--samples", "1", "--json")
     assert code == 0
     assert json.loads(out)["n_max"] == 1
+
+
+def _read_fraction(text: str) -> Fraction:
+    """Fraction(text) without int()'s digit limit: 1000 digits at a time."""
+    def read_int(digits):
+        sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+        value = 0
+        for at in range(0, len(digits), 1000):
+            chunk = digits[at:at + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return sign * value
+    num, _, den = text.partition("/")
+    return Fraction(read_int(num), read_int(den) if den else 1)
+
+
+def test_scalars_past_the_digit_limit_print(tmp_path, capsys):
+    # a residue multiplies 2500-digit scalars, past str()'s limit of 4300 digits
+    rng = random.Random(14)
+    lines = ["name: big", "kind: skew", "field: Q", "n: 3"]
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        a, e = (rng.randrange(10 ** 2499, 10 ** 2500) for _ in range(2))
+        lines.append(f"x{i}*x{j} - {a}*x{j}*x{i} = {e}")
+    path = tmp_path / "big.alg"
+    path.write_text("\n".join(lines) + "\n")
+    for argv in (["smooth"], ["pbw-check"], ["calculus", "--max-degree", "4"], ["classify3d"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0 and "internal error" not in err and out
+    code, out, _ = run(capsys, "smooth", str(path), "--json")
+    residue = json.loads(out)["reasons"][0].rsplit(" ", 1)[1]
+    failed = [ch for ch in assemble_constant_checks(parse_file(str(path)).presentation())
+              if not ch.holds]
+    assert len(residue) > sys.get_int_max_str_digits()
+    assert _read_fraction(residue) == failed[0].residual
 
 
 @pytest.fixture

@@ -171,18 +171,44 @@ def test_scaled_tables_hold_the_closed_forms(field):
     weights = [diffusion._ladder_weights(g, n_max - g) for g in range(n_max)]
     binomials = [[comb(n, j) for j in range(n)] for n in range(n_max + 1)]
     rng = random.Random(11)
-    # u = 1 at the first three draws, with v = 1, 0 and 3
-    draws = [(field.one, field.one), (field.one, field.zero), (field.one, field.coerce(3))]
+    # u = 1 at the first three draws, with v = 1, 0 and 3; u = 0 at the fourth
+    draws = [(field.one, field.one), (field.one, field.zero), (field.one, field.coerce(3)),
+             (field.zero, field.coerce(5))]
     draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(4)]
     for lam_ij, lam_ji in draws:
         u, v, _ = diffusion._split(lam_ij, lam_ji)
         S, T, v_pow = diffusion._scaled_tables(weights, binomials, u, v, p)
-        assert [len(row) for row in S] == [len(row) for row in T] == list(range(1, n_max + 2))
+        # S by gap g = n - k, T by n; both indexed by k - 1
+        assert [len(row) for row in S] == list(range(n_max, 0, -1))
+        assert [len(row) for row in T] == list(range(n_max + 1))
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
-                assert reduced(S[n][k] - diffusion._scaled_p(k, n, u, v)) == 0
-                assert reduced(T[n][k] - comb(n, k - 1) * v ** (k - 1)) == 0
+                assert reduced(S[n - k][k - 1] - diffusion._scaled_p(k, n, u, v)) == 0
+                assert reduced(T[n][k - 1] - comb(n, k - 1) * v ** (k - 1)) == 0
         assert [reduced(x - v ** j) for j, x in enumerate(v_pow)] == [0] * n_max
+
+
+@pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
+def test_recurrences_see_each_weight_past_the_base_case(field, monkeypatch):
+    # a wrong weight C(g+t-1, g) fails exactly one check for t >= 2; at t = 1,
+    # the base case P_1^(g+1) = 1, no recurrence reads it
+    n_max = 8
+    ladder_weights = diffusion._ladder_weights
+    for g in range(n_max):
+        for t in range(1, n_max - g + 1):
+            def one_wrong_weight(gap, count, g=g, t=t):
+                row = ladder_weights(gap, count)
+                if gap == g:
+                    row[t - 1] += 1
+                return row
+
+            monkeypatch.setattr(diffusion, "_ladder_weights", one_wrong_weight)
+            report = verify_pq_recurrences(n_max, samples=4, seed=2, field=field)
+            seen = {(kind, n, k) for kind, n, k, _, _ in report.failures}
+            if t == 1:
+                assert not seen
+            else:
+                assert seen == {("P-top" if g == 0 else "P", g + t - 1, t)}
 
 
 class TestNoHollowPass:

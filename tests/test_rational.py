@@ -12,6 +12,7 @@ import copy
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -120,6 +121,24 @@ def test_other_operands_get_fractions_own_results(other):
             if got[0] != "ZeroDivisionError":
                 assert type(op(*args)) is type(op(*fargs))
     assert (x == other) is (fx == other)
+
+
+@pytest.mark.parametrize("digits", [599, 600, 601, 1201, 4301, 12000])
+def test_str_past_the_digit_limit_is_fractions_text(digits):
+    # str() of an int refuses more than sys.get_int_max_str_digits() digits;
+    # Rational's str chunks such a numerator or denominator instead
+    rng = random.Random(digits)
+    num = -rng.randrange(10 ** (digits - 1), 10 ** digits)
+    den = 3 ** (digits * 2)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        got = [str(Rational(num, 1)), str(Rational(num, den)), str(Rational(10 ** digits))]
+        sys.set_int_max_str_digits(0)
+        want = [str(Fraction(num, 1)), str(Fraction(num, den)), str(10 ** digits)]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want
 
 
 def test_fraction_powers_to_fractional_exponents_are_floats():
