@@ -26,8 +26,9 @@ _CALCULUS_SEED = 20240 + 1  # fixed: the calculus command takes no seed flag
 
 # Bounds on ``verify-identities``: below 1 a check would run on nothing and
 # report a hollow PASS; the power-commutation checks grow about as
-# samples * n_max^2, and the two maxima together take about 1.7 s (1.6-1.7 s
-# and 17 MB per process on a 2-vCPU Intel Xeon VM, Python 3.11.7).
+# samples * n_max^2, and the two maxima together take about 2 s (1.5-2.2 s
+# and 17 MB per process on a 2-vCPU Intel Xeon VM, Python 3.11.7), nearly
+# all of it in those checks: the ladder check takes under 1 ms.
 MAX_IDENTITY_N = 20
 MAX_IDENTITY_SAMPLES = 50
 # the ladder recurrences are checked up to this n whatever --n-max is

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from itertools import accumulate
 from math import comb
-from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -137,7 +135,7 @@ def _split(lam_ij, lam_ji):
 
 def _ladder_weights(g: int, count: int) -> list:
     """[C(g+t-1, g) for t = 1..count]: the weights of v^(t-1) u^(k-t) in
-    S_k^(g+k), where g = n - k is the gap; the tables of
+    S_k^(g+k), where g = n - k is the gap; ``_scaled_p`` and the P checks of
     ``verify_pq_recurrences`` read them from here."""
     return [comb(g + t - 1, g) for t in range(1, count + 1)]
 
@@ -146,59 +144,35 @@ def _scaled_p(k: int, n: int, u: int, v: int) -> int:
     """(b d)^(k-1) P_k^n = sum_{t=1}^{k} C(n-k+t-1, n-k) v^(t-1) u^(k-t), an
     integer, summed by Horner's rule in u."""
     total, v_pow = 0, 1
-    for t in range(1, k + 1):
-        total = total * u + comb(n - k + t - 1, n - k) * v_pow
+    for w in _ladder_weights(n - k, k):
+        total = total * u + w * v_pow
         v_pow *= v
     return total
 
 
-def _powers(x, count: int, p: int) -> list:
-    """[1, x, ..., x^(count-1)], reduced modulo p when p is nonzero."""
+def _powers(x, count: int) -> list:
+    """[1, x, ..., x^(count-1)]."""
     out = [1]
     for _ in range(count - 1):
-        out.append(out[-1] * x % p if p else out[-1] * x)
+        out.append(out[-1] * x)
     return out
 
 
-def _scaled_tables(weights: list, binomials: list, u: int, v: int, p: int):
-    """``(S, T, v_pow)`` for one draw, n_max = len(weights): the row of gap
-    g = n - k holds S[g][k-1] = S_k^(g+k) for 1 <= k <= n_max - g, the row of
-    n holds T[n][k-1] = T_k^n for 1 <= k <= n <= n_max, and v_pow[j] = v^j
-    for j < n_max.  Over F_p (p nonzero) the powers, the terms and each
-    Horner step are reduced modulo p, so the entries are right modulo p
-    only.
-
-    weights[g] is ``_ladder_weights(g, n_max - g)`` and binomials[n][k-1] is
-    C(n, k-1); every draw shares them.  Per gap g the terms
-    terms_g[t-1] = C(g+t-1, g) v^(t-1) are evaluated in u by Horner's rule,
-    acc = acc u + terms_g[k-1], and S[g] is the list of its running
-    prefixes: the k-th is sum_{t<=k} terms_g[t-1] u^(k-t) = S_k^(g+k), the
-    closed form itself.  At u = 1 (the all-ones Pascal draw of every call)
-    the prefixes are plain prefix sums, and at v = 1 the terms are the
-    weights and the T rows the binomials, with no product.
-    T_k^n = C(n, k-1) v^(k-1) does not reuse terms_(n-k+1)[k-1], the same
-    value: then S_k^(n+1) - u S_(k-1)^n = T_k^n would hold whatever the
-    weights, and the P check could not see a wrong one.
-    """
-    v_pow = _powers(v, len(weights), p)
-    if v == 1:
-        terms, T = weights, binomials
-    else:
-        if p:
-            terms = [[w * x % p for w, x in zip(row, v_pow)] for row in weights]
-        else:
-            terms = [list(map(mul, row, v_pow)) for row in weights]
-        T = [list(map(mul, row, v_pow)) for row in binomials]
-    if u == 1:
-        return [list(accumulate(row)) for row in terms], T, v_pow
-    S = []
-    for row in terms:
-        acc, prefixes = 0, []
-        for w in row:
-            acc = (acc * u + w) % p if p else acc * u + w
-            prefixes.append(acc)
-        S.append(prefixes)
-    return S, T, v_pow
+def _recurrence_coefficients(n_max: int) -> list:
+    """``(kind, n, k, c)`` for each instance of the ladder recurrences at
+    1 <= n < n_max, in the order ``verify_pq_recurrences`` checks them: its
+    scaled residual is c v^(k-1) (see there).  The weights come from
+    ``_ladder_weights`` and the binomials from ``comb``, never from the
+    recurrences."""
+    weights = [_ladder_weights(g, n_max - g) for g in range(n_max)]
+    out = []
+    for n in range(1, n_max):
+        for k in range(2, n + 1):
+            out.append(("P", n, k, weights[n + 1 - k][k - 1] - comb(n, k - 1)))
+            out.append(("Q", n, k, comb(n + 1, k - 1) - comb(n, k - 2) - comb(n, k - 1)))
+        out.append(("P-top", n, n + 1, weights[0][n] - 1))
+        out.append(("Q-top", n, n + 1, comb(n + 1, n) - comb(n, n - 1) - 1))
+    return out
 
 
 def pq_p(k: int, n: int, lam_ij, lam_ji):
@@ -243,32 +217,35 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
         Q_{n+1}^{n+1} = Q_n^n lam_ji + lam_ji^n
 
     for 1 <= n < n_max at random coefficient samples (plus the all-ones
-    Pascal degeneration).
+    Pascal draw).
 
-    Write lam_ij = u / (b d) and lam_ji = v / (b d) (``_split``).  Each draw
-    gets one table of the integers S_k^n = (b d)^(k-1) P_k^n and
-    T_k^n = (b d)^(k-1) Q_k^n = C(n, k-1) v^(k-1), 1 <= k <= n <= n_max,
-    filled from the closed forms alone (``_scaled_tables``, one Horner
-    evaluation per gap n - k; never from the recurrences it checks) and
-    dropped after the draw; the binomial weights are computed once per
-    call.  Multiplying each recurrence by (b d)^(k-1) gives
+    Write lam_ij = u / (b d) and lam_ji = v / (b d) (``_split``), and
+    S_k^n = (b d)^(k-1) P_k^n, T_k^n = (b d)^(k-1) Q_k^n = C(n, k-1) v^(k-1)
+    for the closed forms.  Multiplying each recurrence by (b d)^(k-1) gives
 
         S_k^{n+1} = u S_{k-1}^n + T_k^n,      T_k^{n+1} = v T_{k-1}^n + T_k^n,
         S_{n+1}^{n+1} = u S_n^n + v^n,        T_{n+1}^{n+1} = v T_n^n + v^n,
 
     and since the scale is a nonzero field element each scaled identity
-    holds exactly when the unscaled one does.  Over Q they are compared as
-    integers, over F_p modulo p (there b = d = 1).  Failures record the
-    field draws.
+    holds exactly when the unscaled one does.  S_k^(n+1) and S_(k-1)^n lie
+    on one gap g = n + 1 - k, so S_k^(n+1) - u S_(k-1)^n telescopes to
+    C(g+k-1, g) v^(k-1), and each scaled residual is c v^(k-1) for one
+    integer c (``_recurrence_coefficients``), computed once per call with
+    the weights from ``_ladder_weights`` and the binomials from ``comb``:
 
-    S_k^(n+1) and S_(k-1)^n lie on one gap g = n + 1 - k, so the P residual
-    there is (weight - C(n, k-1)) v^(k-1) for the table's weight
-    C(g+k-1, g).  A wrong weight C(g+t-1, g) with t >= 2 therefore fails
-    exactly the check P (P-top at g = 0) at n = g + t - 1, k = t, at every
-    draw where that residual is nonzero.  A wrong weight at t = 1, the base
-    case P_1^(g+1) = 1, passes: it adds the same multiple of u^(k-1) to
-    each S_k^(g+k), a solution of the homogeneous recurrences.  That is a
-    limit of the recurrences themselves, which never fix the base case.
+        P: C(g+k-1, g) - C(n, k-1),    Q: C(n+1, k-1) - C(n, k-2) - C(n, k-1),
+        P-top: C(n, 0) - 1,            Q-top: C(n+1, n) - C(n, n-1) - 1.
+
+    Over F_p (there b = d = 1) c is tested modulo p.  As k >= 2, an
+    instance fails at a draw exactly when c is nonzero and lam_ji != 0;
+    every instance of every draw counts in ``checked``.  Failures record
+    the field draws.
+
+    So a wrong weight C(g+t-1, g) with t >= 2 fails exactly the check P
+    (P-top at g = 0) at n = g + t - 1, k = t.  A wrong weight at t = 1, the
+    base case P_1^(g+1) = 1, passes: it adds the same multiple of u^(k-1)
+    to each S_k^(g+k), a solution of the homogeneous recurrences.  That is
+    a limit of the recurrences themselves, which never fix the base case.
     """
     if n_max < 2:
         raise IndexRangeError(f"the ladder recurrences need n_max >= 2, not {n_max}")
@@ -276,33 +253,11 @@ def verify_pq_recurrences(n_max: int, samples: int = 20, seed: int = 0,
     draws = [(field.one, field.one)]
     draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(samples)]
     p = field.char
-    weights = [_ladder_weights(g, n_max - g) for g in range(n_max)]
-    binomials = [[comb(n, j) for j in range(n)] for n in range(n_max + 1)]
-    failures = []
-    checked = 0
-    for lam_ij, lam_ji in draws:
-        u, v, _ = _split(lam_ij, lam_ji)
-        S, T, v_pow = _scaled_tables(weights, binomials, u, v, p)
-        for n in range(1, n_max):
-            t_n, t_up = T[n], T[n + 1]
-            for k in range(2, n + 1):
-                # S_k^(n+1) and S_(k-1)^n share the gap n + 1 - k
-                s_gap = S[n + 1 - k]
-                checked += 2
-                r = s_gap[k - 1] - u * s_gap[k - 2] - t_n[k - 1]
-                if r % p if p else r:
-                    failures.append(("P", n, k, lam_ij, lam_ji))
-                r = t_up[k - 1] - v * t_n[k - 2] - t_n[k - 1]
-                if r % p if p else r:
-                    failures.append(("Q", n, k, lam_ij, lam_ji))
-            checked += 2
-            r = S[0][n] - u * S[0][n - 1] - v_pow[n]
-            if r % p if p else r:
-                failures.append(("P-top", n, n + 1, lam_ij, lam_ji))
-            r = t_up[n] - v * t_n[n - 1] - v_pow[n]
-            if r % p if p else r:
-                failures.append(("Q-top", n, n + 1, lam_ij, lam_ji))
-    return PQReport(n_max, samples, checked, tuple(failures))
+    wrong = [(kind, n, k) for kind, n, k, c in _recurrence_coefficients(n_max)
+             if (c % p if p else c)]
+    failures = [(kind, n, k, lam_ij, lam_ji)
+                for lam_ij, lam_ji in draws if lam_ji for kind, n, k in wrong]
+    return PQReport(n_max, samples, len(draws) * n_max * (n_max - 1), tuple(failures))
 
 
 # -- power commutation identities --------------------------------------------
@@ -366,7 +321,7 @@ def verify_commutation(n_max: int, samples: int = 20, seed: int = 0,
                           (k - 1, 1, n - k + 1, 0, q if odd else -q)]
                 left += [(k - 1, 1, 0, n - k + 1, q), (k, 0, 1, n - k, -p)]
             if type1:
-                xi, xj = _powers(x_i, n + 1, 0), _powers(x_j, n + 1, 0)
+                xi, xj = _powers(x_i, n + 1), _powers(x_j, n + 1)
             for law, terms in enumerate((right, left)):
                 if found[law] is not None:
                     continue

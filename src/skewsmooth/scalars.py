@@ -226,15 +226,15 @@ class Rational(Fraction):
     ``complex``, another ``Fraction`` subclass) and a zero divisor go to
     ``Fraction``'s own operator, so those results and errors are
     ``Fraction``'s.  ``hash``, ordering, pickling and the repr text
-    ``Fraction(n, d)`` are ``Fraction``'s as well.  ``str`` gives
+    ``Fraction(n, d)`` are ``Fraction``'s as well.  ``str`` and ``repr`` give
     ``Fraction``'s text, also for a numerator or denominator past the
-    interpreter's int-to-str digit limit, where ``Fraction``'s raises.
+    interpreter's int-to-str digit limit, where ``Fraction``'s raise.
     """
 
     __slots__ = ()
 
     def __repr__(self):
-        return f"Fraction({self._numerator}, {self._denominator})"
+        return f"Fraction({_long_str(self._numerator)}, {_long_str(self._denominator)})"
 
     def __str__(self):
         n, d = self._numerator, self._denominator

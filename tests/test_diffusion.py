@@ -141,51 +141,87 @@ def test_scaled_recurrences_match_field_arithmetic_oracle(field, seed):
 @pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
 def test_off_by_one_binomial_fails_both_checks_alike(field, monkeypatch):
     # the same wrong weight in pq_p (through _scaled_p, which the oracle reads)
-    # and in the S table; Q and T keep their own binomial C(n, k-1)
+    # and in the P coefficients; Q keeps its own binomial C(n, k-1)
     def off_by_one_weights(g, count):
         return [comb(g + t, g) for t in range(1, count + 1)]
 
-    def off_by_one(k, n, u, v):
-        total, v_pow = 0, 1
-        for t in range(1, k + 1):
-            total = total * u + comb(n - k + t, n - k) * v_pow
-            v_pow *= v
-        return total
-
     monkeypatch.setattr(diffusion, "_ladder_weights", off_by_one_weights)
-    monkeypatch.setattr(diffusion, "_scaled_p", off_by_one)
     report = verify_pq_recurrences(12, samples=4, seed=3, field=field)
-    # the all-ones Pascal draw (u = 1, the branch that sums prefixes) fails too
+    # the all-ones Pascal draw fails too
     assert any(f[3] == f[4] == 1 for f in report.failures)
     assert (report.checked, report.failures) == \
         naive_pq_recurrences(12, samples=4, seed=3, field=field)
 
 
+def _perturbed_weights(g, count):
+    # a wrong weight wherever (g + 2 t) % 3 is nonzero, the same row prefix
+    # for every count, as the telescoping needs
+    return [comb(g + t - 1, g) + (g + 2 * t) % 3 for t in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("weights", ["true", "perturbed"])
 @pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])
-def test_scaled_tables_hold_the_closed_forms(field):
+def test_each_scaled_residual_is_its_coefficient_times_a_power_of_v(field, weights,
+                                                                   monkeypatch):
+    # the lemma the check rests on: with S_k^n = _scaled_p(k, n, u, v) and
+    # T_k^n = C(n, k-1) v^(k-1), each scaled residual of the recurrences is
+    # the instance's coefficient times v^(k-1), for the true weights (all
+    # coefficients zero) and for wrong ones
+    if weights == "perturbed":
+        monkeypatch.setattr(diffusion, "_ladder_weights", _perturbed_weights)
     n_max, p = 30, field.char
 
     def reduced(x):
         return x % p if p else x
 
-    weights = [diffusion._ladder_weights(g, n_max - g) for g in range(n_max)]
-    binomials = [[comb(n, j) for j in range(n)] for n in range(n_max + 1)]
+    def S(k, n):
+        return diffusion._scaled_p(k, n, u, v)
+
+    def T(k, n):
+        return comb(n, k - 1) * v ** (k - 1)
+
+    coefficients = diffusion._recurrence_coefficients(n_max)
+    assert [(kind, n, k) for kind, n, k, _ in coefficients] == [
+        inst for n in range(1, n_max)
+        for inst in [(kind, n, k) for k in range(2, n + 1) for kind in ("P", "Q")]
+        + [("P-top", n, n + 1), ("Q-top", n, n + 1)]]
+    # the P instance (n, k) reads the weight of gap n + 1 - k at t = k
+    assert [c for *_, c in coefficients] == [
+        (n + 1 + k) % 3 if weights == "perturbed" and kind in ("P", "P-top") else 0
+        for kind, n, k, _ in coefficients]
     rng = random.Random(11)
-    # u = 1 at the first three draws, with v = 1, 0 and 3; u = 0 at the fourth
-    draws = [(field.one, field.one), (field.one, field.zero), (field.one, field.coerce(3)),
-             (field.zero, field.coerce(5))]
-    draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(4)]
+    draws = [(field.one, field.one), (field.zero, field.coerce(5)),
+             (field.coerce(3), field.zero), (field.one, field.coerce(3))]
+    draws += [(field.random(rng, 9), field.random(rng, 9)) for _ in range(3)]
     for lam_ij, lam_ji in draws:
         u, v, _ = diffusion._split(lam_ij, lam_ji)
-        S, T, v_pow = diffusion._scaled_tables(weights, binomials, u, v, p)
-        # S by gap g = n - k, T by n; both indexed by k - 1
-        assert [len(row) for row in S] == list(range(n_max, 0, -1))
-        assert [len(row) for row in T] == list(range(n_max + 1))
-        for n in range(1, n_max + 1):
-            for k in range(1, n + 1):
-                assert reduced(S[n - k][k - 1] - diffusion._scaled_p(k, n, u, v)) == 0
-                assert reduced(T[n][k - 1] - comb(n, k - 1) * v ** (k - 1)) == 0
-        assert [reduced(x - v ** j) for j, x in enumerate(v_pow)] == [0] * n_max
+        for kind, n, k, c in coefficients:
+            if kind == "P":
+                r = S(k, n + 1) - u * S(k - 1, n) - T(k, n)
+            elif kind == "Q":
+                r = T(k, n + 1) - v * T(k - 1, n) - T(k, n)
+            elif kind == "P-top":
+                r = S(n + 1, n + 1) - u * S(n, n) - v ** n
+            else:
+                r = T(n + 1, n + 1) - v * T(n, n) - v ** n
+            assert reduced(r - c * v ** (k - 1)) == 0, (kind, n, k)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_a_wrong_binomial_fails_the_q_checks_that_read_it(field, monkeypatch):
+    # C(5, 4) + 1: the Q check at (5, 5) and the Q-top checks at n = 4, 5 read
+    # it, and so does the P check at (5, 5) against the true weight C(5, 1);
+    # the weight C(5, 4) of gap 4 changes with it and fails P at (5, 2)
+    def wrong_comb(n, j):
+        return comb(n, j) + ((n, j) == (5, 4))
+
+    monkeypatch.setattr(diffusion, "comb", wrong_comb)
+    report = verify_pq_recurrences(8, samples=6, seed=4, field=field)
+    seen = {(kind, n, k) for kind, n, k, _, _ in report.failures}
+    assert seen == {("Q", 5, 5), ("Q-top", 4, 5), ("Q-top", 5, 6), ("P", 5, 5), ("P", 5, 2)}
+    # pq_p and pq_q read the same wrong C(5, 4), so the field oracle agrees
+    assert (report.checked, report.failures) == \
+        naive_pq_recurrences(8, samples=6, seed=4, field=field)
 
 
 @pytest.mark.parametrize("field", LADDER_FIELDS, ids=["Q", "F7", "F_M31"])

@@ -141,6 +141,12 @@ def test_str_past_the_digit_limit_is_fractions_text(digits):
     assert got == want
 
 
+def test_repr_past_the_digit_limit_prints_every_digit():
+    # 5002 digits, past the default limit of 4300 that str() of an int keeps
+    assert repr(QQ.ratio(10 ** 5000 + 1, 7)) == f"Fraction(1{'0' * 4999}1, 7)"
+    assert repr(QQ.ratio(-7, 10 ** 5000 + 1)) == f"Fraction(-7, 1{'0' * 4999}1)"
+
+
 def test_fraction_powers_to_fractional_exponents_are_floats():
     half = Rational(1, 2)
     assert (Rational(4) ** half, 4 ** half) == (Fraction(4) ** Fraction(1, 2),
