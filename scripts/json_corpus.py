@@ -1,53 +1,17 @@
 #!/usr/bin/env python3
 """Write the ``--json`` output of the CLI on a fixed corpus to one directory.
 
-The corpus is:
+``_rows`` lists the corpus, with the reason for each row.  Each input is
+written as ``inputs/<name>.alg`` and each output as ``<name>.<command>.json``;
+a command that exits nonzero also leaves ``<name>.<command>.err`` with its
+exit status and stderr.  Two checkouts give the same JSON when ``diff -r``
+finds no difference between their directories.  The tests compare every file
+with the SHA-256 recorded in ``tests/data/json_corpus.sha256``; a change that
+alters an output on purpose says why and regenerates the manifest with
 
-- ``smooth``, ``classify3d`` and ``pbw-check`` on every instance of
-  ``three_dim_grid()`` over Q and F_101;
-- ``diffusion-classify`` (type 1) and ``pbw-check`` (types 1 and 2) on every
-  instance of every diffusion family, over Q and F_101;
-- ``calculus --max-degree 5 --verify-integrability 1`` on the instances the
-  catalog expects to be sufficiently smooth, over Q and F_101;
-- ``smooth`` on every instance of ``three_dim_grid()``, and ``calculus
-  --max-degree 5 --verify-integrability 1`` on the sufficiently smooth ones,
-  over F_(2^31 - 1) (``WORD_P``): a prime of the size the benchmark draws;
-- ``calculus --max-degree 7 --verify-integrability 2`` on the instances of
-  ``three_dim_grid(PrimeField(7))`` the catalog expects to be sufficiently
-  smooth: at degree 7 the binomials C(7, t) of the shifted twists vanish;
-- ``calculus`` on wider presentations, whose integral-form tables have
-  2^n - 2 index sets: ``--max-degree 2 --verify-integrability 1`` on
-  quasi-commutative ones (x_i x_j = a_ij x_j x_i, distinct a_ij other than
-  0 and +-1) with n in ``WIDE_N``, over Q and F_101, and ``--max-degree 1``
-  on the commutative one with n = ``cli.MAX_CALCULUS_N``, over Q;
-- ``calculus --verify-integrability 1`` at high degree on the inputs the
-  README times: class 2b (beta = 3, b = 7) at ``--max-degree 18`` and the
-  shifted plane x1 x2 - x2 x1 = x1 + x2 at ``--max-degree 30``, over Q; and
-  two disconnected ones, the shifted plane over F_5 at ``--max-degree 30``
-  (kernel dimension 28) and class 2b (beta = 3, b = 5) over F_7 at
-  ``--max-degree 12`` (kernel dimension 7);
-- ``smooth`` and ``calculus --max-degree 6`` on the shifted quasi-plane
-  x1 x2 - 3 x2 x1 = 3 x1 + x2 + 2 over Q, whose twists both have a shifted
-  diagonal (``SHIFTED_QUASI_PLANE``);
-- ``verify-identities --seed 0`` and ``--seed 3``, and ``verify-identities
-  --n-max 4 --samples 1`` (the ``identities`` benchmark job's shape) at the
-  seeds in ``BENCH_SHAPE_SEEDS``;
-- ``smooth`` (skew) or ``pbw-check`` (diffusion) on each of ``MALFORMED``,
-  a fixed list of bad inputs: one per input error of each line kind, so that
-  every change in the text of an ``error:`` line shows in the diff; an entry
-  with flags runs ``calculus`` with them instead, one per bound on its input.
-
-Each input is written as ``inputs/<name>.alg`` and each output as
-``<name>.<command>.json``; a command that exits nonzero also leaves
-``<name>.<command>.err`` with its exit status and stderr.  Two checkouts give
-the same JSON when ``diff -r`` finds no difference between their directories:
-
-    PYTHONPATH=src python scripts/json_corpus.py /tmp/corpus-new
-    PYTHONPATH=../old/src python scripts/json_corpus.py /tmp/corpus-old
-    diff -r /tmp/corpus-old /tmp/corpus-new
-
-The tests compare every file it writes with the SHA-256 recorded in
-``tests/data/json_corpus.sha256``.
+    PYTHONPATH=src python scripts/json_corpus.py OUT
+    (cd OUT && find . -type f -printf '%P\\n' | LC_ALL=C sort | xargs sha256sum) \\
+        > tests/data/json_corpus.sha256
 """
 
 from __future__ import annotations
@@ -76,10 +40,9 @@ DEGREE_P = PrimeField(7)
 _SKEW = "kind: skew\nfield: Fp:7\nn: 3\n"
 _DIFF1 = "kind: diffusion1\nfield: Fp:7\nn: 3\n"
 _LONG = "1" * 5000
-BENCH_SHAPE_SEEDS = (0, 3, 271828)
-SHIFTED_QUASI_PLANE = Presentation.skew(QQ, 2, {(1, 2): (3, {1: 3, 2: 1}, 2)})
-WIDE_N = (4, 6)
-# (name, text) or (name, text, calculus flags): each is an input error
+# (name, text) or (name, text, calculus flags): one input error of each line kind, so that
+# every change in the text of an ``error:`` line shows; run by ``smooth`` (skew) or
+# ``pbw-check`` (diffusion), or with flags by ``calculus``, one per bound on its input
 MALFORMED = (
     ("header-kind", "kind: lie\nn: 2\n"),
     ("header-field", "field: Fp:2\nn: 2\n"),
@@ -127,25 +90,6 @@ MALFORMED = (
 )
 
 
-def _run(outdir: str, name: str, argv: list) -> None:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv + ["--json"])
-    stem = os.path.join(outdir, f"{name}.{argv[0]}")
-    with open(stem + ".json", "w", encoding="utf-8") as fh:
-        fh.write(out.getvalue())
-    if rc:
-        with open(stem + ".err", "w", encoding="utf-8") as fh:
-            fh.write(f"exit {rc}\n{err.getvalue()}")
-
-
-def _write_input(outdir: str, alg: dsl.AlgebraFile) -> str:
-    path = os.path.join(outdir, "inputs", f"{alg.name}.alg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dsl.emit(alg))
-    return path
-
-
 def _quasi_commutative(field, n: int) -> Presentation:
     """a_ij = +-(t + 3)/2 for the t-th pair i < j, signs alternating: distinct,
     never 0 or +-1, and still distinct mod 101 for n <= 6."""
@@ -161,107 +105,98 @@ def _diffusion_over(field, dp: DiffusionPresentation, dtype) -> DiffusionPresent
     return DiffusionPresentation(dp.n, dtype, lambdas, xs, field)
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _calculus(degree: int, samples: int) -> tuple:
+    return ("calculus", "--max-degree", str(degree), "--verify-integrability", str(samples))
+
+
+def _alg(name: str, kind: str, payload, *commands) -> tuple:
+    return name, dsl.emit(dsl.AlgebraFile(name, kind, payload.field, payload.n, payload)), commands
+
+
+def _rows():
+    """Yield (name, text of its input or None, commands): each command is a
+    subcommand and its flags, and the input's path goes after the subcommand."""
+    # (tag, field, commands on every catalog instance, and on those the
+    # catalog expects to be sufficiently smooth)
+    grids = [(tag, field, (("smooth",), ("classify3d",), ("pbw-check",)), (_calculus(5, 1),))
+             for tag, field in FIELDS]
+    # a prime of the size the benchmark draws
+    grids.append((f"p{WORD_P.p}", WORD_P, (("smooth",),), (_calculus(5, 1),)))
+    # at degree 7 the binomials C(7, t) of the shifted twists vanish
+    grids.append(("p7", DEGREE_P, (), (_calculus(7, 2),)))
+    for tag, field, every, smooth in grids:
+        for idx, entry in enumerate(three_dim_grid(field)):
+            commands = every + (smooth if entry.expected is Verdict.SMOOTH_SUFFICIENT else ())
+            if commands:
+                yield _alg(f"skew-{idx:02d}-{entry.label}-{tag}", "skew", entry.presentation,
+                           *commands)
+    # wider presentations: their integral-form tables have 2^n - 2 index sets
+    for tag, field in FIELDS:
+        for n in (4, 6):
+            yield _alg(f"quasi-n{n}-{tag}", "skew", _quasi_commutative(field, n), _calculus(2, 1))
+    n = cli.MAX_CALCULUS_N  # the widest input calculus takes
+    yield _alg(f"commutative-n{n}-q", "skew", Presentation.commutative(QQ, n), _calculus(1, 0))
+    # at the high degrees the README times
+    yield _alg("class-2b-beta3-b7-q", "skew", three_dim_class("2b", beta=3, b=7),
+               _calculus(18, 1))
+    # the shifted plane x1 x2 - x2 x1 = x1 + x2; over F_5 ker d is disconnected, of dimension 28
+    for tag, field in (("q", QQ), ("p5", PrimeField(5))):
+        yield _alg(f"shifted-plane-{tag}", "skew",
+                   Presentation.skew(field, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)}), _calculus(30, 1))
+    # disconnected too: ker d has dimension 7
+    yield _alg("class-2b-beta3-b5-p7", "skew", three_dim_class("2b", DEGREE_P, beta=3, b=5),
+               _calculus(12, 1))
+    # x1 x2 - 3 x2 x1 = 3 x1 + x2 + 2: both twists have a shifted diagonal
+    yield _alg("shifted-quasi-plane-q", "skew",
+               Presentation.skew(QQ, 2, {(1, 2): (3, {1: 3, 2: 1}, 2)}),
+               ("smooth",), ("calculus", "--max-degree", "6"))
+    for tag, field in FIELDS:
+        for label in DIFFUSION_LABELS:
+            for idx, dp in enumerate(diffusion_class_instances(label)):
+                yield _alg(f"diffusion1-{label}-{idx}-{tag}", "diffusion1",
+                           _diffusion_over(field, dp, DiffusionType.TYPE1),
+                           ("pbw-check",), ("diffusion-classify",))
+                yield _alg(f"diffusion2-{label}-{idx}-{tag}", "diffusion2",
+                           _diffusion_over(field, dp, DiffusionType.TYPE2), ("pbw-check",))
+    for seed in (0, 3):
+        yield f"seed{seed}", None, (("verify-identities", "--seed", str(seed)),)
+    # the shape of the identities benchmark job
+    for seed in (0, 3, 271828):
+        yield f"bench-shape-seed{seed}", None, (
+            ("verify-identities", "--n-max", "4", "--samples", "1", "--seed", str(seed)),)
+    for name, text, *flags in MALFORMED:
+        command = (("calculus", *flags[0]) if flags
+                   else ("pbw-check",) if "diffusion" in text else ("smooth",))
+        yield f"malformed-{name}", text, (command,)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Write the CLI's --json output on a fixed corpus to OUTDIR.")
     parser.add_argument("outdir")
-    args = parser.parse_args()
-    outdir = args.outdir
+    outdir = parser.parse_args().outdir
     os.makedirs(os.path.join(outdir, "inputs"), exist_ok=True)
     start = time.perf_counter()
     count = 0
-
-    for tag, field in FIELDS:
-        for idx, entry in enumerate(three_dim_grid(field)):
-            name = f"skew-{idx:02d}-{entry.label}-{tag}"
-            pres = entry.presentation
-            path = _write_input(outdir, dsl.AlgebraFile(name, "skew", field, pres.n, pres))
-            commands = [["smooth", path], ["classify3d", path], ["pbw-check", path]]
-            if entry.expected is Verdict.SMOOTH_SUFFICIENT:
-                commands.append(["calculus", path, "--max-degree", "5",
-                                 "--verify-integrability", "1"])
-            for argv in commands:
-                _run(outdir, name, argv)
-                count += 1
-
-    for idx, entry in enumerate(three_dim_grid(WORD_P)):
-        name = f"skew-{idx:02d}-{entry.label}-p{WORD_P.p}"
-        pres = entry.presentation
-        path = _write_input(outdir, dsl.AlgebraFile(name, "skew", WORD_P, pres.n, pres))
-        commands = [["smooth", path]]
-        if entry.expected is Verdict.SMOOTH_SUFFICIENT:
-            commands.append(["calculus", path, "--max-degree", "5",
-                             "--verify-integrability", "1"])
-        for argv in commands:
-            _run(outdir, name, argv)
+    for name, text, commands in _rows():
+        path = []
+        if text is not None:
+            path = [os.path.join(outdir, "inputs", f"{name}.alg")]
+            _write(path[0], text)
+        for command, *flags in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main([command, *path, *flags, "--json"])
+            stem = os.path.join(outdir, f"{name}.{command}")
+            _write(stem + ".json", out.getvalue())
+            if rc:
+                _write(stem + ".err", f"exit {rc}\n{err.getvalue()}")
             count += 1
-
-    for idx, entry in enumerate(three_dim_grid(DEGREE_P)):
-        if entry.expected is not Verdict.SMOOTH_SUFFICIENT:
-            continue
-        name = f"skew-{idx:02d}-{entry.label}-p7"
-        pres = entry.presentation
-        path = _write_input(outdir, dsl.AlgebraFile(name, "skew", DEGREE_P, pres.n, pres))
-        _run(outdir, name, ["calculus", path, "--max-degree", "7",
-                            "--verify-integrability", "2"])
-        count += 1
-
-    wide = [(f"quasi-n{n}-{tag}", _quasi_commutative(field, n), ("2", "1"))
-            for tag, field in FIELDS for n in WIDE_N]
-    wide.append((f"commutative-n{cli.MAX_CALCULUS_N}-q",
-                 Presentation.commutative(QQ, cli.MAX_CALCULUS_N), ("1", "0")))
-    wide.append(("class-2b-beta3-b7-q", three_dim_class("2b", beta=3, b=7), ("18", "1")))
-    for tag, field in (("q", QQ), ("p5", PrimeField(5))):
-        wide.append((f"shifted-plane-{tag}",
-                     Presentation.skew(field, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)}), ("30", "1")))
-    wide.append(("class-2b-beta3-b5-p7", three_dim_class("2b", DEGREE_P, beta=3, b=5),
-                 ("12", "1")))
-    for name, pres, (degree, samples) in wide:
-        path = _write_input(outdir, dsl.AlgebraFile(name, "skew", pres.field, pres.n, pres))
-        _run(outdir, name, ["calculus", path, "--max-degree", degree,
-                            "--verify-integrability", samples])
-        count += 1
-
-    name = "shifted-quasi-plane-q"
-    path = _write_input(outdir, dsl.AlgebraFile(name, "skew", QQ, 2, SHIFTED_QUASI_PLANE))
-    for argv in (["smooth", path], ["calculus", path, "--max-degree", "6"]):
-        _run(outdir, name, argv)
-        count += 1
-
-    for tag, field in FIELDS:
-        for label in DIFFUSION_LABELS:
-            for idx, dp in enumerate(diffusion_class_instances(label)):
-                for kind, dtype in (("diffusion1", DiffusionType.TYPE1),
-                                    ("diffusion2", DiffusionType.TYPE2)):
-                    name = f"{kind}-{label}-{idx}-{tag}"
-                    payload = _diffusion_over(field, dp, dtype)
-                    path = _write_input(outdir, dsl.AlgebraFile(name, kind, field, 3, payload))
-                    commands = [["pbw-check", path]]
-                    if dtype is DiffusionType.TYPE1:
-                        commands.append(["diffusion-classify", path])
-                    for argv in commands:
-                        _run(outdir, name, argv)
-                        count += 1
-
-    for seed in (0, 3):
-        _run(outdir, f"seed{seed}", ["verify-identities", "--seed", str(seed)])
-        count += 1
-    for seed in BENCH_SHAPE_SEEDS:
-        _run(outdir, f"bench-shape-seed{seed}",
-             ["verify-identities", "--n-max", "4", "--samples", "1", "--seed", str(seed)])
-        count += 1
-
-    for name, text, *flags in MALFORMED:
-        path = os.path.join(outdir, "inputs", f"malformed-{name}.alg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if flags:
-            argv = ["calculus", path, *flags[0]]
-        else:
-            argv = ["smooth" if "diffusion" not in text else "pbw-check", path]
-        _run(outdir, f"malformed-{name}", argv)
-        count += 1
-
     print(f"{count} outputs in {outdir} ({time.perf_counter() - start:.1f} s)")
     return 0
 

@@ -141,6 +141,13 @@ class OverlapReport(NamedTuple):
         return [c for c in self.checks if not c.passed]
 
 
+def _signed_sum(bits: list) -> str:
+    """The terms joined as a sum, "a - b" for a term "-b"; "0" when there are none."""
+    if not bits:
+        return "0"
+    return bits[0] + "".join(f" - {b[1:]}" if b.startswith("-") else f" + {b}" for b in bits[1:])
+
+
 class Presentation:
     """An n-generator quasi-commutation presentation with an order convention.
 
@@ -565,8 +572,6 @@ class Presentation:
         return OverlapReport(tuple(checks))
 
     def format_poly(self, p: NcPoly) -> str:
-        if not p:
-            return "0"
         bits = []
         for m in sorted(p.terms, key=lambda m: (sum(m), tuple(-e for e in m))):
             c = p.terms[m]
@@ -581,10 +586,7 @@ class Presentation:
                 bits.append(f"-{mono}")
             else:
                 bits.append(f"{c}*{mono}")
-        text = bits[0]
-        for b in bits[1:]:
-            text += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return text
+        return _signed_sum(bits)
 
     def __eq__(self, other):
         return (isinstance(other, Presentation)

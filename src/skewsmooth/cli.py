@@ -97,11 +97,8 @@ def _cmd_smooth(args) -> int:
     }
     lines = [f"verdict: {verdict.verdict.value} (gkdim {gkdim})"]
     lines += [f"reason: {r}" for r in verdict.reasons]
-    if verdict.witness:
-        for k, nu in enumerate(verdict.witness, start=1):
-            images = ", ".join(f"{g} -> {img}"
-                               for g, img in _endo_json(pres, nu).items())
-            lines.append(f"nu_{pres.names[k - 1]}: {images}")
+    for g, images in zip(pres.names, payload["witness"] or ()):
+        lines.append(f"nu_{g}: " + ", ".join(f"{h} -> {img}" for h, img in images.items()))
     _emit(payload, args.json, lines)
     return 0
 
@@ -137,9 +134,9 @@ def _cmd_pbw_check(args) -> int:
         ],
     }
     lines = [f"overlaps: {'all PASS' if report.all_pass else 'FAILURES'}"]
-    for c in report.checks:
-        status = "PASS" if c.passed else f"FAIL  discrepancy {pres.format_poly(c.discrepancy)}"
-        lines.append(f"({c.i},{c.j},{c.k}): {status}")
+    for t in payload["triples"]:
+        status = "PASS" if t["discrepancy"] is None else f"FAIL  discrepancy {t['discrepancy']}"
+        lines.append(f"({t['i']},{t['j']},{t['k']}): {status}")
     _emit(payload, args.json, lines)
     return 0
 
@@ -231,7 +228,7 @@ def _cmd_diffusion_classify(args) -> int:
         "crosswalk": {lab: diff.crosswalk_to_3d(lab) for lab in labels},
     }
     lines = [f"classes: {', '.join(labels) if labels else '(none)'}"]
-    lines += [f"{lab} -> {diff.crosswalk_to_3d(lab)}" for lab in labels]
+    lines += [f"{lab} -> {target}" for lab, target in payload["crosswalk"].items()]
     _emit(payload, args.json, lines)
     return 0
 

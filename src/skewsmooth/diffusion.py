@@ -458,7 +458,6 @@ class AutCoeffMatrices(NamedTuple):
     l2: tuple
     s_vec: tuple
     h_vec: tuple
-    constants: tuple         # (A_k, B_k, S_k, H_k)
 
 
 def build_aut_matrices(coeffs: SigmaCoefficients, lam12, lam21,
@@ -469,7 +468,6 @@ def build_aut_matrices(coeffs: SigmaCoefficients, lam12, lam21,
     B = [field.coerce(v) for v in coeffs.d2[:4]]
     S = [field.coerce(v) for v in coeffs.x1[:4]]
     H = [field.coerce(v) for v in coeffs.x2[:4]]
-    consts = tuple(field.coerce(v[4]) for v in (coeffs.d1, coeffs.d2, coeffs.x1, coeffs.x2))
     one, zero = field.one, field.zero
     dl = lam12 - lam21
     a_matrix = tuple((A[r], B[r], S[r], H[r]) for r in range(4))
@@ -489,7 +487,7 @@ def build_aut_matrices(coeffs: SigmaCoefficients, lam12, lam21,
     l1 = (zero, -lam21, zero, one)
     l2 = (lam12, zero, one, zero)
     return AutCoeffMatrices(field, lam12, lam21, a_matrix, gamma, theta, l_matrix,
-                            l1, l2, tuple(S), tuple(H), consts)
+                            l1, l2, tuple(S), tuple(H))
 
 
 def identity_sigma(field=QQ) -> SigmaCoefficients:

@@ -23,7 +23,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .algebra import Presentation
+from .algebra import Presentation, _signed_sum
 from .diffusion import DiffusionPresentation, DiffusionType, encode_presentation
 from .errors import DuplicatePairError, PresentationSyntaxError, ZeroQuadCoeffError
 from .scalars import QQ, field_from_name
@@ -244,12 +244,7 @@ def _linear_text(tail: dict, const) -> str:
         bits.append(f"x{g}" if c == 1 else f"{c}*x{g}")
     if const:
         bits.append(str(const))
-    if not bits:
-        return "0"
-    text = bits[0]
-    for b in bits[1:]:
-        text += f" + {b}" if not b.startswith("-") else f" - {b[1:]}"
-    return text
+    return _signed_sum(bits)
 
 
 def emit(alg: AlgebraFile) -> str:

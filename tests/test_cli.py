@@ -261,21 +261,49 @@ def _read_fraction(text: str) -> Fraction:
 def test_scalars_past_the_digit_limit_print(tmp_path, capsys):
     # a residue multiplies 2500-digit scalars, past str()'s limit of 4300 digits
     rng = random.Random(14)
-    lines = ["name: big", "kind: skew", "field: Q", "n: 3"]
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        a, e = (rng.randrange(10 ** 2499, 10 ** 2500) for _ in range(2))
-        lines.append(f"x{i}*x{j} - {a}*x{j}*x{i} = {e}")
-    path = tmp_path / "big.alg"
-    path.write_text("\n".join(lines) + "\n")
+    pairs = ((1, 2), (1, 3), (2, 3))
+
+    def big():
+        return rng.randrange(10 ** 2499, 10 ** 2500)
+
+    def write(name, kind, body):
+        path = tmp_path / f"{name}.alg"
+        path.write_text("\n".join([f"name: {name}", f"kind: {kind}", "field: Q", "n: 3", *body])
+                        + "\n")
+        return str(path)
+
+    path = write("big", "skew", [f"x{i}*x{j} - {big()}*x{j}*x{i} = {big()}" for i, j in pairs])
     for argv in (["smooth"], ["pbw-check"], ["calculus", "--max-degree", "4"], ["classify3d"]):
-        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert code == 0 and "internal error" not in err and out
-    code, out, _ = run(capsys, "smooth", str(path), "--json")
+    code, out, _ = run(capsys, "smooth", path, "--json")
     residue = json.loads(out)["reasons"][0].rsplit(" ", 1)[1]
-    failed = [ch for ch in assemble_constant_checks(parse_file(str(path)).presentation())
+    failed = [ch for ch in assemble_constant_checks(parse_file(path).presentation())
               if not ch.holds]
     assert len(residue) > sys.get_int_max_str_digits()
     assert _read_fraction(residue) == failed[0].residual
+    # distinct 2500-digit ratios and no tails: sufficiently smooth, so the
+    # calculus is built, and the witness prints each ratio
+    ratios = write("ratios", "skew", [f"x{i}*x{j} - {big()}/{big()}*x{j}*x{i} = 0"
+                                      for i, j in pairs])
+    # diffusion coefficients of 2500 digits: overlap discrepancies of thousands more
+    lambdas = [f"lambda {i} {j} = {big()}" for i in range(1, 4) for j in range(1, 4) if i != j]
+    type1 = write("type1", "diffusion1", lambdas + [f"x {i} = {big()}" for i in range(1, 4)])
+    type2 = write("type2", "diffusion2", lambdas)
+    outputs = {}
+    for path, command, *flags in ((ratios, "smooth", "--json"),
+                                  (ratios, "calculus", "--max-degree", "3",
+                                   "--verify-integrability", "1"),
+                                  (type1, "pbw-check"), (type1, "diffusion-classify"),
+                                  (type2, "pbw-check")):
+        code, out, err = run(capsys, command, path, *flags)
+        assert code == 0 and "internal error" not in err and out
+        outputs[path, command] = out
+    witness = json.loads(outputs[ratios, "smooth"])["witness"]
+    assert max(len(img) for nu in witness for img in nu.values()) > 5000
+    assert "integrability sampling (1 forms/degree): PASS" in outputs[ratios, "calculus"]
+    for path in (type1, type2):
+        assert max(map(len, outputs[path, "pbw-check"].split())) > 12000
 
 
 @pytest.fixture
