@@ -20,6 +20,6 @@ from .endos import (AffineEndo, apply_endo, commute, compose, identity_endo,
                     invert, respects_relations)
 from .scalars import QQ, PrimeField, RationalField
 from .smoothness import (Verdict, assemble_constant_checks, classify_3d, decide,
-                         forced_nu, obstruction_check, solve_diagonal_unknowns)
+                         forced_nu, solve_diagonal_unknowns)
 
 __version__ = "0.1.0"

@@ -199,8 +199,6 @@ class Presentation:
 
     def _validate_rule(self, i, j, rule: PairRule):
         n = self.n
-        if not (1 <= i < j <= n):
-            raise MismatchedArityError(f"bad pair ({i}, {j})")
         if self.ordering is Ordering.ASCENDING and not rule.quad:
             raise ZeroQuadCoeffError(
                 f"pair ({i}, {j}): ascending rewriting needs an invertible quad coefficient")

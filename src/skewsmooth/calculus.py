@@ -204,8 +204,6 @@ class CalculusContext:
         out: dict = {}
         for s, p in f.components.items():
             for t, q in g.components.items():
-                if set(s) & set(t):
-                    continue
                 sorted_basis = self.basis_sort(s + t)
                 if sorted_basis is None:
                     continue

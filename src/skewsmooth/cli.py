@@ -18,7 +18,7 @@ from . import calculus as calc
 from . import diffusion as diff
 from . import dsl
 from .algebra import Presentation
-from .errors import IndexRangeError, SkewSmoothError
+from .errors import SkewSmoothError
 from .smoothness import Verdict, classify_3d, decide
 from .diffusion import DiffusionType
 
@@ -74,12 +74,9 @@ def _cmd_smooth(args) -> int:
     pres = alg.payload
     gkdim_defaulted = args.gkdim is None
     gkdim = pres.n if gkdim_defaulted else args.gkdim
-    try:
-        verdict = decide(pres, gkdim)
-    except IndexRangeError:
-        # decide's only IndexRangeError is its gkdim bound; say it as the flag
-        raise SkewSmoothError(
-            f"--gkdim must be between 0 and {pres.n}, not {gkdim}") from None
+    if not 0 <= gkdim <= pres.n:
+        raise SkewSmoothError(f"--gkdim must be between 0 and {pres.n}, not {gkdim}")
+    verdict = decide(pres, gkdim)
     if gkdim_defaulted and not args.json:
         sys.stderr.write(f"notice: --gkdim not given, defaulting to n = {pres.n}\n")
     payload = {

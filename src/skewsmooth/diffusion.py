@@ -570,7 +570,9 @@ def check_derivation_constant_terms(m: AutCoeffMatrices) -> DerivationConstantsR
 
     The span hypothesis is tested exactly by ranks; when it holds and the
     degree-one matrix is invertible, Theta ybar = 0 has only the zero
-    solution.
+    solution.  Under the hypothesis det A = det T det L for an invertible 2x2
+    T, so det A != 0 forces det Theta = -det L != 0: the second SINGULAR
+    return runs only if that identity fails.
     """
     field = m.field
     cols2 = [m.l1, m.l2]

@@ -236,11 +236,9 @@ def parse_file(path: str) -> AlgebraFile:
 
 
 def _linear_text(tail: dict, const) -> str:
+    """The right-hand side; ``tail`` maps generators to nonzero coefficients."""
     bits = []
-    for g in sorted(tail):
-        c = tail[g]
-        if not c:
-            continue
+    for g, c in sorted(tail.items()):
         bits.append(f"x{g}" if c == 1 else f"{c}*x{g}")
     if const:
         bits.append(str(const))

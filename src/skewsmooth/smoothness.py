@@ -29,7 +29,6 @@ __all__ = [
     "SolutionStatus",
     "NuSystemSolution",
     "solve_diagonal_unknowns",
-    "obstruction_check",
     "forced_nu",
     "Verdict",
     "SmoothnessVerdict",
@@ -57,7 +56,7 @@ def _require_spag(pres: Presentation):
         i, j, k = offenders[0]
         raise NonDiagonalTailError(
             f"tail of pair ({i}, {j}) touches generator {k}; "
-            "route through obstruction_check instead")
+            "route through decide instead")
     if not pres.is_linear_tailed:
         raise NonDiagonalTailError("solver requires linear tails")
 
@@ -199,18 +198,6 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     return result
 
 
-def obstruction_check(pres: Presentation, gkdim: int):
-    """First (i, j, k) with a tail entry on a third generator, when gkdim = n.
-
-    Such a relation forces the degree-one module to be generated by fewer than
-    n differentials, killing the top form; the conclusion needs gkdim = n.
-    """
-    if gkdim != pres.n:
-        return None
-    offenders = pres.diagonal_tail_offenders()
-    return offenders[0] if offenders else None
-
-
 def forced_nu(pres: Presentation, k: int, a_kk, b_kk) -> AffineEndo:
     """The twist for generator k: forced off-diagonal images plus the solved
     diagonal (a_kk, b_kk), meaning x_k -> a_kk x_k - b_kk."""
@@ -242,21 +229,23 @@ def decide(pres: Presentation, gkdim: int) -> SmoothnessVerdict:
     """Sufficient-condition verdict with a verified witness family.
 
     NOT_SMOOTH requires the third-generator tail obstruction together with
-    gkdim = n.  SMOOTH_SUFFICIENT requires all constant checks, nonempty
-    per-generator systems, and a defense-in-depth pass (pairwise commutation
-    and relation preservation of the emitted family).  Anything else is
-    INCONCLUSIVE: the criterion is sufficient, not necessary.  A gkdim
-    outside 0..n raises ``IndexRangeError``.
+    gkdim = n: such a tail forces the degree-one module to be generated by
+    fewer than n differentials, killing the top form.  SMOOTH_SUFFICIENT
+    requires all constant checks, nonempty per-generator systems, and a
+    defense-in-depth pass (pairwise commutation and relation preservation of
+    the emitted family).  Anything else is INCONCLUSIVE: the criterion is
+    sufficient, not necessary.  A gkdim outside 0..n raises
+    ``IndexRangeError``.
     """
     if not 0 <= gkdim <= pres.n:
         raise IndexRangeError(f"gkdim must be between 0 and n = {pres.n}, not {gkdim}")
-    obstruction = obstruction_check(pres, gkdim)
-    if obstruction is not None:
-        i, j, k = obstruction
+    offenders = pres.diagonal_tail_offenders()
+    if offenders and gkdim == pres.n:
+        i, j, k = offenders[0]
         return SmoothnessVerdict(
-            Verdict.NOT_SMOOTH, gkdim, obstruction=obstruction,
+            Verdict.NOT_SMOOTH, gkdim, obstruction=offenders[0],
             reasons=(f"relation ({i},{j}) has a tail on generator {k} and gkdim = n",))
-    if pres.diagonal_tail_offenders():
+    if offenders:
         return SmoothnessVerdict(
             Verdict.INCONCLUSIVE, gkdim,
             reasons=("third-generator tail present but gkdim != n; "
@@ -274,12 +263,9 @@ def decide(pres: Presentation, gkdim: int) -> SmoothnessVerdict:
                         + ", ".join(name for name, _, _ in s.rows) for s in empty)
         return SmoothnessVerdict(Verdict.INCONCLUSIVE, gkdim,
                                  reasons=reasons, solutions=solutions)
-    try:
-        family = tuple(forced_nu(pres, s.k, *s.witness) for s in solutions)
-    except ZeroSlopeError as exc:
-        return SmoothnessVerdict(Verdict.INCONCLUSIVE, gkdim,
-                                 reasons=(f"witness family not invertible: {exc}",),
-                                 solutions=solutions)
+    # every slope is nonzero: a witness a_kk, or a quad coefficient a(g, k) or
+    # its inverse, which ascending order requires to be nonzero
+    family = tuple(forced_nu(pres, s.k, *s.witness) for s in solutions)
     # defense in depth: certify the witness, never assume the equation set
     problems = []
     for i in range(pres.n):

@@ -46,6 +46,16 @@ x1*x3 - x3*x1 = -x1
 x1*x2 - x2*x1 = 0
 """
 
+EMPTY_K = """\
+name: emptyk
+kind: skew
+field: Q
+n: 3
+x1*x2 - 1*x2*x1 = 2*x1 - x2 - 1
+x1*x3 - 1*x3*x1 = x1 + x3 + 1
+x2*x3 - 1*x3*x2 = -x2 + 2*x3 + 1
+"""
+
 DIFF_D = """\
 name: classD
 kind: diffusion1
@@ -64,7 +74,7 @@ lambda 3 2 = 1
 def files(tmp_path):
     paths = {}
     for name, text in [("reference3", REFERENCE3), ("class5a", CLASS_5A),
-                       ("class5e", CLASS_5E), ("diffD", DIFF_D)]:
+                       ("class5e", CLASS_5E), ("emptyk", EMPTY_K), ("diffD", DIFF_D)]:
         p = tmp_path / f"{name}.alg"
         p.write_text(text)
         paths[name] = str(p)
@@ -99,8 +109,22 @@ def test_smooth_json_payload(files, capsys):
     assert len(payload["witness"]) == 3
 
 
+def test_smooth_empty_k_systems(files, capsys):
+    code, out, _ = run(capsys, "smooth", files["emptyk"])
+    assert code == 0
+    assert out.splitlines() == [
+        "verdict: INCONCLUSIVE (gkdim 3)",
+        "reason: no admissible (a_kk, b_kk) for k=1; constraints: relation (1, 2) at x_2, "
+        "relation (1, 2) at 1, relation (1, 3) at x_3, relation (1, 3) at 1",
+        "reason: no admissible (a_kk, b_kk) for k=2; constraints: relation (1, 2) at x_1, "
+        "relation (1, 2) at 1, relation (2, 3) at x_3, relation (2, 3) at 1",
+        "reason: no admissible (a_kk, b_kk) for k=3; constraints: relation (1, 3) at x_1, "
+        "relation (1, 3) at 1, relation (2, 3) at x_2, relation (2, 3) at 1",
+    ]
+
+
 @pytest.mark.parametrize("value", [-3, -1, 4, 10 ** 100])
-def test_smooth_rejects_gkdim_outside_zero_to_n(files, capsys, value):
+def test_smooth_rejects_gkdim_outside_zero_to_n(files, capsys, no_decide, value):
     code, out, err = run(capsys, "smooth", files["class5a"], "--gkdim", str(value), "--json")
     assert code == 1 and out == ""
     assert err == f"error: --gkdim must be between 0 and 3, not {value}\n"
@@ -308,7 +332,8 @@ def test_scalars_past_the_digit_limit_print(tmp_path, capsys):
 
 @pytest.fixture
 def no_decide(monkeypatch):
-    """Fail the test if ``calculus`` starts deciding: the bounds come first."""
+    """Fail the test if ``smooth`` or ``calculus`` starts deciding: the bounds
+    come first."""
     from skewsmooth import cli
 
     def never(*args):

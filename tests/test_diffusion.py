@@ -558,6 +558,14 @@ class TestDerivationConstants:
         assert report.status == "ZERO_CONSTANTS"
         assert report.constants == (F(0),) * 4
 
+    def test_singular_degree_one_matrix(self):
+        # S = L2 and H = L1 meet the span hypothesis; equal D-images make A singular
+        d = (F(1), F(1), F(0), F(0), F(0))
+        coeffs = SigmaCoefficients(d, d, (F(2), F(0), F(1), F(0), F(0)),
+                                   (F(0), F(-3), F(0), F(1), F(0)))
+        report = check_derivation_constant_terms(build_aut_matrices(coeffs, F(2), F(3)))
+        assert report == ("SINGULAR", None)
+
     def test_generic_span_fails_hypothesis(self):
         rng = random.Random(3)
         coeffs = random_sigma(rng)

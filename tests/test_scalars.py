@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 import time
@@ -157,6 +158,26 @@ class TestFpElementContract:
                 op()
         with pytest.raises(ValueError):
             PrimeField(5).coerce(y)
+
+    # bool is an int subclass that the ``cls is int`` fast paths skip, so it
+    # and a float take the fallback of each operator
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    lambda x, other: other - x],
+                             ids=["add", "sub", "mul", "rsub"])
+    def test_mixed_operands_take_the_fallback(self, op):
+        x = PrimeField(7).coerce(3)
+        for flag in (False, True):
+            got, want = op(x, flag), op(x, int(flag))
+            assert type(got) is FpElement and (got.value, got.p) == (want.value, want.p)
+        with pytest.raises(TypeError):
+            op(x, 1.5)
+        with pytest.raises(ValueError, match="^cannot mix residues for different primes$"):
+            op(x, PrimeField(5).coerce(2))
+
+    def test_equality_with_mixed_operands(self):
+        x = PrimeField(7).coerce(1)
+        assert operator.eq(x, True) and operator.ne(x, False)
+        assert operator.eq(x, 1.0) is False and operator.eq(1.0, x) is False
 
     def test_copy_and_pickle(self):
         F = PrimeField(2 ** 31 - 1)

@@ -16,7 +16,7 @@ from skewsmooth.linalg import solve_affine
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import (SolutionStatus, Verdict, assemble_constant_checks,
                                    classify_3d, decide, encode_ore_extension, forced_nu,
-                                   obstruction_check, solve_diagonal_unknowns,
+                                   solve_diagonal_unknowns,
                                    THREE_DIM_CLASSES, _diagonal_rows, _display_form,
                                    _relation_residue)
 
@@ -274,20 +274,20 @@ class TestShiftedTwist:
 
 class TestObstruction:
     def test_class_5a_found(self):
-        pres = three_dim_class("5a")
-        assert obstruction_check(pres, 3) == (1, 2, 3)
+        got = decide(three_dim_class("5a"), 3)
+        assert got.verdict is Verdict.NOT_SMOOTH and got.obstruction == (1, 2, 3)
 
     def test_diagonal_tails_none(self):
-        pres = three_dim_class("2b", beta=3, b=7)
-        assert obstruction_check(pres, 3) is None
+        got = decide(three_dim_class("2b", beta=3, b=7), 3)
+        assert got.verdict is Verdict.SMOOTH_SUFFICIENT and got.obstruction is None
 
     def test_class4_with_linear_tail_found(self):
-        pres = three_dim_class("4", alpha=2, a_vec=(1, 0, 0), b_vec=(0, 0, 0))
-        assert obstruction_check(pres, 3) == (2, 3, 1)
+        got = decide(three_dim_class("4", alpha=2, a_vec=(1, 0, 0), b_vec=(0, 0, 0)), 3)
+        assert got.verdict is Verdict.NOT_SMOOTH and got.obstruction == (2, 3, 1)
 
     def test_gkdim_mismatch_suppresses(self):
-        pres = three_dim_class("5a")
-        assert obstruction_check(pres, 2) is None
+        got = decide(three_dim_class("5a"), 2)
+        assert got.verdict is Verdict.INCONCLUSIVE and got.obstruction is None
 
 
 class TestDecide:
@@ -315,6 +315,27 @@ class TestDecide:
 
     def test_2c_not_smooth(self):
         assert decide(three_dim_class("2c", beta=3), 3).verdict is Verdict.NOT_SMOOTH
+
+    def test_empty_k_systems_are_inconclusive(self):
+        # x1 x2 - x2 x1 = 2 x1 - x2 - 1, x1 x3 - x3 x1 = x1 + x3 + 1,
+        # x2 x3 - x3 x2 = -x2 + 2 x3 + 1: every constant check holds, but no
+        # (a_kk, b_kk) solves any of the three k-systems
+        pres = Presentation.skew(QQ, 3, {(1, 2): (1, {1: 2, 2: -1}, -1),
+                                         (1, 3): (1, {1: 1, 3: 1}, 1),
+                                         (2, 3): (1, {2: -1, 3: 2}, 1)})
+        assert pres.check_pbw_overlaps().all_pass
+        assert all(c.holds for c in assemble_constant_checks(pres))
+        got = decide(pres, 3)
+        assert got.verdict is Verdict.INCONCLUSIVE and got.witness is None
+        assert got.reasons == (
+            "no admissible (a_kk, b_kk) for k=1; constraints: relation (1, 2) at x_2, "
+            "relation (1, 2) at 1, relation (1, 3) at x_3, relation (1, 3) at 1",
+            "no admissible (a_kk, b_kk) for k=2; constraints: relation (1, 2) at x_1, "
+            "relation (1, 2) at 1, relation (2, 3) at x_3, relation (2, 3) at 1",
+            "no admissible (a_kk, b_kk) for k=3; constraints: relation (1, 3) at x_1, "
+            "relation (1, 3) at 1, relation (2, 3) at x_2, relation (2, 3) at 1",
+        )
+        assert [s.status for s in got.solutions] == [SolutionStatus.EMPTY] * 3
 
     def test_off_diagonal_tail_with_wrong_gkdim_is_inconclusive(self):
         v = decide(three_dim_class("5a"), 2)
