@@ -5,6 +5,9 @@ verify-identities, pbw-check.  Exit code 0 means the tool ran to completion
 (whatever the mathematical verdict), 1 an input error, 2 a usage error from
 argparse and 3 an internal error.  All sampled reports are driven by an
 explicit seed, so identical inputs and flags give byte-identical JSON.
+
+The handlers import ``calculus``, ``dsl`` and ``diffusion`` where they call
+them, so a process loads only the modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ import json
 import math
 import sys
 
-from . import calculus as calc
-from . import diffusion as diff
-from . import dsl
 from .algebra import Presentation
 from .errors import SkewSmoothError
 from .smoothness import Verdict, classify_3d, decide
-from .diffusion import DiffusionType
 
 _CALCULUS_SEED = 20240 + 1  # fixed: the calculus command takes no seed flag
 
@@ -52,7 +51,8 @@ def _endo_json(pres: Presentation, endo) -> dict:
     return images
 
 
-def _load(path: str, want_kinds) -> dsl.AlgebraFile:
+def _load(path: str, want_kinds):
+    from . import dsl
     alg = dsl.parse_file(path)
     if alg.kind not in want_kinds:
         raise SkewSmoothError(
@@ -170,6 +170,7 @@ def _cmd_calculus(args) -> int:
         lines += [f"reason: {r}" for r in verdict.reasons]
         _emit(payload, args.json, lines)
         return 0
+    from . import calculus as calc
     ctx = calc.CalculusContext(pres, verdict.witness)
     dd_failures = calc.d_squared_failures(ctx, bound)
     kernel = calc.kernel_of_d_bounded(ctx, bound)
@@ -216,6 +217,7 @@ def _cmd_calculus(args) -> int:
 
 
 def _cmd_diffusion_classify(args) -> int:
+    from . import diffusion as diff
     alg = _load(args.file, {"diffusion1"})
     labels = sorted(diff.classify_diffusion_3(alg.payload))
     payload = {
@@ -230,7 +232,7 @@ def _cmd_diffusion_classify(args) -> int:
     return 0
 
 
-def _commutation_json(report: diff.CommutationReport) -> dict:
+def _commutation_json(report) -> dict:
     counter = None
     if report.counterexample:
         counter = {k: (v if isinstance(v, (int, str)) else str(v))
@@ -250,12 +252,13 @@ def _cmd_verify_identities(args) -> int:
                                ("--samples", args.samples, MAX_IDENTITY_SAMPLES)):
         if not 1 <= value <= bound:
             raise SkewSmoothError(f"{flag} must be between 1 and {bound}, not {value}")
+    from . import diffusion as diff
     seed = args.seed
     pq = diff.verify_pq_recurrences(LADDER_N_MAX, args.samples, seed)
     right1, left1 = diff.verify_commutation(args.n_max, args.samples, seed,
-                                            DiffusionType.TYPE1)
+                                            diff.DiffusionType.TYPE1)
     right2, left2 = diff.verify_commutation(args.n_max, args.samples, seed + 1,
-                                            DiffusionType.TYPE2)
+                                            diff.DiffusionType.TYPE2)
     dets = diff.verify_determinant_identities(args.samples, seed)
     payload = {
         "command": "verify-identities",

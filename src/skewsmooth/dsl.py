@@ -14,7 +14,8 @@ and, for kind diffusion1, ``x <i> = <scalar>``; unspecified forward lambdas
 default to 1, reverse lambdas and x parameters to 0.
 
 Scalars are integers or ``p/q`` fractions.  ``#`` starts a comment.
-The header's ``n`` is at most ``MAX_GENERATORS``.
+The header's ``n`` is at most ``MAX_GENERATORS``.  The ``diffusion`` module
+is imported only to parse, emit or encode a diffusion kind.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import sys
 from typing import NamedTuple
 
 from .algebra import Presentation, _signed_sum
-from .diffusion import DiffusionPresentation, DiffusionType, encode_presentation
 from .errors import DuplicatePairError, PresentationSyntaxError, ZeroQuadCoeffError
 from .scalars import QQ, field_from_name
 
@@ -61,6 +61,7 @@ class AlgebraFile(NamedTuple):
         """The payload as a rewriting-engine presentation."""
         if self.kind == "skew":
             return self.payload
+        from .diffusion import encode_presentation
         return encode_presentation(self.payload)
 
 
@@ -195,6 +196,7 @@ def parse(text: str) -> AlgebraFile:
                 raise type(exc)(str(exc), lineno, col + _index(line, exc.column)) from None
         return AlgebraFile(name, kind, field, n, Presentation.skew(field, n, relations))
 
+    from .diffusion import DiffusionPresentation, DiffusionType
     lambdas: dict = {}
     xs: dict = {}
     for lineno, line, col in body:
@@ -260,7 +262,8 @@ def emit(alg: AlgebraFile) -> str:
             lines.append(f"x{i}*x{j} - {rule.quad}*x{j}*x{i} = "
                          + _linear_text(tail, const))
     else:
-        dp: DiffusionPresentation = alg.payload
+        from .diffusion import DiffusionType
+        dp = alg.payload
         for i in range(1, dp.n + 1):
             for j in range(1, dp.n + 1):
                 if i == j:

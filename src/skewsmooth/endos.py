@@ -163,6 +163,9 @@ class RelationReport(NamedTuple):
 
 def respects_relations(endo: AffineEndo, pres: Presentation) -> RelationReport:
     """Per relation, the normal form of endo(LHS - RHS); PASS iff all zero."""
+    if endo.n != pres.n:
+        raise MismatchedArityError(f"cannot check a {endo.n}-generator endomorphism "
+                                   f"against a {pres.n}-generator presentation")
     checks = []
     images = {g: endo.image_poly(pres, g) for g in range(1, pres.n + 1)}
     for (i, j) in sorted(pres.pairs):

@@ -1,9 +1,15 @@
-"""The public surface: every name a module exports exists, and the checks on
-input from outside the program that the other tests leave out each raise
+"""The public surface: every name a module exports exists, the package's
+exports are its modules' own objects, loaded on first access, and the checks
+on input from outside the program that the other tests leave out each raise
 their own error with their own message."""
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +21,7 @@ from skewsmooth.calculus import CalculusContext, DiffForm
 from skewsmooth.catalog import diffusion_class_instances, three_dim_class
 from skewsmooth.diffusion import (DiffusionPresentation, DiffusionType, SigmaCoefficients,
                                   classify_diffusion_3)
-from skewsmooth.endos import AffineEndo, apply_endo, compose, identity_endo
+from skewsmooth.endos import AffineEndo, apply_endo, compose, identity_endo, respects_relations
 from skewsmooth.errors import (BadCharacteristicError, IndexRangeError, MismatchedArityError,
                                NonDiagonalTailError, ZeroQuadCoeffError)
 from skewsmooth.scalars import QQ, PrimeField, field_from_name
@@ -28,6 +34,72 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names {missing}"
+
+
+# the package's exports by home module, as its eager imports listed them
+PACKAGE_EXPORTS = {
+    "algebra": "NcPoly Ordering Presentation degree_truncation relabel",
+    "calculus": "CalculusContext DiffForm integral_form_coefficients kernel_of_d_bounded "
+                "verify_integrability",
+    "diffusion": "DiffusionPresentation DiffusionType build_aut_matrices "
+                 "check_derivation_constant_terms classify_diffusion_3 crosswalk_to_3d "
+                 "encode_presentation pq_p pq_q solve_sigma_constant_terms verify_commutation "
+                 "verify_determinant_identities verify_left_commutation verify_pq_recurrences "
+                 "verify_right_commutation",
+    "endos": "AffineEndo apply_endo commute compose identity_endo invert respects_relations",
+    "scalars": "QQ PrimeField RationalField",
+    "smoothness": "Verdict assemble_constant_checks classify_3d decide forced_nu "
+                  "solve_diagonal_unknowns",
+}
+HOMES = {name: module for module, names in PACKAGE_EXPORTS.items() for name in names.split()}
+
+
+def test_package_exports_are_their_home_modules_objects():
+    assert len(HOMES) == 41 and sorted(skewsmooth.__all__) == sorted(HOMES)
+    for name, module in HOMES.items():
+        home = importlib.import_module(f"skewsmooth.{module}")
+        assert getattr(skewsmooth, name) is getattr(home, name), name
+
+
+def test_package_dir_and_star_import_give_the_exports():
+    assert set(skewsmooth.__all__) <= set(dir(skewsmooth))
+    namespace: dict = {}
+    exec("from skewsmooth import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(skewsmooth.__all__)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'skewsmooth' has no attribute 'nope'"):
+        skewsmooth.nope
+    assert not hasattr(skewsmooth, "Rational") and not hasattr(skewsmooth, "__wrapped__")
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(skewsmooth.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_submodule_attribute_after_a_bare_import():
+    files = {info.name for info in pkgutil.iter_modules(skewsmooth.__path__)}
+    assert skewsmooth._SUBMODULES == files
+    proc = _run_fresh(
+        "import sys, skewsmooth\n"
+        "assert 'skewsmooth.calculus' not in sys.modules\n"
+        "assert skewsmooth.calculus is sys.modules['skewsmooth.calculus']\n"
+        "assert skewsmooth.calculus.CalculusContext is skewsmooth.CalculusContext\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_sketch_runs():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme.read_text(),
+                       re.S).group(1)
+    assert sketch.startswith("from skewsmooth import QQ, Presentation, decide\n")
+    proc = _run_fresh(sketch)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _rule(quad=1, *tail):
@@ -109,6 +181,10 @@ VALIDATION = [
      MismatchedArityError, "endomorphism arity differs from presentation"),
     (lambda: compose(identity_endo(QQ, 2), identity_endo(QQ, 3)),
      MismatchedArityError, "cannot compose endomorphisms of different arity"),
+    (lambda: respects_relations(identity_endo(QQ, 3), _commutative(2)), MismatchedArityError,
+     "cannot check a 3-generator endomorphism against a 2-generator presentation"),
+    (lambda: respects_relations(identity_endo(QQ, 2), _commutative(3)), MismatchedArityError,
+     "cannot check a 2-generator endomorphism against a 3-generator presentation"),
     # linalg
     (lambda: linalg.nullspace(QQ, []), ValueError, "ncols required for an empty matrix"),
     (lambda: linalg.solve_affine(QQ, [], []),

@@ -3,9 +3,11 @@ Q, F_5 and F_101: constant factors in ``multiply``, the per-pair tail table,
 the shift-compatibility test in ``commute``, the memoised powers of a twist,
 and the per-context basis sorts and monomial lists.  Also what keeps the fixed
 cost of a CLI call down: no module-level table that grows, no
-``dataclasses`` import, and slotted records that still refuse assignment
-and copy and pickle equal, with the refusal and pickling in one base class."""
+``dataclasses`` import, no module loaded that the subcommand never runs, and
+slotted records that still refuse assignment and copy and pickle equal, with
+the refusal and pickling in one base class."""
 
+import ast
 import copy
 import importlib
 import os
@@ -293,17 +295,37 @@ def test_no_module_level_table_grows(tmp_path, capsys):
     assert module_containers() == before
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """Importing the package and its CLI in a fresh process adds neither
-    module, each of which costs every CLI process import time and memory."""
-    probe = ("import sys; before = set(sys.modules); import skewsmooth, skewsmooth.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+def _modules_added(code: str, *argv) -> set:
+    """The modules a fresh process adds to ``sys.modules`` by running ``code``
+    with ``argv`` as ``sys.argv[1:]``."""
+    probe = ("import sys\nbefore = set(sys.modules)\n" + code +
+             "\nprint(sorted(set(sys.modules) - before))\n")
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(skewsmooth.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """A fresh process loads only the modules it runs: importing the package
+    and its CLI adds neither ``dataclasses`` nor ``inspect``, each of which
+    costs every CLI process import time and memory; the package alone loads
+    no submodule; and each subcommand leaves out the modules it never calls."""
+    cli_call = "import skewsmooth.cli\nskewsmooth.cli.main(sys.argv[1:])"
+    assert not {m for m in _modules_added("import skewsmooth") if m.startswith("skewsmooth.")}
+    added = _modules_added("import skewsmooth, skewsmooth.cli")
+    assert not {"dataclasses", "inspect", "skewsmooth.calculus", "skewsmooth.dsl",
+                "skewsmooth.diffusion", "skewsmooth.catalog"} & added
+    added = _modules_added(cli_call, "verify-identities", "--n-max", "2", "--samples", "1")
+    assert "skewsmooth.diffusion" in added
+    assert not {"skewsmooth.calculus", "skewsmooth.dsl", "skewsmooth.catalog"} & added
+    skew = tmp_path / "skew.alg"
+    skew.write_text("kind: skew\nn: 3\nx1*x2 - 2*x2*x1 = 0\n")
+    added = _modules_added(cli_call, "smooth", str(skew), "--gkdim", "3")
+    assert {"skewsmooth.dsl", "skewsmooth.smoothness"} <= added
+    assert not {"skewsmooth.calculus", "skewsmooth.diffusion", "skewsmooth.catalog"} & added
 
 
 def _q(*values):
