@@ -3,8 +3,7 @@
 
 Runs the decision procedure over every representative catalog instance and
 prints one row per instance: class label, parameters, verdict, and whether it
-matches the expected partition.  A ``--gkdim`` outside 0..3 ends in one
-``error: ...`` line on stderr and exit status 1.
+matches the expected partition.
 """
 
 from __future__ import annotations
@@ -14,24 +13,17 @@ import sys
 import time
 
 from skewsmooth.catalog import three_dim_grid
-from skewsmooth.errors import SkewSmoothError
 from skewsmooth.smoothness import decide
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gkdim", type=int, default=3)
-    args = parser.parse_args()
-    try:
-        return table(args.gkdim)
-    except SkewSmoothError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    return table()
 
 
-def table(gkdim: int) -> int:
+def table() -> int:
     start = time.perf_counter()
-    rows = [(entry, decide(entry.presentation, gkdim)) for entry in three_dim_grid()]
+    rows = [(entry, decide(entry.presentation)) for entry in three_dim_grid()]
     mismatches = 0
     print(f"{'class':<6} {'parameters':<42} {'verdict':<20} expected")
     for entry, verdict in rows:

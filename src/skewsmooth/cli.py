@@ -3,8 +3,9 @@
 Subcommands: smooth, classify3d, calculus, diffusion-classify,
 verify-identities, pbw-check.  Exit code 0 means the tool ran to completion
 (whatever the mathematical verdict), 1 an input error, 2 a usage error from
-argparse and 3 an internal error.  All sampled reports are driven by an
-explicit seed, so identical inputs and flags give byte-identical JSON.
+argparse, 3 an internal error and 141, the shell's status for SIGPIPE, a
+stdout closed by its reader.  All sampled reports are driven by an explicit
+seed, so identical inputs and flags give byte-identical JSON.
 
 The handlers import ``calculus``, ``dsl`` and ``diffusion`` where they call
 them, so a process loads only the modules its subcommand runs.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .algebra import Presentation
@@ -67,32 +69,27 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")
+    # a closed pipe then fails inside ``main``, not in the flush at exit
+    sys.stdout.flush()
 
 
 def _cmd_smooth(args) -> int:
     alg = _load(args.file, {"skew"})
     pres = alg.payload
-    gkdim_defaulted = args.gkdim is None
-    gkdim = pres.n if gkdim_defaulted else args.gkdim
-    if not 0 <= gkdim <= pres.n:
-        raise SkewSmoothError(f"--gkdim must be between 0 and {pres.n}, not {gkdim}")
-    verdict = decide(pres, gkdim)
-    if gkdim_defaulted and not args.json:
-        sys.stderr.write(f"notice: --gkdim not given, defaulting to n = {pres.n}\n")
+    verdict = decide(pres)
     payload = {
         "command": "smooth",
         "name": alg.name,
         "n": pres.n,
         "field": alg.field.name,
-        "gkdim": gkdim,
-        "gkdim_defaulted": gkdim_defaulted,
+        "gkdim": pres.n,
         "verdict": verdict.verdict.value,
         "reasons": list(verdict.reasons),
         "obstruction": list(verdict.obstruction) if verdict.obstruction else None,
         "witness": [_endo_json(pres, nu) for nu in verdict.witness]
         if verdict.witness else None,
     }
-    lines = [f"verdict: {verdict.verdict.value} (gkdim {gkdim})"]
+    lines = [f"verdict: {verdict.verdict.value} (gkdim {pres.n})"]
     lines += [f"reason: {r}" for r in verdict.reasons]
     for g, images in zip(pres.names, payload["witness"] or ()):
         lines.append(f"nu_{g}: " + ", ".join(f"{h} -> {img}" for h, img in images.items()))
@@ -156,7 +153,7 @@ def _cmd_calculus(args) -> int:
     if monomials > MAX_CALCULUS_MONOMIALS:
         raise SkewSmoothError(f"--max-degree {bound} at n = {pres.n} gives {monomials} "
                               f"monomials, more than {MAX_CALCULUS_MONOMIALS}")
-    verdict = decide(pres, pres.n)
+    verdict = decide(pres)
     payload = {
         "command": "calculus",
         "name": alg.name,
@@ -293,8 +290,7 @@ _FILE = ("file", {})
 # name or flag and the keywords of ``add_argument``.  The handler is looked up
 # when a parser is built, so a replaced ``_cmd_*`` is the one that runs.
 _COMMANDS = {
-    "smooth": ("decide sufficient differential smoothness", "_cmd_smooth",
-               (_FILE, ("--gkdim", {"type": int, "default": None}), _JSON)),
+    "smooth": ("decide sufficient differential smoothness", "_cmd_smooth", (_FILE, _JSON)),
     "classify3d": ("match a three-generator presentation against the fifteen "
                    "standard shapes", "_cmd_classify3d", (_FILE, _JSON)),
     "calculus": ("build and check the differential calculus", "_cmd_calculus",
@@ -346,6 +342,11 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: end as a process killed by SIGPIPE does,
+        # with stdout on the null device so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SkewSmoothError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -4,11 +4,11 @@ The twist for generator k sends every other generator to a forced image
 and x_k to a_kk x_k - b_kk, with (a_kk, b_kk) unknown.  Every equation the
 procedure solves is a coefficient of one closed form, the residue of a
 relation under a diagonal-affine map (``_relation_residue``), so a change of
-generators by x_g -> s_g x_g + t_g changes no verdict.  The pipeline: screen
-for the third-generator tail obstruction, check the equations free of the
-unknowns, solve the per-generator 2-unknown affine systems for
-(a_kk, b_kk), build the candidate twist family, and re-verify it with the
-rewriting engine before certifying.
+generators by x_g -> s_g x_g + t_g changes no verdict.  The pipeline: check
+the overlaps, screen for the third-generator tail obstruction, check the
+equations free of the unknowns, solve the per-generator 2-unknown affine
+systems for (a_kk, b_kk), build the candidate twist family, and re-verify
+it with the rewriting engine before certifying.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import linalg
 from .algebra import Ordering, Presentation
 from .endos import AffineEndo, commute, respects_relations
-from .errors import IndexRangeError, NonDiagonalTailError, ZeroSlopeError
+from .errors import NonDiagonalTailError, ZeroSlopeError
 from .scalars import QQ
 
 __all__ = [
@@ -214,7 +214,6 @@ class Verdict(str, Enum):
 
 class SmoothnessVerdict(NamedTuple):
     verdict: Verdict
-    gkdim: int
     witness: tuple | None = None       # the full twist family, one AffineEndo per generator
     reasons: tuple = ()
     obstruction: tuple | None = None
@@ -225,44 +224,41 @@ class SmoothnessVerdict(NamedTuple):
         return self.verdict is Verdict.SMOOTH_SUFFICIENT
 
 
-def decide(pres: Presentation, gkdim: int) -> SmoothnessVerdict:
+def decide(pres: Presentation) -> SmoothnessVerdict:
     """Sufficient-condition verdict with a verified witness family.
 
-    NOT_SMOOTH requires the third-generator tail obstruction together with
-    gkdim = n: such a tail forces the degree-one module to be generated by
-    fewer than n differentials, killing the top form.  SMOOTH_SUFFICIENT
-    requires all constant checks, nonempty per-generator systems, and a
-    defense-in-depth pass (pairwise commutation and relation preservation of
-    the emitted family).  Anything else is INCONCLUSIVE: the criterion is
-    sufficient, not necessary.  A gkdim outside 0..n raises
-    ``IndexRangeError``.
+    If the ordered monomials are not a basis (an overlap fails), the
+    rewriting engine computes in their span, not in the algebra: the
+    verdict is INCONCLUSIVE with one reason per failing overlap.  Past that
+    gate the GK dimension is n, as the associated graded algebra is a
+    quantum affine space.  NOT_SMOOTH is a third-generator tail, which
+    leaves fewer than n differentials to generate the degree-one module and
+    kills the top form.  SMOOTH_SUFFICIENT requires all constant checks,
+    nonempty per-generator systems, and a defense-in-depth pass (pairwise
+    commutation and relation preservation of the emitted family).  Anything
+    else is INCONCLUSIVE: the criterion is sufficient, not necessary.
     """
-    if not 0 <= gkdim <= pres.n:
-        raise IndexRangeError(f"gkdim must be between 0 and n = {pres.n}, not {gkdim}")
+    overlaps = pres.check_pbw_overlaps().failures()
+    if overlaps:
+        return SmoothnessVerdict(Verdict.INCONCLUSIVE, reasons=tuple(
+            f"ordered monomials are not a basis: overlap ({c.i},{c.j},{c.k}) "
+            f"has discrepancy {pres.format_poly(c.discrepancy)}" for c in overlaps))
     offenders = pres.diagonal_tail_offenders()
-    if offenders and gkdim == pres.n:
-        i, j, k = offenders[0]
-        return SmoothnessVerdict(
-            Verdict.NOT_SMOOTH, gkdim, obstruction=offenders[0],
-            reasons=(f"relation ({i},{j}) has a tail on generator {k} and gkdim = n",))
     if offenders:
-        return SmoothnessVerdict(
-            Verdict.INCONCLUSIVE, gkdim,
-            reasons=("third-generator tail present but gkdim != n; "
-                     "the rank obstruction does not apply",))
+        i, j, k = offenders[0]
+        return SmoothnessVerdict(Verdict.NOT_SMOOTH, obstruction=offenders[0], reasons=(
+            f"relation ({i},{j}) has a tail on generator {k} and gkdim = n",))
     checks = assemble_constant_checks(pres)
     failed = [ch for ch in checks if not ch.holds]
     if failed:
-        return SmoothnessVerdict(
-            Verdict.INCONCLUSIVE, gkdim,
-            reasons=tuple(f"{ch.name}: residue {ch.residual}" for ch in failed))
+        return SmoothnessVerdict(Verdict.INCONCLUSIVE, reasons=tuple(
+            f"{ch.name}: residue {ch.residual}" for ch in failed))
     solutions = tuple(solve_diagonal_unknowns(pres, k) for k in range(1, pres.n + 1))
     empty = [s for s in solutions if s.status is SolutionStatus.EMPTY]
     if empty:
         reasons = tuple(f"no admissible (a_kk, b_kk) for k={s.k}; constraints: "
                         + ", ".join(name for name, _, _ in s.rows) for s in empty)
-        return SmoothnessVerdict(Verdict.INCONCLUSIVE, gkdim,
-                                 reasons=reasons, solutions=solutions)
+        return SmoothnessVerdict(Verdict.INCONCLUSIVE, reasons=reasons, solutions=solutions)
     # every slope is nonzero: a witness a_kk, or a quad coefficient a(g, k) or
     # its inverse, which ascending order requires to be nonzero
     family = tuple(forced_nu(pres, s.k, *s.witness) for s in solutions)
@@ -279,17 +275,22 @@ def decide(pres: Presentation, gkdim: int) -> SmoothnessVerdict:
                 f"witness twist for x_{k} breaks relation {fail.pair}: "
                 f"residue {pres.format_poly(fail.residue)}")
     if problems:
-        return SmoothnessVerdict(Verdict.INCONCLUSIVE, gkdim, reasons=tuple(problems),
+        return SmoothnessVerdict(Verdict.INCONCLUSIVE, reasons=tuple(problems),
                                  solutions=solutions)
-    return SmoothnessVerdict(Verdict.SMOOTH_SUFFICIENT, gkdim, witness=family,
-                             solutions=solutions)
+    return SmoothnessVerdict(Verdict.SMOOTH_SUFFICIENT, witness=family, solutions=solutions)
 
 
 # -- Ore extensions of a commutative polynomial ring -------------------------
 
 def encode_ore_extension(n: int, b, a, c, field=QQ) -> Presentation:
     """K[x_1..x_n][y; sigma, delta] with sigma(x_i) = b_i x_i + a_i and
-    delta(x_i) = c_i x_i, as an (n+1)-generator presentation (y is last)."""
+    delta(x_i) = c_i x_i, as an (n+1)-generator presentation (y is last).
+
+    delta is a sigma-derivation only if c_i (b_k - 1) = c_k (b_i - 1) and
+    a_i c_k = 0 for all i != k.  For any other (b, a, c) the result is not
+    an Ore extension: its ordered monomials are not a basis, and ``decide``
+    answers INCONCLUSIVE for it at its PBW gate.
+    """
     b = [field.coerce(v) for v in b]
     a = [field.coerce(v) for v in a]
     c = [field.coerce(v) for v in c]

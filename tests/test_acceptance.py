@@ -51,7 +51,7 @@ def _announce(capsys, number, message, budget=None):
 def _smooth_contexts():
     out = []
     for entry in three_dim_grid():
-        verdict = decide(entry.presentation, 3)
+        verdict = decide(entry.presentation)
         if verdict.verdict is Verdict.SMOOTH_SUFFICIENT:
             out.append((entry, CalculusContext(entry.presentation, verdict.witness)))
     return out
@@ -62,7 +62,7 @@ def test_criterion_1_verdict_table(capsys):
     grid = three_dim_grid()
     labels_seen = set()
     for entry in grid:
-        got = decide(entry.presentation, 3)
+        got = decide(entry.presentation)
         assert got.verdict is entry.expected, \
             (entry.label, entry.params, got.verdict, got.reasons)
         labels_seen.add(entry.label)
@@ -86,7 +86,7 @@ def test_criterion_2_witness_reproduction(capsys):
         assert sol.status is not None and sol.witness is not None
         assert sol.contains(QQ.one / beta, QQ.zero), \
             "the admissible set must contain the tabulated (1/beta, 0)"
-        verdict = decide(pres, 3)
+        verdict = decide(pres)
         assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
         ctx = CalculusContext(pres, verdict.witness)
         alpha, gamma = pres.a(2, 3), pres.a(1, 2)
@@ -146,7 +146,7 @@ def test_criterion_4_integral_form_normalization(capsys):
     for n in (3, 4):
         for _ in range(5):
             pres = quasi_commutative(n)
-            verdict = decide(pres, n)
+            verdict = decide(pres)
             assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
             ctx = CalculusContext(pres, verdict.witness)
             co = integral_form_coefficients(ctx)
@@ -158,7 +158,7 @@ def test_criterion_4_integral_form_normalization(capsys):
                                      co.unbarred(ctx, k, subset)) == omega
     # tabulated level-two values for the (2, 3, 5) instance
     pres = three_dim_class("1", alpha=2, beta=3, gamma=5)
-    verdict = decide(pres, 3)
+    verdict = decide(pres)
     ctx = CalculusContext(pres, verdict.witness)
     co = integral_form_coefficients(ctx)
     assert co.a[(2, (1, 3))] == -5            # -gamma  (second level-two form)

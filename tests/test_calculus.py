@@ -28,7 +28,7 @@ from helpers import (bad_index_words, naive_basis_sort, naive_closed_form_produc
 
 def reference_context(alpha=2, beta=3, gamma=5):
     pres = from_display(QQ, alpha, beta, gamma)
-    verdict = decide(pres, 3)
+    verdict = decide(pres)
     assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
     return CalculusContext(pres, verdict.witness)
 
@@ -36,7 +36,7 @@ def reference_context(alpha=2, beta=3, gamma=5):
 def smooth_contexts(field=QQ):
     out = []
     for entry in three_dim_grid(field):
-        verdict = decide(entry.presentation, 3)
+        verdict = decide(entry.presentation)
         if verdict.verdict is Verdict.SMOOTH_SUFFICIENT:
             out.append((entry, CalculusContext(entry.presentation, verdict.witness)))
     return out
@@ -46,7 +46,7 @@ def shifted_plane(field):
     """x1 x2 - x2 x1 = x1 + x2 with its witness twists x1 -> x1 + 1 and
     x2 -> x2 - 1."""
     pres = Presentation.skew(field, 2, {(1, 2): (1, {1: 1, 2: 1}, 0)})
-    verdict = decide(pres, 2)
+    verdict = decide(pres)
     assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
     return CalculusContext(pres, verdict.witness)
 
@@ -57,7 +57,7 @@ def quasi_commutative_context(rng, n):
         for j in range(i + 1, n + 1):
             relations[(i, j)] = (random_nonzero_rational(rng, 4), {}, 0)
     pres = Presentation.skew(QQ, n, relations)
-    verdict = decide(pres, n)
+    verdict = decide(pres)
     assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
     return CalculusContext(pres, verdict.witness)
 
@@ -272,7 +272,7 @@ def parametric_contexts(draw):
                                 for scale in scales))
                for _ in range(n)]
         return CalculusContext(pres, nus)
-    verdict = decide(pres, n)
+    verdict = decide(pres)
     assume(verdict.verdict is Verdict.SMOOTH_SUFFICIENT)
     assume(any(s.status is SolutionStatus.PARAMETRIC for s in verdict.solutions))
     nus = list(verdict.witness)
@@ -506,7 +506,7 @@ class TestKernel:
     def test_class_2b_at_degree_12_is_scalars(self):
         # 455 monomials; three univariate eliminations on 12 x 13 entries
         pres = three_dim_class("2b", beta=3, b=7)
-        ctx = CalculusContext(pres, decide(pres, 3).witness)
+        ctx = CalculusContext(pres, decide(pres).witness)
         basis = kernel_of_d_bounded(ctx, 12)
         assert basis == [pres.one()]
 

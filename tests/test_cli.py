@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,6 @@ from skewsmooth.cli import (MAX_CALCULUS_DEGREE, MAX_CALCULUS_MONOMIALS, MAX_CAL
                             MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES, MAX_INTEGRABILITY_SAMPLES,
                             LADDER_N_MAX, _CALCULUS_SEED, _COMMANDS, build_parser, main)
 from skewsmooth.dsl import parse_file
-from skewsmooth.smoothness import assemble_constant_checks
 
 REFERENCE3 = """\
 name: reference3
@@ -88,7 +88,7 @@ def run(capsys, *argv):
 
 
 def test_smooth_sufficient(files, capsys):
-    code, out, _ = run(capsys, "smooth", files["reference3"], "--gkdim", "3")
+    code, out, _ = run(capsys, "smooth", files["reference3"])
     assert code == 0
     assert "SMOOTH_SUFFICIENT" in out
 
@@ -97,15 +97,15 @@ def test_smooth_not_smooth_still_exit_zero(files, capsys):
     code, out, err = run(capsys, "smooth", files["class5a"])
     assert code == 0
     assert "NOT_SMOOTH" in out
-    assert "defaulting to n = 3" in err
+    assert err == ""
 
 
 def test_smooth_json_payload(files, capsys):
-    code, out, _ = run(capsys, "smooth", files["reference3"], "--gkdim", "3", "--json")
+    code, out, _ = run(capsys, "smooth", files["reference3"], "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "SMOOTH_SUFFICIENT"
-    assert payload["gkdim"] == 3 and payload["gkdim_defaulted"] is False
+    assert payload["gkdim"] == 3 and "gkdim_defaulted" not in payload
     assert len(payload["witness"]) == 3
 
 
@@ -123,20 +123,66 @@ def test_smooth_empty_k_systems(files, capsys):
     ]
 
 
-@pytest.mark.parametrize("value", [-3, -1, 4, 10 ** 100])
-def test_smooth_rejects_gkdim_outside_zero_to_n(files, capsys, no_decide, value):
-    code, out, err = run(capsys, "smooth", files["class5a"], "--gkdim", str(value), "--json")
-    assert code == 1 and out == ""
-    assert err == f"error: --gkdim must be between 0 and 3, not {value}\n"
+def test_smooth_takes_no_gkdim(files, capsys):
+    """The GK dimension of an input that passes the PBW gate is n, so
+    ``smooth`` has no flag to set it: ``--gkdim`` is a usage error."""
+    code, out, err = exit_outcome(
+        capsys, lambda: main(["smooth", files["class5a"], "--gkdim", "3"]))
+    assert code == 2 and out == ""
+    assert err.endswith("error: unrecognized arguments: --gkdim 3\n")
 
 
-@pytest.mark.parametrize("value, verdict", [
-    (0, "INCONCLUSIVE"), (2, "INCONCLUSIVE"), (3, "NOT_SMOOTH")])
-def test_smooth_accepts_gkdim_zero_to_n(files, capsys, value, verdict):
-    code, out, _ = run(capsys, "smooth", files["class5a"], "--gkdim", str(value), "--json")
-    assert code == 0
+# Presentations whose ordered monomials are not a basis.  Each was certified
+# before ``decide`` checked the overlaps.  Each discrepancy is a nonzero
+# scalar, so 1 = 0: these are zero algebras.  The first is the smallest
+# example; the other two are draws 6589 and 13728 of a search with
+# random.Random(1), which draws, pair by pair, a quad coefficient from
+# {1, -1, 2, 3, 1/2}, then the tail coefficients on x1, x2, x3 and the
+# constant, each nonzero with probability 0.4 and then drawn from -2..3
+# without 0.
+NON_PBW = [
+    ("zero", "x1*x2 - 1*x2*x1 = -1\nx1*x3 - 1*x3*x1 = -2*x1 - 2*x3\n"
+             "x2*x3 - 1*x3*x2 = 0\n", "2"),
+    ("draw6589", "x1*x2 - 1*x2*x1 = -x1\nx1*x3 - 3*x3*x1 = 1\n"
+                 "x2*x3 - 1*x3*x2 = 0\n", "1/3"),
+    ("draw13728", "x1*x2 - 1*x2*x1 = -x1\nx1*x3 - 1/2*x3*x1 = 2\n"
+                  "x2*x3 - 1*x3*x2 = 3*x3\n", "16"),
+]
+
+
+@pytest.mark.parametrize("name, body, discrepancy", NON_PBW, ids=[n for n, _, _ in NON_PBW])
+def test_non_pbw_input_is_never_certified(tmp_path, capsys, name, body, discrepancy):
+    """``smooth`` and ``calculus`` answer INCONCLUSIVE with the overlap that
+    ``pbw-check`` reports, and build no calculus."""
+    path = tmp_path / f"{name}.alg"
+    path.write_text(f"name: {name}\nkind: skew\nfield: Q\nn: 3\n{body}")
+    code, out, _ = run(capsys, "pbw-check", str(path), "--json")
+    assert [t["discrepancy"] for t in json.loads(out)["triples"]] == [discrepancy]
+    reason = f"ordered monomials are not a basis: overlap (1,2,3) has discrepancy {discrepancy}"
+    code, out, err = run(capsys, "smooth", str(path), "--json")
     payload = json.loads(out)
-    assert payload["gkdim"] == value and payload["verdict"] == verdict
+    assert (code, err) == (0, "")
+    assert (payload["verdict"], payload["reasons"], payload["witness"], payload["gkdim"]) == \
+        ("INCONCLUSIVE", [reason], None, 3)
+    code, out, _ = run(capsys, "calculus", str(path), "--max-degree", "4")
+    assert code == 0
+    assert out.splitlines() == ["verdict: INCONCLUSIVE",
+                                "no witness twist family; calculus not built",
+                                f"reason: {reason}"]
+
+
+def test_quantum_affine_space_keeps_three_twists(tmp_path, capsys):
+    """A PBW input passes the gate: certified with one twist per generator,
+    at gkdim n, with a connected calculus."""
+    path = tmp_path / "qas.alg"
+    path.write_text("kind: skew\nn: 3\nx1*x2 - 2*x2*x1 = 0\nx1*x3 - 3*x3*x1 = 0\n"
+                    "x2*x3 - 5*x3*x2 = 0\n")
+    code, out, _ = run(capsys, "smooth", str(path), "--json")
+    payload = json.loads(out)
+    assert (code, payload["verdict"], payload["gkdim"]) == (0, "SMOOTH_SUFFICIENT", 3)
+    assert len(payload["witness"]) == 3
+    code, out, _ = run(capsys, "calculus", str(path), "--max-degree", "4", "--json")
+    assert code == 0 and json.loads(out)["calculus"]["connected_at_bound"] is True
 
 
 def test_classify3d(files, capsys):
@@ -283,7 +329,7 @@ def _read_fraction(text: str) -> Fraction:
 
 
 def test_scalars_past_the_digit_limit_print(tmp_path, capsys):
-    # a residue multiplies 2500-digit scalars, past str()'s limit of 4300 digits
+    # a discrepancy multiplies 2500-digit scalars, past str()'s limit of 4300 digits
     rng = random.Random(14)
     pairs = ((1, 2), (1, 3), (2, 3))
 
@@ -300,12 +346,13 @@ def test_scalars_past_the_digit_limit_print(tmp_path, capsys):
     for argv in (["smooth"], ["pbw-check"], ["calculus", "--max-degree", "4"], ["classify3d"]):
         code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert code == 0 and "internal error" not in err and out
+    # the constants spoil the overlap, and the reason prints its discrepancy
     code, out, _ = run(capsys, "smooth", path, "--json")
-    residue = json.loads(out)["reasons"][0].rsplit(" ", 1)[1]
-    failed = [ch for ch in assemble_constant_checks(parse_file(path).presentation())
-              if not ch.holds]
-    assert len(residue) > sys.get_int_max_str_digits()
-    assert _read_fraction(residue) == failed[0].residual
+    discrepancy = json.loads(out)["reasons"][0].split(" has discrepancy ", 1)[1]
+    coefficient, monomial = discrepancy.split(" ", 1)[0].rsplit("*", 1)
+    overlap, = parse_file(path).presentation().check_pbw_overlaps().failures()
+    assert len(coefficient) > sys.get_int_max_str_digits() and monomial == "x1"
+    assert _read_fraction(coefficient) == overlap.discrepancy.terms[(1, 0, 0)]
     # distinct 2500-digit ratios and no tails: sufficiently smooth, so the
     # calculus is built, and the witness prints each ratio
     ratios = write("ratios", "skew", [f"x{i}*x{j} - {big()}/{big()}*x{j}*x{i} = 0"
@@ -494,9 +541,50 @@ def test_console_entry_point_reads_sys_argv(files, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(skewsmooth.__file__).resolve().parent.parent))
-    argv = ["smooth", files["reference3"], "--gkdim", "3", "--json"]
+    argv = ["smooth", files["reference3"], "--json"]
     for args, want in [(argv, run(capsys, *argv)),
                        (["--help"], exit_outcome(capsys, lambda: main(["--help"])))]:
         proc = subprocess.run([sys.executable, "-m", "skewsmooth.cli", *args], env=env,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["smooth", "pbw-check"])
+def test_closed_stdout_ends_as_sigpipe_would(files, command, unbuffered):
+    """A reader that closed the pipe (``smooth FILE | head -0``) is not an
+    input error: the command exits 141, the shell's status for SIGPIPE, and
+    writes nothing to stderr, whether stdout is buffered or not.  The read
+    end is closed before the process starts, so every write fails."""
+    import skewsmooth
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(skewsmooth.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "skewsmooth.cli", command,
+                               files["reference3"]], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_readme_synopsis_lists_each_subcommands_flags():
+    """README's "Command line" block names every subcommand once, with
+    exactly the flags ``_COMMANDS`` gives it and FILE where it takes a file,
+    so a removed or renamed flag cannot live on in the docs."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme.read_text(), re.S).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        prog, command, *words = line.split()
+        assert prog == "skewsmooth" and command not in synopsis
+        synopsis[command] = {w.strip("[]") for w in words
+                             if w.strip("[]").startswith("--") or w == "FILE"}
+    assert synopsis == {
+        name: {"FILE" if flag == "file" else flag for flag, _ in arguments}
+        for name, (_, _, arguments) in _COMMANDS.items()}

@@ -211,7 +211,7 @@ def _assert_rational(values):
 @pytest.mark.parametrize("text", [SHIFTED_PLANE, CLASS_2B, TORSION_2D])
 def test_decide_witnesses_are_rational(text):
     pres = parse(text).payload
-    verdict = decide(pres, pres.n)
+    verdict = decide(pres)
     assert verdict.is_smooth_sufficient
     for nu in verdict.witness:
         _assert_rational(nu.slopes + nu.shifts)
@@ -232,7 +232,7 @@ def test_products_and_normal_forms_are_rational():
 
 def test_bounded_kernel_vectors_are_rational():
     pres = parse(TORSION_2D).payload
-    ctx = CalculusContext(pres, decide(pres, 3).witness)
+    ctx = CalculusContext(pres, decide(pres).witness)
     kernel = kernel_of_d_bounded(ctx, 6)
     assert len(kernel) > 1
     _assert_rational(c for vec in kernel for c in vec.terms.values())

@@ -113,14 +113,6 @@ def test_catalog_table_has_no_mismatch():
     assert {row.split()[0] for row in rows} == {label for label, _, _ in THREE_DIM_CLASSES}
 
 
-@pytest.mark.parametrize("gkdim", ["7", "-3"])
-def test_catalog_table_rejects_gkdim_outside_zero_to_three(gkdim):
-    proc = run_script("catalog_table.py", "--gkdim", gkdim)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: gkdim must be between 0 and n = 3, not {gkdim}\n"
-
-
 def test_json_corpus_matches_the_manifest(tmp_path):
     """The byte-identity contract: every input and output the corpus writes
     has the SHA-256 the manifest records.  A change that alters an output on

@@ -250,7 +250,7 @@ class TestContextTables:
 
     def test_two_contexts_share_no_table(self):
         pres = three_dim_class("2b", beta=3, b=7)
-        verdict = decide(pres, 3)
+        verdict = decide(pres)
         assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
         first, second = (CalculusContext(pres, verdict.witness) for _ in range(2))
         for ctx in (first, second):
@@ -323,7 +323,7 @@ def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert not {"skewsmooth.calculus", "skewsmooth.dsl", "skewsmooth.catalog"} & added
     skew = tmp_path / "skew.alg"
     skew.write_text("kind: skew\nn: 3\nx1*x2 - 2*x2*x1 = 0\n")
-    added = _modules_added(cli_call, "smooth", str(skew), "--gkdim", "3")
+    added = _modules_added(cli_call, "smooth", str(skew))
     assert {"skewsmooth.dsl", "skewsmooth.smoothness"} <= added
     assert not {"skewsmooth.calculus", "skewsmooth.diffusion", "skewsmooth.catalog"} & added
 

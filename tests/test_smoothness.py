@@ -11,7 +11,7 @@ from skewsmooth.algebra import Ordering, Presentation, relabel
 from skewsmooth.calculus import CalculusContext, d_squared_failures, kernel_of_d_bounded
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
 from skewsmooth.endos import AffineEndo, commute, respects_relations
-from skewsmooth.errors import IndexRangeError, NonDiagonalTailError, ZeroSlopeError
+from skewsmooth.errors import NonDiagonalTailError, ZeroSlopeError
 from skewsmooth.linalg import solve_affine
 from skewsmooth.scalars import QQ, PrimeField
 from skewsmooth.smoothness import (SolutionStatus, Verdict, assemble_constant_checks,
@@ -233,13 +233,13 @@ def test_verdict_does_not_depend_on_the_generators(data):
                       [-F(t) / s for s, t in zip(slopes, shifts)])
     assert back == pres
     copy = relabel(shifted, dict(zip((1, 2, 3), perm)), Ordering.ASCENDING)
-    got = decide(copy, 3)
+    got = decide(copy)
     event(f"{got.verdict.value}, shifted: {any(shifts)}")
     assert got.verdict is entry.expected, (entry.label, entry.params, got.reasons)
     if got.verdict is Verdict.SMOOTH_SUFFICIENT:
         ctx = CalculusContext(copy, got.witness)
         assert d_squared_failures(ctx, 4) == []
-        original = CalculusContext(pres, decide(pres, 3).witness)
+        original = CalculusContext(pres, decide(pres).witness)
         assert len(kernel_of_d_bounded(ctx, 6)) == len(kernel_of_d_bounded(original, 6))
 
 
@@ -253,7 +253,7 @@ class TestShiftedTwist:
 
     def test_certified_with_both_twists(self):
         pres = Presentation.skew(QQ, 2, {(1, 2): (3, {1: 3, 2: 1}, 2)})
-        got = decide(pres, 2)
+        got = decide(pres)
         assert got.verdict is Verdict.SMOOTH_SUFFICIENT
         twist = AffineEndo((F(3), F(1, 3)), (F(1), F(-1)))
         assert got.witness == (twist, twist)
@@ -274,31 +274,28 @@ class TestShiftedTwist:
 
 class TestObstruction:
     def test_class_5a_found(self):
-        got = decide(three_dim_class("5a"), 3)
+        got = decide(three_dim_class("5a"))
         assert got.verdict is Verdict.NOT_SMOOTH and got.obstruction == (1, 2, 3)
 
     def test_diagonal_tails_none(self):
-        got = decide(three_dim_class("2b", beta=3, b=7), 3)
+        got = decide(three_dim_class("2b", beta=3, b=7))
         assert got.verdict is Verdict.SMOOTH_SUFFICIENT and got.obstruction is None
 
     def test_class4_with_linear_tail_found(self):
-        got = decide(three_dim_class("4", alpha=2, a_vec=(1, 0, 0), b_vec=(0, 0, 0)), 3)
+        got = decide(three_dim_class("4", alpha=2, a_vec=(1, 0, 0), b_vec=(0, 0, 0)))
         assert got.verdict is Verdict.NOT_SMOOTH and got.obstruction == (2, 3, 1)
 
-    def test_gkdim_mismatch_suppresses(self):
-        got = decide(three_dim_class("5a"), 2)
-        assert got.verdict is Verdict.INCONCLUSIVE and got.obstruction is None
 
 
 class TestDecide:
     def test_catalog_partition(self):
         for entry in three_dim_grid():
-            got = decide(entry.presentation, 3)
+            got = decide(entry.presentation)
             assert got.verdict is entry.expected, (entry.label, entry.params, got.reasons)
 
     def test_witness_is_certified(self):
         for entry in three_dim_grid():
-            got = decide(entry.presentation, 3)
+            got = decide(entry.presentation)
             if got.verdict is Verdict.SMOOTH_SUFFICIENT:
                 family = got.witness
                 for a in range(len(family)):
@@ -308,13 +305,14 @@ class TestDecide:
                     assert respects_relations(nu, entry.presentation).all_pass
 
     def test_5e_split(self):
-        assert decide(three_dim_class("5e", a=0), 3).verdict is Verdict.SMOOTH_SUFFICIENT
-        v = decide(three_dim_class("5e", a=1), 3)
+        assert decide(three_dim_class("5e", a=0)).verdict is Verdict.SMOOTH_SUFFICIENT
+        v = decide(three_dim_class("5e", a=1))
         assert v.verdict is Verdict.INCONCLUSIVE
-        assert v.reasons == ("twist for x_1 on relation (2, 3) at 1: residue -1",)
+        assert v.reasons == (
+            "ordered monomials are not a basis: overlap (1,2,3) has discrepancy -x",)
 
     def test_2c_not_smooth(self):
-        assert decide(three_dim_class("2c", beta=3), 3).verdict is Verdict.NOT_SMOOTH
+        assert decide(three_dim_class("2c", beta=3)).verdict is Verdict.NOT_SMOOTH
 
     def test_empty_k_systems_are_inconclusive(self):
         # x1 x2 - x2 x1 = 2 x1 - x2 - 1, x1 x3 - x3 x1 = x1 + x3 + 1,
@@ -325,7 +323,7 @@ class TestDecide:
                                          (2, 3): (1, {2: -1, 3: 2}, 1)})
         assert pres.check_pbw_overlaps().all_pass
         assert all(c.holds for c in assemble_constant_checks(pres))
-        got = decide(pres, 3)
+        got = decide(pres)
         assert got.verdict is Verdict.INCONCLUSIVE and got.witness is None
         assert got.reasons == (
             "no admissible (a_kk, b_kk) for k=1; constraints: relation (1, 2) at x_2, "
@@ -337,21 +335,6 @@ class TestDecide:
         )
         assert [s.status for s in got.solutions] == [SolutionStatus.EMPTY] * 3
 
-    def test_off_diagonal_tail_with_wrong_gkdim_is_inconclusive(self):
-        v = decide(three_dim_class("5a"), 2)
-        assert v.verdict is Verdict.INCONCLUSIVE
-
-    @pytest.mark.parametrize("gkdim", [-3, -1, 4, 7])
-    def test_gkdim_outside_zero_to_n_is_rejected(self, gkdim):
-        with pytest.raises(IndexRangeError,
-                           match=f"^gkdim must be between 0 and n = 3, not {gkdim}$"):
-            decide(three_dim_class("5a"), gkdim)
-
-    @pytest.mark.parametrize("gkdim, verdict", [(0, Verdict.INCONCLUSIVE),
-                                                (3, Verdict.NOT_SMOOTH)])
-    def test_gkdim_bounds_are_accepted(self, gkdim, verdict):
-        assert decide(three_dim_class("5a"), gkdim).verdict is verdict
-
     def test_rescaling_invariance(self):
         # simultaneous x_i -> mu_i x_i with tails rescaled accordingly
         rng = random.Random(17)
@@ -359,7 +342,7 @@ class TestDecide:
                       ("5e", dict(a=1)), ("3b", dict(alpha=2, beta=3, b=1))]
         for label, params in base_cases:
             pres = three_dim_class(label, **params)
-            expected = decide(pres, 3).verdict
+            expected = decide(pres).verdict
             for _ in range(5):
                 mus = [random_nonzero_rational(rng) for _ in range(3)]
                 relations = {}
@@ -370,36 +353,41 @@ class TestDecide:
                             for g in range(1, 4) if vec[g - 1]}
                     relations[(i, j)] = (rule.quad, tail, const * scale)
                 rescaled = Presentation.skew(QQ, 3, relations)
-                assert decide(rescaled, 3).verdict is expected
+                assert decide(rescaled).verdict is expected
 
     def test_prime_field_decide(self):
         pres = three_dim_class("2b", field=PrimeField(7), beta=3, b=5)
-        v = decide(pres, 3)
+        v = decide(pres)
         assert v.verdict is Verdict.SMOOTH_SUFFICIENT
 
 
 class TestOre:
     def test_nonzero_shift_case(self):
-        verdict = decide(encode_ore_extension(2, (2, 3), (1, 1), (0, 0)), 3)
+        verdict = decide(encode_ore_extension(2, (2, 3), (1, 1), (0, 0)))
         assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
         assert verdict.is_smooth_sufficient
 
     def test_balanced_derivation_case_true_condition(self):
         # c_i (b_k - 1) = c_k (b_i - 1): (3)(3) = (9)(1)
-        verdict = decide(encode_ore_extension(2, (2, 4), (0, 0), (3, 9)), 3)
+        verdict = decide(encode_ore_extension(2, (2, 4), (0, 0), (3, 9)))
         assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
 
     def test_balanced_derivation_printed_condition_disagrees(self):
         # the printed closed form, c_1(b_2 - 1) + c_2(b_1 - 1) = 0, accepts
-        # c = (3, -9), but the twists for x_1 and x_2 fail to commute on y by
-        # c_2(b_1 - 1) - c_1(b_2 - 1) = -18, so the general decision refuses.
-        verdict = decide(encode_ore_extension(2, (2, 4), (0, 0), (3, -9)), 3)
+        # c = (3, -9), but delta is a sigma-derivation only if the difference
+        # c_2(b_1 - 1) - c_1(b_2 - 1) = -18 vanishes: the ordered monomials are
+        # not a basis, and the twists for x_1 and x_2 fail to commute on y by
+        # the same -18, so the general decision refuses at its PBW gate.
+        pres = encode_ore_extension(2, (2, 4), (0, 0), (3, -9))
+        verdict = decide(pres)
         assert verdict.verdict is Verdict.INCONCLUSIVE
         assert verdict.is_smooth_sufficient is False
-        assert "twists for x_1 and x_2 on x_3: residue -18" in verdict.reasons
+        assert verdict.reasons == (
+            "ordered monomials are not a basis: overlap (1,2,3) has discrepancy 18*x1*x2",)
+        assert ("twists for x_1 and x_2 on x_3", -18, False) in assemble_constant_checks(pres)
 
     def test_polynomial_ring(self):
-        verdict = decide(encode_ore_extension(1, (1,), (0,), (0,)), 2)
+        verdict = decide(encode_ore_extension(1, (1,), (0,), (0,)))
         assert verdict.verdict is Verdict.SMOOTH_SUFFICIENT
 
     def test_zero_slope_rejected(self):
