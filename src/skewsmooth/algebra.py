@@ -17,13 +17,16 @@ inversion while adding only central-letter inversions, and central swaps fix a
 remaining inversion.  The measure (degree, non-central inversions, all
 inversions) decreases lexicographically at every step.  Each memo entry of the
 rewriting engine waits only for entries whose words lie below its own in this
-measure, so the engine's work stack always empties.
+measure, so the engine's work stack always empties.  A memo key is the word
+with some of its letters left out (the central ones and a prefix of the rest),
+and leaving out letters raises neither the degree nor any inversion count, so
+a key's word is no higher in the measure than the word it stands for.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, compress
 from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple
 
@@ -167,13 +170,29 @@ class Presentation:
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(1, n + 1))
         if len(self.names) != n:
             raise MismatchedArityError("names length differs from generator count")
+        ascending = self.ordering is Ordering.ASCENDING
+        # rank[p]: the 0-based place of generator p + 1 in a normal word; the
+        # map is its own inverse, so rank[r] is also the position of rank r
+        rank = range(n) if ascending else range(n - 1, -1, -1)
+        # ranked[g]: the rank of generator g as a tail letter, n for a central one
+        ranked = [n, *rank]
+        for g in self.central:
+            if 1 <= g <= n:
+                ranked[g] = n
+        # reach[r]: the least rank of a non-central tail letter among the
+        # pairs whose earlier letter has rank r (n when there is none)
+        reach = [n] * n
         full = {}
         pairs = dict(pairs or {})
         for i, j in combinations(range(1, n + 1), 2):
             rule = pairs.pop((i, j), None)
             if rule is None:
                 rule = PairRule(self._one, ())
-            self._validate_rule(i, j, rule)
+            else:
+                least = self._validate_rule(i, j, rule, ranked)
+                r = i - 1 if ascending else n - j
+                if least < reach[r]:
+                    reach[r] = least
             full[(i, j)] = rule
         if pairs:
             raise MismatchedArityError(f"pair keys out of range: {sorted(pairs)}")
@@ -181,24 +200,40 @@ class Presentation:
         self._memo: dict = {}           # (core monomial, generator) -> {monomial: coeff}
         self._branch_table: dict = {}   # wrong-order pair (u, v) -> rewrite branches
         self._tails: dict = {}          # pair (i, j) -> (linear tail tuple, constant)
-        ascending = self.ordering is Ordering.ASCENDING
-        noncentral = [g for g in range(1, n + 1) if g not in self.central]
-        lead = (min if ascending else max)(noncentral, default=0)
-        # zeroes the exponents a core leaves out: the central ones and the lead's
-        self._core_mask = tuple(0 if g in self.central or g == lead else 1
-                                for g in range(1, n + 1))
-        # 0-based non-central positions, from the last letter of a normal word
-        scan = range(n - 1, -1, -1) if ascending else range(n)
-        self._scan = tuple(i for i in scan if i + 1 not in self.central)
-        # per generator g, the 0-based non-central positions that come after
-        # g in a normal word: m . x_g is normal iff m is zero on all of them
-        self._after = (None,) + tuple(
-            tuple(i for i in (range(g, n) if ascending else range(g - 1))
-                  if i + 1 not in self.central)
-            for g in range(1, n + 1))
+        # The floor of g is the furthest rank a rewrite of m . x_g can reach:
+        # start at g's rank and lower it to the least rank reached by the
+        # pairs of letters at or after it, until nothing lower is reached.
+        # That stops at the last closed rank f at or before g's, closed
+        # meaning that no pair of letters at or after f reaches a rank before
+        # f: the suffix minimum low[f] of reach is at least f.
+        low = list(accumulate(reach[::-1], min))[::-1]
+        keep = tuple(0 if p + 1 in self.central else 1 for p in rank)
+        noncentral = tuple(compress(rank, keep))    # 0-based, by rank
+        # the same, from the last letter of a normal word
+        self._scan = noncentral[::-1]
+        # per generator g, the positions a core of m . x_g keeps (a mask that
+        # zeroes the central ones and those at or before g's floor) and the
+        # non-central positions after g: m . x_g is normal iff m is zero on
+        # all of them.  Central generators take no core.
+        masks, after = [None] * (n + 1), [None] * (n + 1)
+        floor = ahead = 0
+        for r in range(n):
+            g = rank[r] + 1
+            if low[r] >= r:
+                floor = r
+            ahead += keep[r]
+            after[g] = noncentral[ahead:]
+            if keep[r]:
+                mask = (0,) * (floor + 1) + keep[floor + 1:]
+                masks[g] = mask if ascending else mask[::-1]
+        self._core_masks = tuple(masks)
+        self._after = tuple(after)
 
-    def _validate_rule(self, i, j, rule: PairRule):
-        n = self.n
+    def _validate_rule(self, i, j, rule: PairRule, ranked) -> int:
+        """Raise on a malformed rule; else the least of ``ranked[g]`` over
+        its tail letters g, n when it has none."""
+        n = least = self.n
+        central = self.central
         if self.ordering is Ordering.ASCENDING and not rule.quad:
             raise ZeroQuadCoeffError(
                 f"pair ({i}, {j}): ascending rewriting needs an invertible quad coefficient")
@@ -208,17 +243,20 @@ class Presentation:
             for g in word:
                 if not (1 <= g <= n):
                     raise MismatchedArityError(f"tail generator {g} out of range")
+                if ranked[g] < least:
+                    least = ranked[g]
             if len(word) == 2:
                 u, v = word
                 ordered = u <= v if self.ordering is Ordering.ASCENDING else u >= v
                 if not ordered:
                     raise MismatchedArityError("degree-two tail words must be normal-ordered")
-                if u not in self.central and v not in self.central:
+                if u not in central and v not in central:
                     raise MismatchedArityError(
                         "degree-two tail words must involve a central generator")
-        if (i in self.central or j in self.central) and (rule.quad != self._one or rule.tail):
+        if (i in central or j in central) and (rule.quad != self._one or rule.tail):
             raise MismatchedArityError(
                 f"central pair ({i}, {j}) must be plainly commutative")
+        return least
 
     # -- constructors -------------------------------------------------------
 
@@ -352,17 +390,25 @@ class Presentation:
     # the leftmost normal form, whether or not the presentation is PBW.
     #
     # Products m . x_g are memoised per (core, g).  The core is m with its
-    # central exponents and the exponent of the lead generator zeroed; the
-    # lead is the first non-central letter of a normal word (the lowest
-    # non-central index for ASCENDING, the highest for DESCENDING).  A central
-    # letter commutes plainly with every generator, and no pair (lead, v) with
-    # v non-central is ever out of order, so leftmost rewriting of
-    # x_lead^a . w runs step for step as that of w with x_lead^a in front,
-    # PBW or not.  Hence m . x_g is core . x_g with the rest of m added back
-    # as an exponent shift, and m . x_c = m + e_c for central c.  Missing memo
-    # entries are computed from an explicit work stack, so the depth of a
-    # rewrite is bounded by the heap and not by the interpreter's recursion
-    # limit.
+    # central exponents zeroed and those of every letter at or before the
+    # floor of g.  The floor is the furthest letter a rewrite of m . x_g can
+    # produce: starting at g, it moves back to the furthest non-central tail
+    # letter of the pairs whose two letters are both at or after it, until
+    # none is further (ranks, counted from the first letter of a normal word,
+    # make ASCENDING and DESCENDING one case; the constructor finds every
+    # floor in one suffix-minimum sweep).  Every non-central letter that a
+    # rewrite of core . x_g produces is at or after the floor, so none forms a
+    # wrong-order pair with a letter of the stripped prefix, and a central
+    # letter commutes plainly with every generator.  Leftmost rewriting of
+    # prefix . core . x_g therefore runs step for step as that of core . x_g
+    # with the prefix kept in front, PBW or not.  Hence m . x_g is core . x_g
+    # with the rest of m added back as an exponent shift, and m . x_c = m +
+    # e_c for central c.  The floor is never before the lead (the first
+    # non-central letter of a normal word), since every non-central letter
+    # is at or after it; with no tails at all the floor of g is g.  Missing
+    # memo entries are computed from an explicit work stack, so the depth
+    # of a rewrite is bounded by the heap and not by the interpreter's
+    # recursion limit.
     #
     # multiply(p, q) with a constant factor c on either side is the other
     # factor scaled by c.  Otherwise it folds p through the words of q's
@@ -403,7 +449,7 @@ class Presentation:
                 e[gi] += 1
                 out[tuple(e)] = c
             return out
-        mask = self._core_mask
+        mask = self._core_masks[g]
         memo = self._memo
         after = self._after[g]
         # (coeff, memo entry, shift), or (coeff, None, product) when m . x_g

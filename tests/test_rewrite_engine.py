@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewsmooth.algebra import NcPoly, Ordering, Presentation
+from skewsmooth.algebra import NcPoly, Ordering, PairRule, Presentation
 from skewsmooth.catalog import diffusion_class_instances, three_dim_class
 from skewsmooth.diffusion import DiffusionPresentation, DiffusionType, encode_presentation
 from skewsmooth.scalars import QQ, PrimeField
@@ -66,9 +66,69 @@ def lead(pres: Presentation) -> int:
     return min(noncentral) if pres.ordering is Ordering.ASCENDING else max(noncentral)
 
 
-def assert_cores_drop_lead_and_central(pres: Presentation):
-    dropped = [lead(pres) - 1] + [c - 1 for c in pres.central]
-    assert all(core[i] == 0 for core, _ in pres._memo for i in dropped)
+def before(ordering: Ordering, u: int, v: int) -> bool:
+    """Whether letter u comes strictly before letter v in a normal word."""
+    return u < v if ordering is Ordering.ASCENDING else u > v
+
+
+def floor(pres: Presentation, g: int) -> int:
+    """The furthest letter a rewrite of m . x_g can produce, by the closure
+    itself: start at g and move to the furthest non-central tail letter of
+    the pairs with both letters at or after the current floor, until no tail
+    letter is further."""
+    f = g
+    while True:
+        reached = [t for (i, j), rule in pres.pairs.items()
+                   if not before(pres.ordering, i, f) and not before(pres.ordering, j, f)
+                   for _, word in rule.tail for t in word
+                   if t not in pres.central and before(pres.ordering, t, f)]
+        if not reached:
+            return f
+        f = min(reached) if pres.ordering is Ordering.ASCENDING else max(reached)
+
+
+def assert_cores_drop_floor_and_central(pres: Presentation):
+    floors = {g: floor(pres, g) for g in range(1, pres.n + 1) if g not in pres.central}
+    for core, g in pres._memo:
+        dropped = [h for h in range(1, pres.n + 1)
+                   if h in pres.central or not before(pres.ordering, floors[g], h)]
+        assert all(core[h - 1] == 0 for h in dropped), (core, g, floors[g])
+
+
+def floored_presentation(rng: random.Random) -> Presentation:
+    """A random presentation in either order, with central generators, whose
+    tail letters mostly stay at or after the earlier letter of their pair, so
+    that floors often sit after the lead; one pair in five may reach
+    anywhere, which moves floors back along chains of pairs.  Tails may carry
+    a constant and a degree-two word with a central letter; most draws are
+    not PBW."""
+    ordering = rng.choice(list(Ordering))
+    ascending = ordering is Ordering.ASCENDING
+    n = rng.randint(2, 5)
+    central = set(rng.sample(range(1, n + 1), rng.randint(0, n - 2)))
+    noncentral = [g for g in range(1, n + 1) if g not in central]
+    pairs = {}
+    for a in noncentral:
+        for b in noncentral:
+            if a >= b:
+                continue
+            first = a if ascending else b
+            letters = [t for t in noncentral if t == first or before(ordering, first, t)]
+            if rng.random() < 0.2:
+                letters = noncentral
+            tail = []
+            for t in rng.sample(letters, rng.randint(0, len(letters))):
+                tail.append((random_nonzero_rational(rng, 3), (t,)))
+            if central and rng.random() < 0.4:
+                word = sorted((rng.choice(sorted(central)), rng.choice(letters)),
+                              reverse=not ascending)
+                tail.append((random_nonzero_rational(rng, 3), tuple(word)))
+            if rng.random() < 0.4:
+                tail.append((random_nonzero_rational(rng, 3), ()))
+            quad = random_nonzero_rational(rng, 4) if ascending or rng.random() < 0.8 \
+                else QQ.zero
+            pairs[(a, b)] = PairRule(quad, tuple(tail))
+    return Presentation(QQ, n, ordering, pairs, central=central)
 
 
 def test_non_pbw_cases_fail_the_diamond():
@@ -98,7 +158,37 @@ def test_normal_form_and_multiply_match_the_oracle(kind, seed):
     p = random_poly(pres, rng, max_degree=3)
     q = random_poly(pres, rng, max_degree=3)
     assert pres.multiply(p, q).terms == naive_product(pres, p, q)
-    assert_cores_drop_lead_and_central(pres)
+    assert_cores_drop_floor_and_central(pres)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 30))
+def test_floored_presentations_match_the_oracle(seed):
+    rng = random.Random(seed)
+    pres = floored_presentation(rng)
+    first = lead(pres)
+    for _ in range(3):
+        word = random_word(rng, pres.n, 6)
+        assert pres.normal_form(word).terms == naive_normal_form(pres, word)
+    # a power of the lead, which every core leaves out, then a word to rewrite
+    word = (first,) * rng.randint(1, 2) + (rng.randint(1, pres.n),) + random_word(rng, pres.n, 4)
+    assert pres.normal_form(word).terms == naive_normal_form(pres, word)
+    p = random_poly(pres, rng, max_degree=3)
+    q = random_poly(pres, rng, max_degree=3)
+    assert pres.multiply(p, q).terms == naive_product(pres, p, q)
+    assert_cores_drop_floor_and_central(pres)
+
+
+def test_floored_draws_cover_what_the_oracle_test_needs():
+    draws = [floored_presentation(random.Random(seed)) for seed in range(40)]
+    assert {p.ordering for p in draws} == set(Ordering)
+    assert any(p.central and not p.check_pbw_overlaps().all_pass for p in draws)
+    assert any(p.check_pbw_overlaps().all_pass for p in draws)
+    floors = [(p, g, floor(p, g)) for p in draws
+              for g in range(1, p.n + 1) if g not in p.central]
+    # floors after the lead, and floors moved back from their generator
+    assert any(f != lead(p) for p, g, f in floors)
+    assert any(f != g for p, g, f in floors)
 
 
 def monomials_up_to(n: int, degree: int):
@@ -151,13 +241,27 @@ def test_deep_word_needs_no_recursion():
     assert form.degree() == 60
 
 
-def test_memo_keys_leave_out_the_lead_generator():
-    # tail-free ASCENDING presentation: the lead is x1 and nothing is central
+def test_memo_keys_leave_out_every_letter_up_to_the_floor():
+    # tail-free ASCENDING presentation: the floor of each generator is itself
     pres = Presentation.skew(QQ, 3, {(1, 2): (2, {}, 0), (1, 3): (3, {}, 0),
                                      (2, 3): (5, {}, 0)})
+    assert [floor(pres, g) for g in (1, 2, 3)] == [1, 2, 3]
     pres.normal_form((3,) * 20 + (2,) * 20 + (1,) * 20)
-    assert all(core[0] == 0 for core, _ in pres._memo)
-    assert len(pres._memo) == 440
+    assert_cores_drop_floor_and_central(pres)
+    assert len(pres._memo) == 60
+
+
+def test_memo_keys_with_every_floor_at_the_lead():
+    # every pair tail carries x1, so every floor is the lead x1: a core
+    # leaves out the exponent of x1 alone
+    pres = Presentation.skew(QQ, 3, {(1, 2): (2, {1: 1}, 0), (1, 3): (3, {1: 2}, 0),
+                                     (2, 3): (5, {1: 3}, 0)})
+    # x3 comes last, so m . x3 is normal and takes no core
+    assert [floor(pres, g) for g in (1, 2)] == [1, 1]
+    pres.normal_form((3,) * 6 + (2,) * 6 + (1,) * 6)
+    assert_cores_drop_floor_and_central(pres)
+    assert any(core[1] for core, _ in pres._memo)
+    assert len(pres._memo) == 84
 
 
 def test_memo_is_reused_across_calls():
