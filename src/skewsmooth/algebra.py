@@ -167,6 +167,9 @@ class Presentation:
         self.n = n
         self.ordering = Ordering(ordering)
         self.central = frozenset(central)
+        stray = sorted(g for g in self.central if not 1 <= g <= n)
+        if stray:
+            raise MismatchedArityError(f"central generators out of range: {stray}")
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(1, n + 1))
         if len(self.names) != n:
             raise MismatchedArityError("names length differs from generator count")
@@ -177,8 +180,7 @@ class Presentation:
         # ranked[g]: the rank of generator g as a tail letter, n for a central one
         ranked = [n, *rank]
         for g in self.central:
-            if 1 <= g <= n:
-                ranked[g] = n
+            ranked[g] = n
         # reach[r]: the least rank of a non-central tail letter among the
         # pairs whose earlier letter has rank r (n when there is none)
         reach = [n] * n

@@ -117,8 +117,12 @@ class CalculusContext:
         """The twists of the index set composed in increasing order; each new
         set is built from the cached composite of its longest cached prefix.
         The composite of one index k is the twist ``nus[k - 1]`` itself."""
-        key = tuple(sorted(indices))
         cache = self._composite_cache
+        if indices.__class__ is tuple:      # a cached key; a list is unhashable
+            got = cache.get(indices)
+            if got is not None:
+                return got
+        key = tuple(sorted(indices))
         if key not in cache:
             known = len(key) - 1
             while key[:known] not in cache:
@@ -209,7 +213,7 @@ class CalculusContext:
                     continue
                 factor, idx = sorted_basis
                 moved = apply_endo(self.composite(t), p, self.pres)
-                coeff = self.pres.multiply(moved, q).scale(factor)
+                coeff = self.pres.multiply(moved, q.scale(factor))
                 if coeff:
                     linalg.add_into(out, {idx: coeff})
         return DiffForm._trusted(f.degree + g.degree, out)
@@ -330,34 +334,29 @@ def d_squared_failures(ctx: CalculusContext, max_degree: int) -> list:
         nu_i nu_j(x^{e<i}) U_ij(e_i) nu_j(x^{i<g<j}) L_j(e_j) x^{e>j},
         U_ij(a) = s_ji partial_i(nu_j(x_i^a)) + s_ij nu_j(L_i(a)),
 
-    with L_i = ``ladder(i, .)``.  Twists have nonzero slopes, so the twist
-    images are nonzero and the coefficient vanishes exactly when U_ij(e_i)
-    or L_j(e_j) does: d^2 is checked on univariate factors, (D + 1) per pair,
-    and no form or matrix is built.
+    with L_i = ``ladder(i, .)``, s_ji = 1/a_ij and s_ij = -1.  With sigma_ji
+    the slope of nu_j on x_i,
+
+        U_ij(a) = kappa_ij nu_j(L_i(a)),  kappa_ij = sigma_ji / a_ij - 1,
+
+    since partial_i nu_j = sigma_ji nu_j partial_i on K[x_i] (README,
+    "Command line").  Twists have nonzero slopes and are invertible, so the
+    coefficient vanishes exactly when kappa_ij = 0, L_i(e_i) = 0 or
+    L_j(e_j) = 0: one slope test per pair (sigma_ji != a_ij) and the nonzero
+    ladders decide d^2, and no form or matrix is built.  A family that
+    ``decide`` certifies has sigma_ji = a_ij, so the list is empty.
     """
     if max_degree < 1:
         raise MismatchedArityError("the degree bound must be at least 1")
-    minus = -ctx.pres.field.one
     powers = range(1, max_degree + 1)
-    live = {j: {b for b in powers if ctx.ladder(j, b)} for j in range(1, ctx.n + 1)}
-    checks = []     # (i - 1, j - 1, {a: U_ij(a) != 0}, {b: L_j(b) != 0})
-    for i, j in combinations(range(1, ctx.n + 1), 2):
-        s_ji = ctx.basis_sort((j, i))[0] * minus
-        s_ij = minus        # (i, j) is already sorted
-        nu_j = ctx.nus[j - 1]
-        broken = set()
-        for a in powers:
-            u: dict = {}
-            for b, c in nu_j.power_image(i, a).items():
-                linalg.add_into(u, ctx.ladder(i, b), c * s_ji)
-            for t, c in ctx.ladder(i, a).items():
-                linalg.add_into(u, nu_j.power_image(i, t), c * s_ij)
-            if u:
-                broken.add(a)
-        if broken and live[j]:
-            checks.append((i - 1, j - 1, broken, live[j]))
+    live = [{b for b in powers if ctx.ladder(j, b)} for j in range(1, ctx.n + 1)]
+    # (i - 1, j - 1) with kappa_ij != 0, that is sigma_ji != a_ij, and both
+    # ladder sets nonempty
+    pairs = [(i - 1, j - 1) for i, j in combinations(range(1, ctx.n + 1), 2)
+             if ctx.nus[j - 1].slopes[i - 1] != ctx.pres.a(i, j)
+             and live[i - 1] and live[j - 1]]
     return [m for m in ctx._monomials(max_degree)
-            if any(m[i] in broken and m[j] in lj for i, j, broken, lj in checks)]
+            if any(m[i] in live[i] and m[j] in live[j] for i, j in pairs)]
 
 
 def kernel_is_scalars(basis, n: int) -> bool:
@@ -384,13 +383,16 @@ class IntegralFormCoefficients(NamedTuple):
     abar: dict
     closed_form_checks: tuple
 
+    # The tables hold nonzero scalars keyed by increasing k-subsets, so the
+    # forms are built unchecked; a subset the table lacks raises KeyError.
+
     def unbarred(self, ctx: CalculusContext, k: int, subset) -> DiffForm:
         subset = tuple(subset)
-        return DiffForm(k, {subset: ctx.pres.scalar(self.a[(k, subset)])})
+        return DiffForm._trusted(k, {subset: ctx.pres.scalar(self.a[(k, subset)])})
 
     def barred(self, ctx: CalculusContext, k: int, subset) -> DiffForm:
         subset = tuple(subset)
-        return DiffForm(k, {subset: ctx.pres.scalar(self.abar[(k, subset)])})
+        return DiffForm._trusted(k, {subset: ctx.pres.scalar(self.abar[(k, subset)])})
 
 
 def _closed_form_products(ctx: CalculusContext, subset, complement):
@@ -403,20 +405,36 @@ def _closed_form_products(ctx: CalculusContext, subset, complement):
       Abar = prod_{u in S} prod_{u<t<=max C} -a_ut.
 
     Every inner product is a (cached) sort scalar: for increasing X,
-    prod_{s<t in X} -(1/a_st) sorts X reversed, prod_{t<u} -a_tu is one over
-    the scalar of sorting (u, 1, ..., u-1), and prod_{u<t<=m} -a_ut one over
-    that of sorting (u+1, ..., m, u).
+    prod_{s<t in X} -(1/a_st) sorts X reversed (``_reversed_sort_scalar``),
+    prod_{t<u} -a_tu is one over the scalar of sorting (u, 1, ..., u-1), and
+    prod_{u<t<=m} -a_ut one over that of sorting (u+1, ..., m, u).
     """
     one, sort = ctx.pres.field.one, ctx.basis_sort
     if subset[:1] == (1,):
         a_cf = one
         for u in complement:
             a_cf = a_cf / sort((u,) + tuple(range(1, u)))[0]
-        return a_cf, sort(complement[::-1])[0]
+        return a_cf, _reversed_sort_scalar(ctx, complement)
     abar_cf = one
     for u in subset:
         abar_cf = abar_cf / sort(tuple(range(u + 1, complement[-1] + 1)) + (u,))[0]
-    return sort(subset[::-1])[0], abar_cf
+    return _reversed_sort_scalar(ctx, subset), abar_cf
+
+
+def _reversed_sort_scalar(ctx: CalculusContext, indices: tuple):
+    """The scalar of sorting the increasing ``indices`` reversed.  The
+    reversed word is that of ``indices[1:]`` followed by u = indices[0], so
+    its scalar is the (memoised) one of that prefix times -(1/a_ut) for each
+    later t; every word is memoised as ``basis_sort`` would store it."""
+    word = indices[::-1]
+    got = ctx._sort_cache.get(word)
+    if got is None:
+        u, rest = indices[0], indices[1:]
+        factor = _reversed_sort_scalar(ctx, rest) if rest else ctx.pres.field.one
+        for t in rest:
+            factor = -(factor / ctx.pres.a(u, t))
+        got = ctx._sort_cache[word] = (factor, indices)
+    return got[0]
 
 
 def complementary_pairs(n: int, k: int):
@@ -482,7 +500,7 @@ def random_form(ctx: CalculusContext, degree: int, coeff_degree: int,
         p = NcPoly(poly)
         if p:
             components[subset] = p
-    return DiffForm(degree, components)
+    return DiffForm._trusted(degree, components)
 
 
 def verify_integrability(ctx: CalculusContext, max_degree: int, samples: int,

@@ -162,7 +162,8 @@ class RelationReport(NamedTuple):
 
 
 def respects_relations(endo: AffineEndo, pres: Presentation) -> RelationReport:
-    """Per relation, the normal form of endo(LHS - RHS); PASS iff all zero."""
+    """Per relation, the normal form of endo(LHS - RHS); PASS iff all zero.
+    Each term's normal form is added into one residue map."""
     if endo.n != pres.n:
         raise MismatchedArityError(f"cannot check a {endo.n}-generator endomorphism "
                                    f"against a {pres.n}-generator presentation")
@@ -170,9 +171,16 @@ def respects_relations(endo: AffineEndo, pres: Presentation) -> RelationReport:
     images = {g: endo.image_poly(pres, g) for g in range(1, pres.n + 1)}
     for (i, j) in sorted(pres.pairs):
         rule = pres.pairs[(i, j)]
-        residue = pres.multiply(images[i], images[j]) \
-            - pres.multiply(images[j], images[i]).scale(rule.quad)
+        residue: dict = {}
+        add_into(residue, pres.multiply(images[i], images[j]).terms)
+        # add_into takes nonzero factors; a zero quad (descending order) or
+        # tail coefficient adds nothing
+        if rule.quad:
+            add_into(residue, pres.multiply(images[j], images[i]).terms, -rule.quad)
         for coeff, word in rule.tail:
-            residue = residue - pres.product(*(images[g] for g in word)).scale(coeff)
-        checks.append(RelationCheck((i, j), not residue, residue))
+            if coeff:
+                image = images[word[0]] if len(word) == 1 else \
+                    pres.product(*(images[g] for g in word))
+                add_into(residue, image.terms, -coeff)
+        checks.append(RelationCheck((i, j), not residue, pres._poly(residue)))
     return RelationReport(tuple(checks))

@@ -361,6 +361,25 @@ def naive_ladder(ctx, i: int, power: int) -> dict:
     return total
 
 
+def u_ij_by_definition(ctx, i: int, j: int, a: int) -> dict:
+    """U_ij(a) = s_ji partial_i(nu_j(x_i^a)) + s_ij nu_j(L_i(a)) for i < j,
+    as x_i-exponent -> coeff, evaluated term by term: s_ji and s_ij are the
+    scalars of sorting (j, i) and (i, j) times the degree-1 sign, and
+    partial_i sends x_i^b to the ladder sum L_i(b).  The oracle for the
+    closed form kappa_ij nu_j(L_i(a)) that ``calculus.d_squared_failures``
+    reads."""
+    minus = -ctx.pres.field.one
+    s_ji = ctx.basis_sort((j, i))[0] * minus
+    s_ij = minus        # (i, j) is already sorted
+    nu_j = ctx.nus[j - 1]
+    u: dict = {}
+    for b, c in nu_j.power_image(i, a).items():
+        linalg.add_into(u, ctx.ladder(i, b), c * s_ji)
+    for t, c in ctx.ladder(i, a).items():
+        linalg.add_into(u, nu_j.power_image(i, t), c * s_ij)
+    return u
+
+
 def poly_dict(p: NcPoly) -> dict:
     return dict(p.terms)
 

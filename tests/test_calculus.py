@@ -23,7 +23,7 @@ from skewsmooth.smoothness import SolutionStatus, Verdict, decide, forced_nu
 
 from helpers import (bad_index_words, naive_basis_sort, naive_closed_form_products,
                      naive_kernel, naive_ladder, naive_wedge, random_nonzero_rational,
-                     random_poly)
+                     random_poly, u_ij_by_definition)
 
 
 def reference_context(alpha=2, beta=3, gamma=5):
@@ -325,7 +325,8 @@ def vanishing_factors(ctx, max_degree):
 def ladder_killed_by_the_characteristic():
     """The commutative plane over F_5 with nu_1 = (2 x1, x2), nu_2 = (3 x1, x2):
     L_2(5) = 5 x2^4 = 0, while U_12(1) != 0, so at D = 6 only [5]_1 = 0 keeps
-    x1 x2^5 off the list of d^2 failures."""
+    x1 x2^5 off the list of d^2 failures; and L_1(4) = (1 + 2 + 4 + 3) x1^3 = 0
+    (2 has order 4 mod 5) keeps x1^4 x2 off it although kappa_12 = 2."""
     field = PrimeField(5)
     nus = [AffineEndo((field.coerce(slope), field.one), (field.zero,) * 2) for slope in (2, 3)]
     return CalculusContext(Presentation.commutative(field, 2), nus), 6
@@ -361,6 +362,40 @@ class TestDSquaredFailures:
         for label in sorted(vanishing_factors(ctx, max_degree)):
             event(label)
         assert got == d_squared_loop(ctx, max_degree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(parametric_contexts(), st.data())
+    def test_u_ij_is_kappa_times_the_twisted_ladder(self, ctx, data):
+        """The lemma behind ``d_squared_failures``: U_ij(a), evaluated by its
+        definition, is kappa_ij nu_j(L_i(a)) with kappa_ij = sigma_ji / a_ij - 1
+        and sigma_ji the slope of nu_j on x_i, for every pair and a <= D."""
+        pres, n = ctx.pres, ctx.n
+        max_degree = data.draw(st.integers(1, 2 * min(getattr(pres.field, "p", 7), 7) + 1))
+        for i, j in combinations(range(1, n + 1), 2):
+            nu_j = ctx.nus[j - 1]
+            kappa = nu_j.slopes[i - 1] / pres.a(i, j) - pres.field.one
+            event(f"kappa_ij = 0: {not kappa}")
+            for a in range(max_degree + 1):
+                ladder = pres.poly({tuple(t if g == i else 0 for g in range(1, n + 1)): c
+                                    for t, c in naive_ladder(ctx, i, a).items()})
+                expected = apply_endo(nu_j, ladder, pres).scale(kappa)
+                assert u_ij_by_definition(ctx, i, j, a) == \
+                    {m[i - 1]: c for m, c in expected.terms.items()}, (i, j, a)
+
+    @pytest.mark.parametrize("field, certified", [(QQ, 23), (PrimeField(101), 23),
+                                                  (PrimeField(7), 25)],
+                             ids=["Q", "F101", "F7"])
+    def test_certified_families_have_kappa_zero(self, field, certified):
+        """The corollary: ``decide`` forces nu_j(x_i) to have slope a_ij for
+        i < j, so every kappa_ij of a witness family is zero and d^2 = 0 in
+        every degree."""
+        contexts = smooth_contexts(field)
+        assert len(contexts) == certified
+        for entry, ctx in contexts:
+            for i, j in combinations(range(1, ctx.n + 1), 2):
+                kappa = ctx.nus[j - 1].slopes[i - 1] / ctx.pres.a(i, j) - field.one
+                assert kappa == field.zero, (entry.label, i, j)
+            assert d_squared_failures(ctx, 8) == [], entry.label
 
     def test_bound_below_one_is_rejected(self):
         ctx = reference_context()
@@ -633,7 +668,8 @@ class TestComposite:
             asked = data.draw(st.permutations(s))
             expected = reduce(compose, [ctx.nus[i - 1] for i in s],
                               identity_endo(QQ, ctx.n))
-            assert ctx.composite(asked) == expected, s
+            # a list, and a tuple in any order, which is looked up before sorting
+            assert ctx.composite(asked) == ctx.composite(tuple(asked)) == expected, s
         assert ctx.nu_omega == ctx.composite(range(ctx.n, 0, -1))
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2146146913)])
@@ -699,16 +735,20 @@ class TestOneSortPerIndexSet:
         with patch.object(calculus, "_closed_form_products", uncounted):
             co = integral_form_coefficients(ctx)
         assert (co.a, co.abar, co.closed_form_checks) == two_sort_table(ctx)
+        # the reversed-set sorts of the cross-check store what basis_sort would
+        for word, got in ctx._sort_cache.items():
+            assert got == naive_basis_sort(pres, word), word
         assert calls == [complement + subset for k in range(1, pres.n)
                          for subset, complement in complementary_pairs(pres.n, k)]
         assert len(calls) == 2 ** pres.n - 2
 
 
 class TestUncheckedBuilders:
-    """``+``, ``-``, ``wedge``, ``left_act``, ``right_mul`` and ``d`` build
-    their forms without the public constructor's check; what they build
-    passes it, and ``wedge`` equals the product taken term by term, constant
-    components included."""
+    """``+``, ``-``, ``wedge``, ``left_act``, ``right_mul``, ``d``,
+    ``random_form`` and the barred and unbarred forms of the integral-form
+    table build their forms without the public constructor's check; what
+    they build passes it, and ``wedge`` equals the product taken term by
+    term, constant components included."""
 
     @settings(max_examples=120, deadline=None)
     @given(parametric_contexts(), st.data())
@@ -731,6 +771,11 @@ class TestUncheckedBuilders:
                  ctx.right_mul(f, random_poly(ctx.pres, rng, 2)), ctx.right_mul(f, NcPoly.zero())]
         if k < n:
             built.append(ctx.d(f))
+        built.append(random_form(ctx, k, 2, rng))
+        co = integral_form_coefficients(ctx)
+        for level in range(1, n):
+            for subset in combinations(range(1, n + 1), level):
+                built += [co.barred(ctx, level, subset), co.unbarred(ctx, level, list(subset))]
         for result in built:
             assert bad_index_words(result) == []
             assert DiffForm(result.degree, dict(result.components)) == result
@@ -743,6 +788,13 @@ class TestUncheckedBuilders:
         assert bad_index_words(DiffForm._trusted(2, {(2, 1): NcPoly({(0, 0): F(1)}),
                                                     (1, 2): NcPoly.zero()})) == \
             [((2, 1), NcPoly({(0, 0): F(1)})), ((1, 2), NcPoly.zero())]
+        # the table forms are built unchecked, but only for subsets it holds
+        ctx = reference_context()
+        co = integral_form_coefficients(ctx)
+        for build, k, subset in ((co.barred, 2, (2, 1)), (co.barred, 1, (4,)),
+                                 (co.unbarred, 3, (1, 2, 3)), (co.unbarred, 2, (1,))):
+            with pytest.raises(KeyError):
+                build(ctx, k, subset)
 
 
 class TestIntegrability:

@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from skewsmooth.algebra import Presentation
+from skewsmooth.algebra import Ordering, PairRule, Presentation
 from skewsmooth.catalog import from_display, three_dim_class
 from skewsmooth.endos import (AffineEndo, _univariate_image, apply_endo, commute, compose,
                               identity_endo, invert, respects_relations)
 from skewsmooth.errors import ZeroSlopeError
 from skewsmooth.scalars import QQ, PrimeField
 
-from helpers import random_poly, random_skew_presentation
+from helpers import (random_nonzero_rational, random_poly, random_rational,
+                     random_skew_presentation)
 
 
 def endo(*pairs):
@@ -143,6 +144,30 @@ class TestRespectsRelations:
         assert not report.all_pass
         assert [f.pair for f in report.failures()] == [(2, 3)]
         assert report.failures()[0].residue == pres.scalar(-1)
+
+    def test_residue_is_the_term_by_term_difference(self):
+        """A descending presentation with a zero quad coefficient, a zero tail
+        coefficient, a constant and a degree-two tail word through a central
+        generator: each residue is endo(x_i x_j - quad x_j x_i - tail), summed
+        with polynomial arithmetic, and stores no zero coefficient."""
+        pres = Presentation(QQ, 4, Ordering.DESCENDING, {
+            (1, 2): PairRule(QQ.zero, ((QQ.coerce(2), (2,)), (QQ.zero, (4, 1)),
+                                       (QQ.coerce(-3), ()))),
+            (1, 3): PairRule(QQ.coerce(2), ((QQ.one, (4, 3)),))}, central={4})
+        rng = random.Random(7)
+        for _ in range(20):
+            nu = AffineEndo(tuple(random_nonzero_rational(rng) for _ in range(4)),
+                            tuple(random_rational(rng) for _ in range(4)))
+            images = {g: nu.image_poly(pres, g) for g in range(1, 5)}
+            for check in respects_relations(nu, pres).checks:
+                i, j = check.pair
+                rule = pres.pairs[(i, j)]
+                expected = pres.multiply(images[i], images[j]) - \
+                    pres.multiply(images[j], images[i]).scale(rule.quad)
+                for coeff, word in rule.tail:
+                    expected = expected - pres.product(*(images[g] for g in word)).scale(coeff)
+                assert check.residue == expected and all(check.residue.terms.values())
+                assert check.passed is (not expected)
 
     def test_algebra_map_property(self):
         pres = from_display(QQ, 2, 3, 5)

@@ -134,6 +134,8 @@ VALIDATION = [
      MismatchedArityError, "names length differs from generator count"),
     (lambda: Presentation(QQ, 2, pairs={(1, 3): _rule()}),
      MismatchedArityError, "pair keys out of range: [(1, 3)]"),
+    (lambda: Presentation(QQ, 3, Ordering.ASCENDING, {}, central={0, 5}),
+     MismatchedArityError, "central generators out of range: [0, 5]"),
     (lambda: _plane(0), ZeroQuadCoeffError, "ascending rewriting needs an invertible quad"),
     (lambda: _plane(1, (1, (1, 1, 1))), MismatchedArityError, "tail words must have degree <= 2"),
     (lambda: _plane(1, (1, (3,))), MismatchedArityError, "tail generator 3 out of range"),
