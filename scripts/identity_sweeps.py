@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from skewsmooth.cli import MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES
+from skewsmooth.cli import MAX_IDENTITY_N, MAX_IDENTITY_SAMPLES, check_count
 from skewsmooth.diffusion import (DiffusionType, verify_commutation,
                                   verify_determinant_identities, verify_pq_recurrences)
 from skewsmooth.errors import SkewSmoothError
@@ -34,11 +34,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     try:
-        for flag, value, low, high in (("--ladder-max", args.ladder_max, 2, MAX_LADDER),
-                                       ("--power-max", args.power_max, 1, MAX_IDENTITY_N),
-                                       ("--samples", args.samples, 1, MAX_IDENTITY_SAMPLES)):
-            if not low <= value <= high:
-                raise SkewSmoothError(f"{flag} must be between {low} and {high}, not {value}")
+        check_count("--ladder-max", args.ladder_max, 2, MAX_LADDER)
+        check_count("--power-max", args.power_max, 1, MAX_IDENTITY_N)
+        check_count("--samples", args.samples, 1, MAX_IDENTITY_SAMPLES)
         sweep(args)
     except SkewSmoothError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -82,14 +82,10 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         out = dict(self.terms)
         add_into(out, other.terms)
-        res = NcPoly.__new__(NcPoly)
-        res.terms = out
-        return res
+        return _poly(out)
 
     def __neg__(self) -> "NcPoly":
-        res = NcPoly.__new__(NcPoly)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
@@ -97,9 +93,7 @@ class NcPoly:
     def scale(self, c) -> "NcPoly":
         if not c:
             return NcPoly.zero()
-        res = NcPoly.__new__(NcPoly)
-        res.terms = {m: c * v for m, v in self.terms.items()}
-        return res
+        return _poly({m: c * v for m, v in self.terms.items()})
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1."""
@@ -116,6 +110,14 @@ class NcPoly:
                             for g, e in enumerate(m) if e) or "1"
             bits.append(f"({self.terms[m]})*{mono}")
         return "NcPoly(" + " + ".join(bits) + ")"
+
+
+def _poly(terms: dict) -> NcPoly:
+    """The polynomial that owns ``terms``, a map with no zero coefficient,
+    without the filtering copy of ``NcPoly(...)``."""
+    p = NcPoly.__new__(NcPoly)
+    p.terms = terms
+    return p
 
 
 class PairRule(NamedTuple):
@@ -371,7 +373,7 @@ class Presentation:
             c = self.field.coerce(c)
             if c:
                 out[exps] = c
-        return NcPoly(out)
+        return _poly(out)
 
     def monomial_word(self, m: Monomial) -> Word:
         gens = range(1, self.n + 1) if self.ordering is Ordering.ASCENDING \
@@ -546,11 +548,6 @@ class Presentation:
             terms = out
         return terms
 
-    def _poly(self, terms: dict) -> NcPoly:
-        res = NcPoly.__new__(NcPoly)
-        res.terms = terms
-        return res
-
     def normal_form(self, word) -> NcPoly:
         """PBW normal form of the raw word x_{w_1} ... x_{w_k}, given as the
         tuple of generator indices; its terms are a new dict, shared with no
@@ -558,7 +555,7 @@ class Presentation:
         for g in word:
             if not (1 <= g <= self.n):
                 raise MismatchedArityError(f"generator {g} out of range (n={self.n})")
-        return self._poly(self._fold({(0,) * self.n: self._one}, word))
+        return _poly(self._fold({(0,) * self.n: self._one}, word))
 
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:
         self._check_exponents(chain(p.terms, q.terms))
@@ -571,7 +568,7 @@ class Presentation:
         if len(q.terms) < 2:
             for m2, c2 in q.terms.items():
                 add_into(out, self._fold(p.terms, self.monomial_word(m2)), c2)
-            return self._poly(out)
+            return _poly(out)
         words = sorted(zip(map(self.monomial_word, q.terms), q.terms.values()))
         folds = [p.terms]   # folds[k]: p . x_{w_1} ... x_{w_k} for the current word w
         for i, (word, c) in enumerate(words, 1):
@@ -584,7 +581,7 @@ class Presentation:
                 folds.append(self._fold(folds[-1], (g,)))
             add_into(out, self._fold(folds[-1], word[len(folds) - 1:]), c)
             del folds[shared + 1:]
-        return self._poly(out)
+        return _poly(out)
 
     def product(self, *polys: NcPoly) -> NcPoly:
         out = self.one()
@@ -612,7 +609,7 @@ class Presentation:
                 for coeff, repl in self._branches(u, v):
                     rewritten = word[:pos] + repl + word[pos + 2:]
                     add_into(total, self._fold({unit: coeff}, rewritten))
-                reducts.append(self._poly(total))
+                reducts.append(_poly(total))
             diff = reducts[0] - reducts[1]
             checks.append(OverlapCheck(i, j, k, not diff, diff))
         return OverlapReport(tuple(checks))
@@ -653,16 +650,17 @@ def degree_truncation(p: NcPoly, max_degree: int) -> NcPoly:
     """Sub-sum of terms of total degree <= max_degree (degree of 0 is -1)."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    return NcPoly({m: c for m, c in p.terms.items() if sum(m) <= max_degree})
+    return _poly({m: c for m, c in p.terms.items() if sum(m) <= max_degree})
 
 
 def relabel(pres: Presentation, mapping: Mapping[int, int],
             ordering: Ordering) -> Presentation:
     """Rebuild a presentation under a generator bijection and order convention.
 
-    Only linear-tailed presentations are supported.  Relations whose pair
-    orientation flips are re-solved for the new leading product, which needs
-    the quad coefficient to be invertible.
+    Generator ``mapping[g]`` takes the name of g.  Only linear-tailed
+    presentations are supported.  Relations whose pair orientation flips are
+    re-solved for the new leading product, which needs the quad coefficient
+    to be invertible.
     """
     if sorted(mapping) != list(range(1, pres.n + 1)) or \
             sorted(mapping.values()) != list(range(1, pres.n + 1)):
@@ -683,4 +681,5 @@ def relabel(pres: Presentation, mapping: Mapping[int, int],
             tail = tuple((-(c * inv), tuple(mapping[g] for g in w)) for c, w in rule.tail)
             pairs[(v, u)] = PairRule(inv, tail)
     central = frozenset(mapping[g] for g in pres.central)
-    return Presentation(pres.field, pres.n, ordering, pairs, central=central)
+    names = [pres.names[g - 1] for g in sorted(mapping, key=mapping.get)]
+    return Presentation(pres.field, pres.n, ordering, pairs, central=central, names=names)

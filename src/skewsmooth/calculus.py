@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import NcPoly, Ordering, Presentation
+from .algebra import NcPoly, Ordering, Presentation, _poly
 from .endos import AffineEndo, apply_endo, commute, compose, identity_endo, invert
 from .errors import IndexRangeError, MismatchedArityError, NonDiagonalTailError
 from .frozen import Frozen
@@ -197,9 +197,11 @@ class CalculusContext:
 
     def _monomials(self, max_degree: int) -> tuple:
         """The exponent vectors of total degree <= bound in (degree, exponents)
-        order, built once per bound."""
+        order, built once per bound; a bound below 1 raises."""
         got = self._monomial_cache.get(max_degree)
         if got is None:
+            if max_degree < 1:
+                raise MismatchedArityError("the degree bound must be at least 1")
             got = self._monomial_cache[max_degree] = tuple(
                 _monomials_up_to(self.n, max_degree))
         return got
@@ -251,7 +253,7 @@ class CalculusContext:
             linalg.add_into(out, {e[:i - 1] + (t,) + suffix: v * w
                                   for e, v in prefix.terms.items()
                                   for t, w in ladder.items()}, c)
-        return NcPoly(out)
+        return _poly(out)
 
     def d(self, f) -> DiffForm:
         """The derivation; degree k -> k+1, with d(dx_S) = 0 on basis words.
@@ -299,8 +301,6 @@ def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
     each is one at x^t and zero at every other such monomial, so it is the
     reduced null vector of d itself, listed in (degree, exponents) order of x^t.
     """
-    if max_degree < 1:
-        raise MismatchedArityError("the degree bound must be at least 1")
     field = ctx.pres.field
     factors = []    # per generator: top exponent -> null vector {exponent: coeff}
     for k in range(1, ctx.n + 1):
@@ -311,13 +311,13 @@ def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
         null = linalg.sparse_nullspace(field, rows, max_degree + 1)
         factors.append({max(vec): vec for vec in null})
     basis = []
-    for top in ctx._monomials(max_degree):
+    for top in ctx._monomials(max_degree):     # a bound below 1 raises here
         if all(t in factor for t, factor in zip(top, factors)):
             terms = {(): field.one}
             for t, factor in zip(top, factors):
                 terms = {e + (s,): c * v for e, c in terms.items()
                          for s, v in factor[t].items()}
-            basis.append(NcPoly(terms))
+            basis.append(_poly(terms))
     return basis
 
 
@@ -346,8 +346,6 @@ def d_squared_failures(ctx: CalculusContext, max_degree: int) -> list:
     ladders decide d^2, and no form or matrix is built.  A family that
     ``decide`` certifies has sigma_ji = a_ij, so the list is empty.
     """
-    if max_degree < 1:
-        raise MismatchedArityError("the degree bound must be at least 1")
     powers = range(1, max_degree + 1)
     live = [{b for b in powers if ctx.ladder(j, b)} for j in range(1, ctx.n + 1)]
     # (i - 1, j - 1) with kappa_ij != 0, that is sigma_ji != a_ij, and both
@@ -355,7 +353,7 @@ def d_squared_failures(ctx: CalculusContext, max_degree: int) -> list:
     pairs = [(i - 1, j - 1) for i, j in combinations(range(1, ctx.n + 1), 2)
              if ctx.nus[j - 1].slopes[i - 1] != ctx.pres.a(i, j)
              and live[i - 1] and live[j - 1]]
-    return [m for m in ctx._monomials(max_degree)
+    return [m for m in ctx._monomials(max_degree)   # a bound below 1 raises here
             if any(m[i] in live[i] and m[j] in live[j] for i, j in pairs)]
 
 
@@ -514,6 +512,10 @@ def verify_integrability(ctx: CalculusContext, max_degree: int, samples: int,
 
     evaluated exactly; failures carry (degree, sample, side).
     """
+    # with no sample nothing is checked, yet the report would pass
+    if max_degree < 0 or samples < 1:
+        raise IndexRangeError(f"the integrability checks need max_degree >= 0 and "
+                              f"samples >= 1, not {max_degree} and {samples}")
     if coefficients is None:
         coefficients = integral_form_coefficients(ctx)
     rng = random.Random(seed)

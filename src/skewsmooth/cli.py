@@ -46,6 +46,12 @@ MAX_CALCULUS_MONOMIALS = 2000
 MAX_INTEGRABILITY_SAMPLES = 50
 
 
+def check_count(flag: str, value: int, low: int, high: int) -> None:
+    """Refuse a count flag outside ``low..high``."""
+    if not low <= value <= high:
+        raise SkewSmoothError(f"{flag} must be between {low} and {high}, not {value}")
+
+
 def _endo_json(pres: Presentation, endo) -> dict:
     images = {}
     for g in range(1, pres.n + 1):
@@ -138,12 +144,8 @@ def _cmd_pbw_check(args) -> int:
 def _cmd_calculus(args) -> int:
     bound = args.max_degree
     samples = args.verify_integrability
-    if not 0 <= samples <= MAX_INTEGRABILITY_SAMPLES:
-        raise SkewSmoothError(f"--verify-integrability must be between 0 and "
-                              f"{MAX_INTEGRABILITY_SAMPLES}, not {samples}")
-    if not 1 <= bound <= MAX_CALCULUS_DEGREE:
-        raise SkewSmoothError(f"--max-degree must be between 1 and {MAX_CALCULUS_DEGREE}, "
-                              f"not {bound}")
+    check_count("--verify-integrability", samples, 0, MAX_INTEGRABILITY_SAMPLES)
+    check_count("--max-degree", bound, 1, MAX_CALCULUS_DEGREE)
     alg = _load(args.file, {"skew"})
     pres = alg.payload
     if pres.n > MAX_CALCULUS_N:
@@ -245,10 +247,8 @@ def _commutation_json(report) -> dict:
 
 
 def _cmd_verify_identities(args) -> int:
-    for flag, value, bound in (("--n-max", args.n_max, MAX_IDENTITY_N),
-                               ("--samples", args.samples, MAX_IDENTITY_SAMPLES)):
-        if not 1 <= value <= bound:
-            raise SkewSmoothError(f"{flag} must be between 1 and {bound}, not {value}")
+    check_count("--n-max", args.n_max, 1, MAX_IDENTITY_N)
+    check_count("--samples", args.samples, 1, MAX_IDENTITY_SAMPLES)
     from . import diffusion as diff
     seed = args.seed
     pq = diff.verify_pq_recurrences(LADDER_N_MAX, args.samples, seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .algebra import NcPoly, Presentation
+from .algebra import NcPoly, Presentation, _poly
 from .errors import MismatchedArityError, ZeroSlopeError
 from .frozen import Frozen
 from .linalg import add_into
@@ -106,9 +106,7 @@ def apply_endo(endo: AffineEndo, p: NcPoly, pres: Presentation) -> NcPoly:
         add_into(out, image)
     # a product of nonzero scalars is nonzero and add_into drops what cancels,
     # so ``out`` holds no zero coefficient and needs no filtering copy
-    res = NcPoly.__new__(NcPoly)
-    res.terms = out
-    return res
+    return _poly(out)
 
 
 def compose(e1: AffineEndo, e2: AffineEndo) -> AffineEndo:
@@ -126,16 +124,18 @@ def compose(e1: AffineEndo, e2: AffineEndo) -> AffineEndo:
     return AffineEndo(slopes, shifts)
 
 
-def commute(e1: AffineEndo, e2: AffineEndo) -> bool:
-    """True iff compose(e1, e2) == compose(e2, e1).
+def _shift_defect(a1, b1, a2, b2):
+    """Shift of compose(e1, e2) minus that of compose(e2, e1) on a generator
+    that e1 and e2 send to a1 x + b1 and a2 x + b2; the slopes agree."""
+    return b2 * (a1 - 1) - b1 * (a2 - 1)
 
-    Slopes always commute; the condition is shift compatibility
-    b2*(a1 - 1) == b1*(a2 - 1) on every generator, tested directly.
-    """
+
+def commute(e1: AffineEndo, e2: AffineEndo) -> bool:
+    """True iff compose(e1, e2) == compose(e2, e1): no generator has a
+    nonzero ``_shift_defect``."""
     if e1.n != e2.n:
         raise MismatchedArityError("cannot compose endomorphisms of different arity")
-    return all(b2 * (a1 - 1) == b1 * (a2 - 1)
-               for a1, b1, a2, b2 in zip(e1.slopes, e1.shifts, e2.slopes, e2.shifts))
+    return not any(map(_shift_defect, e1.slopes, e1.shifts, e2.slopes, e2.shifts))
 
 
 def invert(endo: AffineEndo) -> AffineEndo:
@@ -182,5 +182,5 @@ def respects_relations(endo: AffineEndo, pres: Presentation) -> RelationReport:
                 image = images[word[0]] if len(word) == 1 else \
                     pres.product(*(images[g] for g in word))
                 add_into(residue, image.terms, -coeff)
-        checks.append(RelationCheck((i, j), not residue, pres._poly(residue)))
+        checks.append(RelationCheck((i, j), not residue, _poly(residue)))
     return RelationReport(tuple(checks))

@@ -113,7 +113,11 @@ def sparse_nullspace(field, rows, ncols: int):
     return _kernel_basis(field, reduced, pivots, ncols)
 
 
-def _sparse(rows):
+def _sparse(rows, ncols: int):
+    """Dense rows as sparse ones; a row of another length than ``ncols`` raises."""
+    for i, r in enumerate(rows):
+        if len(r) != ncols:
+            raise ValueError(f"row {i} has {len(r)} entries, not {ncols}")
     return [{c: v for c, v in enumerate(r) if v} for r in rows]
 
 
@@ -131,14 +135,14 @@ def rref(field, rows):
     if not rows:
         return rows, []
     ncols = len(rows[0])
-    reduced, pivots = eliminate(field, _sparse(rows))
+    reduced, pivots = eliminate(field, _sparse(rows, ncols))
     out = [_dense(field, r, ncols) for r in reduced]
     out += [[field.zero] * ncols for _ in range(len(rows) - len(out))]
     return out, pivots
 
 
 def rank(field, rows) -> int:
-    return len(_forward(field, _sparse(rows))[1])
+    return len(_forward(field, _sparse(rows, len(rows[0]) if rows else 0))[1])
 
 
 def nullspace(field, rows, ncols=None):
@@ -147,7 +151,7 @@ def nullspace(field, rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    return [_dense(field, v, ncols) for v in sparse_nullspace(field, _sparse(rows), ncols)]
+    return [_dense(field, v, ncols) for v in sparse_nullspace(field, _sparse(rows, ncols), ncols)]
 
 
 class AffineSolutionSet(NamedTuple):
@@ -173,7 +177,7 @@ def solve_affine(field, rows, rhs) -> AffineSolutionSet:
     if not rows:
         raise ValueError("empty system; pass explicit trivial rows instead")
     ncols = len(rows[0])
-    aug = _sparse(rows)
+    aug = _sparse(rows, ncols)
     for row, b in zip(aug, rhs):
         if b:
             row[ncols] = b

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import Ordering, Presentation
-from .endos import AffineEndo, commute, respects_relations
+from .endos import AffineEndo, _shift_defect, commute, respects_relations
 from .errors import NonDiagonalTailError, ZeroSlopeError
 from .scalars import QQ
 
@@ -91,9 +91,9 @@ def assemble_constant_checks(pres: Presentation) -> list:
     First the residue of the twist for x_k on every relation (i, j) without
     x_k, at x_i, x_j and 1; these read only forced images.  Then, for k < j,
     the commutation of the twists for x_k and x_j on each third generator
-    g: the shifts of the two composites differ by t_j (s_k - 1) -
-    t_k (s_j - 1), with (s, t) the images of x_g.  Report order: k, then
-    the relation or j, then the monomial or g.
+    g: the ``_shift_defect`` t_j (s_k - 1) - t_k (s_j - 1) of the images
+    (s, t) of x_g.  Report order: k, then the relation or j, then the
+    monomial or g.
     """
     _require_spag(pres)
     n = pres.n
@@ -110,8 +110,7 @@ def assemble_constant_checks(pres: Presentation) -> list:
     for k, j in combinations(range(1, n + 1), 2):
         for g in range(1, n + 1):
             if g not in (k, j):
-                (sk, tk), (sj, tj) = images[k][g], images[j][g]
-                r = tj * (sk - 1) - tk * (sj - 1)
+                r = _shift_defect(*images[k][g], *images[j][g])
                 checks.append(EquationCheck(f"twists for x_{k} and x_{j} on x_{g}", r, not r))
     return checks
 

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewsmooth
 from skewsmooth.algebra import (NcPoly, Ordering, Presentation,
                                 degree_truncation, relabel)
 from skewsmooth.catalog import from_display
@@ -218,3 +221,55 @@ def test_relabel_reverses_convention():
     assert flipped.a(1, 2) == F(1, 4)
     assert flipped.a(1, 3) == F(5, 3)
     assert flipped.a(2, 3) == F(2, 1)
+
+
+def test_relabel_moves_generator_names():
+    pres = Presentation.skew(QQ, 3, {(1, 2): (2, {1: 1}, 0), (2, 3): (3, {}, 5)},
+                             names=("x", "y", "z"))
+    moved = relabel(pres, {1: 2, 2: 3, 3: 1}, Ordering.ASCENDING)
+    assert moved.names == ("z", "x", "y")
+    # y x, now the word (3, 2), prints as before
+    assert moved.format_poly(moved.normal_form((3, 2))) == \
+        pres.format_poly(pres.normal_form((2, 1))) == "-1/2*x + 1/2*x*y"
+
+
+class _PolynomialFills(ast.NodeVisitor):
+    """The scopes, as dotted names, that call ``NcPoly.__new__`` or
+    ``__new__(NcPoly)``, or assign an attribute ``terms``."""
+
+    def __init__(self, module: str):
+        self.scope, self.sites = [module], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if (node.attr == "terms" and isinstance(node.ctx, ast.Store)
+                or node.attr == "__new__" and isinstance(node.value, ast.Name)
+                and node.value.id == "NcPoly"):
+            self.sites.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func, args = node.func, node.args
+        if (isinstance(func, ast.Attribute) and func.attr in ("__new__", "__setattr__")
+                or isinstance(func, ast.Name) and func.id == "setattr"):
+            if any(isinstance(a, ast.Name) and a.id == "NcPoly"
+                   or isinstance(a, ast.Constant) and a.value == "terms" for a in args):
+                self.sites.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_the_builder_fills_a_polynomial():
+    """A polynomial's term map is set in two places: the checking
+    constructor and the builder ``algebra._poly`` for zero-free maps."""
+    sites = set()
+    for path in sorted(pathlib.Path(skewsmooth.__file__).parent.glob("*.py")):
+        visitor = _PolynomialFills(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        sites |= visitor.sites
+    assert sites == {"algebra.NcPoly.__init__", "algebra._poly"}

@@ -439,6 +439,8 @@ class TestCrosswalk:
         pres = encode_presentation(dp)
         flipped = relabel(pres, {1: 3, 2: 2, 3: 1}, Ordering.ASCENDING)
         assert classify_3d(flipped).label == "1"
+        # new generator mapping[g] keeps the name of g
+        assert pres.names == ("D1", "D2", "D3") and flipped.names == ("D3", "D2", "D1")
 
     def test_class_c1_matches_class_2e_shape(self):
         # normalized member: lambda_12 = lambda_21, lambda_13 = lambda_31 = x_1;

@@ -17,7 +17,7 @@ import pytest
 import skewsmooth
 from skewsmooth import linalg
 from skewsmooth.algebra import Ordering, PairRule, Presentation, degree_truncation, relabel
-from skewsmooth.calculus import CalculusContext, DiffForm
+from skewsmooth.calculus import CalculusContext, DiffForm, verify_integrability
 from skewsmooth.catalog import diffusion_class_instances, three_dim_class
 from skewsmooth.diffusion import (DiffusionPresentation, DiffusionType, SigmaCoefficients,
                                   classify_diffusion_3)
@@ -124,6 +124,10 @@ def _diffusion(n, dtype):
     return DiffusionPresentation(n, dtype, forward, (0,) * n, QQ)
 
 
+def _identity_context(n):
+    return CalculusContext(_commutative(n), [identity_endo(QQ, n)] * n)
+
+
 _SHIFT = AffineEndo((F(1), F(1)), (F(1), F(0)))    # x1 -> x1 + 1
 _SCALE = AffineEndo((F(2), F(1)), (F(0), F(0)))    # x1 -> 2 x1
 _FIVE = (F(1), F(0), F(0), F(0), F(0))
@@ -164,8 +168,14 @@ VALIDATION = [
      MismatchedArityError, "need exactly one twist per generator"),
     (lambda: CalculusContext(_commutative(2), [_SHIFT, _SCALE]),
      MismatchedArityError, "twists for x_1 and x_2 do not commute"),
-    (lambda: CalculusContext(_commutative(2), [identity_endo(QQ, 2)] * 2).pi_omega(
-        DiffForm(1, {})), MismatchedArityError, "coefficient extraction needs a top form"),
+    (lambda: _identity_context(2).pi_omega(DiffForm(1, {})),
+     MismatchedArityError, "coefficient extraction needs a top form"),
+    (lambda: verify_integrability(_identity_context(2), 2, -3),
+     IndexRangeError, "need max_degree >= 0 and samples >= 1, not 2 and -3"),
+    (lambda: verify_integrability(_identity_context(2), 2, 0),
+     IndexRangeError, "need max_degree >= 0 and samples >= 1, not 2 and 0"),
+    (lambda: verify_integrability(_identity_context(2), -1, 3),
+     IndexRangeError, "need max_degree >= 0 and samples >= 1, not -1 and 3"),
     # catalog
     (lambda: three_dim_class("6"), ValueError, "unknown class label '6'"),
     (lambda: diffusion_class_instances("Z"), ValueError, "unknown diffusion class 'Z'"),
@@ -192,6 +202,14 @@ VALIDATION = [
     (lambda: linalg.solve_affine(QQ, [], []),
      ValueError, "empty system; pass explicit trivial rows instead"),
     (lambda: linalg.det(QQ, [[F(1), F(2)]]), ValueError, "determinant of a non-square matrix"),
+    (lambda: linalg.solve_affine(QQ, [[F(1), F(0)], [F(0), F(1), F(5)]], [F(1), F(2)]),
+     ValueError, "row 1 has 3 entries, not 2"),
+    (lambda: linalg.nullspace(QQ, [[F(1), F(1), F(1)]], 2),
+     ValueError, "row 0 has 3 entries, not 2"),
+    (lambda: linalg.rref(QQ, [[F(1), F(2), F(3)], [F(4), F(5)]]),
+     ValueError, "row 1 has 2 entries, not 3"),
+    (lambda: linalg.rank(QQ, [[F(1)], [F(2), F(3)]]),
+     ValueError, "row 1 has 2 entries, not 1"),
     # scalars
     (lambda: PrimeField(7).coerce(1.5), TypeError, "cannot coerce 1.5 into F_7"),
     (lambda: field_from_name("Fp:seven"),

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from skewsmooth import cli
 from skewsmooth.algebra import Ordering, Presentation, relabel
 from skewsmooth.calculus import CalculusContext, d_squared_failures, kernel_of_d_bounded
 from skewsmooth.catalog import from_display, three_dim_class, three_dim_grid
-from skewsmooth.endos import AffineEndo, commute, respects_relations
+from skewsmooth.endos import AffineEndo, commute, compose, respects_relations
 from skewsmooth.errors import NonDiagonalTailError, ZeroSlopeError
 from skewsmooth.linalg import solve_affine
 from skewsmooth.scalars import QQ, PrimeField
@@ -204,6 +205,28 @@ def test_diagonal_rows_match_rewriting(pres, data):
             engine[f"relation ({i}, {j}) at 1"] = _coefficient(pres, check.residue, 0)
     assert set(rows) <= set(engine)
     assert {name: rows.get(name, field.zero) for name in engine} == engine
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_presentations())
+def test_commutation_residue_is_the_composite_shift_difference(pres):
+    """Each commutation residue of ``assemble_constant_checks``, "twists for
+    x_k and x_j on x_g", is the shift of compose(nu_k, nu_j) minus that of
+    compose(nu_j, nu_k) at x_g; the images of x_g are forced, so any
+    diagonal (a_kk, b_kk) will do."""
+    field, n = pres.field, pres.n
+    family = [forced_nu(pres, k, field.one, field.zero) for k in range(1, n + 1)]
+    seen = 0
+    for check in assemble_constant_checks(pres):
+        found = re.fullmatch(r"twists for x_(\d) and x_(\d) on x_(\d)", check.name)
+        if found:
+            k, j, g = map(int, found.groups())
+            nu_k, nu_j = family[k - 1], family[j - 1]
+            want = compose(nu_k, nu_j).shifts[g - 1] - compose(nu_j, nu_k).shifts[g - 1]
+            assert check.residual == want and check.holds == (not want), check.name
+            event("nonzero residue" if want else "zero residue")
+            seen += 1
+    assert seen == n * (n - 1) * (n - 2) // 2
 
 
 GRID = three_dim_grid()
