@@ -98,13 +98,6 @@ def _quasi_commutative(field, n: int) -> Presentation:
                                         for t, pair in enumerate(pairs)})
 
 
-def _diffusion_over(field, dp: DiffusionPresentation, dtype) -> DiffusionPresentation:
-    """The Q instance's coefficients read in ``field``, as a ``dtype`` presentation."""
-    lambdas = {k: field.coerce(v) for k, v in dp.lambdas.items()}
-    xs = tuple(field.coerce(v) for v in dp.x) if dtype is DiffusionType.TYPE1 else ()
-    return DiffusionPresentation(dp.n, dtype, lambdas, xs, field)
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -157,12 +150,11 @@ def _rows():
                ("smooth",), ("calculus", "--max-degree", "6"))
     for tag, field in FIELDS:
         for label in DIFFUSION_LABELS:
-            for idx, dp in enumerate(diffusion_class_instances(label)):
-                yield _alg(f"diffusion1-{label}-{idx}-{tag}", "diffusion1",
-                           _diffusion_over(field, dp, DiffusionType.TYPE1),
+            for idx, dp in enumerate(diffusion_class_instances(label, field)):
+                yield _alg(f"diffusion1-{label}-{idx}-{tag}", "diffusion1", dp,
                            ("pbw-check",), ("diffusion-classify",))
-                yield _alg(f"diffusion2-{label}-{idx}-{tag}", "diffusion2",
-                           _diffusion_over(field, dp, DiffusionType.TYPE2), ("pbw-check",))
+                type2 = DiffusionPresentation(dp.n, DiffusionType.TYPE2, dp.lambdas, (), field)
+                yield _alg(f"diffusion2-{label}-{idx}-{tag}", "diffusion2", type2, ("pbw-check",))
     for seed in (0, 3):
         yield f"seed{seed}", None, (("verify-identities", "--seed", str(seed)),)
     # the shape of the identities benchmark job

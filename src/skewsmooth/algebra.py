@@ -93,7 +93,9 @@ class NcPoly:
     def scale(self, c) -> "NcPoly":
         if not c:
             return NcPoly.zero()
-        return _poly({m: c * v for m, v in self.terms.items()})
+        terms = {m: c * v for m, v in self.terms.items()}
+        # p may divide a plain int; a nonzero field element times one is nonzero
+        return NcPoly(terms) if c.__class__ is int else _poly(terms)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1."""

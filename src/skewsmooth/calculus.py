@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import sub
 from typing import NamedTuple
 
 from . import linalg
 from .algebra import NcPoly, Ordering, Presentation, _poly
-from .endos import AffineEndo, apply_endo, commute, compose, identity_endo, invert
+from .endos import AffineEndo, apply_endo, compose, identity_endo, invert, noncommuting_pairs
 from .errors import IndexRangeError, MismatchedArityError, NonDiagonalTailError
 from .frozen import Frozen
 
@@ -94,11 +95,8 @@ class CalculusContext:
         nus = tuple(nus)
         if len(nus) != pres.n:
             raise MismatchedArityError("need exactly one twist per generator")
-        for a in range(len(nus)):
-            for b in range(a + 1, len(nus)):
-                if not commute(nus[a], nus[b]):
-                    raise MismatchedArityError(
-                        f"twists for x_{a + 1} and x_{b + 1} do not commute")
+        for i, j in noncommuting_pairs(nus):
+            raise MismatchedArityError(f"twists for x_{i} and x_{j} do not commute")
         self.pres = pres
         self.nus = nus
         # a single index is its own twist, which shares that twist's
@@ -114,22 +112,21 @@ class CalculusContext:
         return self.pres.n
 
     def composite(self, indices) -> AffineEndo:
-        """The twists of the index set composed in increasing order; each new
-        set is built from the cached composite of its longest cached prefix.
-        The composite of one index k is the twist ``nus[k - 1]`` itself."""
+        """The twists of the index set composed in increasing order, cached
+        per set: the composite without the largest index k, then ``nus[k - 1]``.
+        An index outside 1..n raises."""
         cache = self._composite_cache
         if indices.__class__ is tuple:      # a cached key; a list is unhashable
             got = cache.get(indices)
             if got is not None:
                 return got
         key = tuple(sorted(indices))
-        if key not in cache:
-            known = len(key) - 1
-            while key[:known] not in cache:
-                known -= 1
-            for end in range(known + 1, len(key) + 1):
-                cache[key[:end]] = compose(cache[key[:end - 1]], self.nus[key[end - 1] - 1])
-        return cache[key]
+        got = cache.get(key)
+        if got is None:
+            if not 1 <= key[0] <= key[-1] <= self.n:
+                raise IndexRangeError(f"no composite twist for {key} at n = {self.n}")
+            got = cache[key] = compose(self.composite(key[:-1]), self.nus[key[-1] - 1])
+        return got
 
     @property
     def nu_omega(self) -> AffineEndo:
@@ -139,12 +136,18 @@ class CalculusContext:
     def nu_omega_inverse(self) -> AffineEndo:
         return invert(self.nu_omega)
 
+    @cached_property
+    def integral_forms(self) -> "IntegralFormCoefficients":
+        return integral_form_coefficients(self)
+
     # -- form builders -------------------------------------------------------
 
     def zero_form(self, degree: int) -> DiffForm:
         return DiffForm(degree, {})
 
     def dx(self, i: int) -> DiffForm:
+        if not 1 <= i <= self.n:
+            raise IndexRangeError(f"no differential dx_{i} for n = {self.n}")
         return DiffForm(1, {(i,): self.pres.one()})
 
     def volume_form(self) -> DiffForm:
@@ -202,8 +205,7 @@ class CalculusContext:
         if got is None:
             if max_degree < 1:
                 raise MismatchedArityError("the degree bound must be at least 1")
-            got = self._monomial_cache[max_degree] = tuple(
-                _monomials_up_to(self.n, max_degree))
+            got = self._monomial_cache[max_degree] = tuple(_monomials_up_to(self.n, max_degree))
         return got
 
     def wedge(self, f: DiffForm, g: DiffForm) -> DiffForm:
@@ -275,18 +277,15 @@ class CalculusContext:
         return DiffForm._trusted(f.degree + 1, out)
 
 
-def _monomials_up_to(n: int, max_degree: int):
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-    rec([], max_degree, n)
-    out.sort(key=lambda m: (sum(m), m))
-    return out
+def _monomials_up_to(n: int, max_degree: int) -> list:
+    """The exponent vectors of total degree <= bound in (degree, exponents)
+    order by stars and bars: per degree, bars c_1 <= ... <= c_(n-1) in
+    lexicographic order give x^(c_1, c_2 - c_1, ..., degree - c_(n-1))."""
+    if not n:      # no generator: the one monomial is 1
+        return [()]
+    return [tuple(map(sub, bars + (degree,), (0,) + bars))
+            for degree in range(max_degree + 1)
+            for bars in combinations_with_replacement(range(degree + 1), n - 1)]
 
 
 def kernel_of_d_bounded(ctx: CalculusContext, max_degree: int):
@@ -402,37 +401,21 @@ def _closed_form_products(ctx: CalculusContext, subset, complement):
     - otherwise: A = prod_{s<t in S} -(1/a_st) and
       Abar = prod_{u in S} prod_{u<t<=max C} -a_ut.
 
-    Every inner product is a (cached) sort scalar: for increasing X,
-    prod_{s<t in X} -(1/a_st) sorts X reversed (``_reversed_sort_scalar``),
-    prod_{t<u} -a_tu is one over the scalar of sorting (u, 1, ..., u-1), and
-    prod_{u<t<=m} -a_ut one over that of sorting (u+1, ..., m, u).
+    Every inner product is a ``basis_sort`` scalar: for increasing X,
+    prod_{s<t in X} -(1/a_st) is that of X reversed, prod_{t<u} -a_tu one
+    over that of (u, 1, ..., u-1) and prod_{u<t<=m} -a_ut one over that of
+    (u+1, ..., m, u).
     """
     one, sort = ctx.pres.field.one, ctx.basis_sort
     if subset[:1] == (1,):
         a_cf = one
         for u in complement:
             a_cf = a_cf / sort((u,) + tuple(range(1, u)))[0]
-        return a_cf, _reversed_sort_scalar(ctx, complement)
+        return a_cf, sort(complement[::-1])[0]
     abar_cf = one
     for u in subset:
         abar_cf = abar_cf / sort(tuple(range(u + 1, complement[-1] + 1)) + (u,))[0]
-    return _reversed_sort_scalar(ctx, subset), abar_cf
-
-
-def _reversed_sort_scalar(ctx: CalculusContext, indices: tuple):
-    """The scalar of sorting the increasing ``indices`` reversed.  The
-    reversed word is that of ``indices[1:]`` followed by u = indices[0], so
-    its scalar is the (memoised) one of that prefix times -(1/a_ut) for each
-    later t; every word is memoised as ``basis_sort`` would store it."""
-    word = indices[::-1]
-    got = ctx._sort_cache.get(word)
-    if got is None:
-        u, rest = indices[0], indices[1:]
-        factor = _reversed_sort_scalar(ctx, rest) if rest else ctx.pres.field.one
-        for t in rest:
-            factor = -(factor / ctx.pres.a(u, t))
-        got = ctx._sort_cache[word] = (factor, indices)
-    return got[0]
+    return sort(subset[::-1])[0], abar_cf
 
 
 def complementary_pairs(n: int, k: int):
@@ -502,9 +485,7 @@ def random_form(ctx: CalculusContext, degree: int, coeff_degree: int,
 
 
 def verify_integrability(ctx: CalculusContext, max_degree: int, samples: int,
-                         seed: int = 0,
-                         coefficients: IntegralFormCoefficients | None = None
-                         ) -> IntegrabilityReport:
+                         seed: int = 0) -> IntegrabilityReport:
     """Both reconstruction identities for every middle degree on random forms:
 
         w' = sum_S unbarred_S^k . pi(barred^(n-k) ^ w')
@@ -516,8 +497,7 @@ def verify_integrability(ctx: CalculusContext, max_degree: int, samples: int,
     if max_degree < 0 or samples < 1:
         raise IndexRangeError(f"the integrability checks need max_degree >= 0 and "
                               f"samples >= 1, not {max_degree} and {samples}")
-    if coefficients is None:
-        coefficients = integral_form_coefficients(ctx)
+    coefficients = ctx.integral_forms
     rng = random.Random(seed)
     n = ctx.n
     failures = []

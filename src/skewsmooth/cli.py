@@ -174,7 +174,7 @@ def _cmd_calculus(args) -> int:
     dd_failures = calc.d_squared_failures(ctx, bound)
     kernel = calc.kernel_of_d_bounded(ctx, bound)
     connected = calc.kernel_is_scalars(kernel, pres.n)
-    coeffs = calc.integral_form_coefficients(ctx)
+    coeffs = ctx.integral_forms
     omega = ctx.volume_form()
     normalization_ok = all(
         ctx.wedge(coeffs.barred(ctx, pres.n - k, complement),
@@ -200,8 +200,7 @@ def _cmd_calculus(args) -> int:
         f"closed-form coefficient mismatches (recorded, not patched): {len(mismatches)}",
     ]
     if samples:
-        report = calc.verify_integrability(ctx, min(bound, 3), samples,
-                                           seed=_CALCULUS_SEED, coefficients=coeffs)
+        report = calc.verify_integrability(ctx, min(bound, 3), samples, seed=_CALCULUS_SEED)
         payload["calculus"]["integrability"] = {
             "degree": report.max_degree,
             "seed": _CALCULUS_SEED,

@@ -7,11 +7,12 @@ property ``respects_relations``.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 from .algebra import NcPoly, Presentation, _poly
-from .errors import MismatchedArityError, ZeroSlopeError
+from .errors import IndexRangeError, MismatchedArityError, ZeroSlopeError
 from .frozen import Frozen
 from .linalg import add_into
 
@@ -21,6 +22,7 @@ __all__ = [
     "apply_endo",
     "compose",
     "commute",
+    "noncommuting_pairs",
     "invert",
     "RelationCheck",
     "RelationReport",
@@ -60,10 +62,12 @@ class AffineEndo(Frozen):
     def power_image(self, g: int, power: int) -> dict:
         """(slope_g x_g + shift_g)^power as exponent -> coefficient, memoised
         on the endomorphism; the returned map is shared, so callers only
-        read it."""
+        read it.  A generator outside 1..n or a negative power raises."""
         key = (g, power)
         got = self._powers.get(key)
         if got is None:
+            if not 1 <= g <= self.n or power < 0:
+                raise IndexRangeError(f"no power image (x_{g})^{power} for n = {self.n}")
             got = self._powers[key] = _univariate_image(
                 self.slopes[g - 1], self.shifts[g - 1], power)
         return got
@@ -136,6 +140,12 @@ def commute(e1: AffineEndo, e2: AffineEndo) -> bool:
     if e1.n != e2.n:
         raise MismatchedArityError("cannot compose endomorphisms of different arity")
     return not any(map(_shift_defect, e1.slopes, e1.shifts, e2.slopes, e2.shifts))
+
+
+def noncommuting_pairs(family):
+    """The pairs (i, j), i < j from 1, of twists in ``family`` that do not commute."""
+    return ((i, j) for (i, e1), (j, e2) in combinations(enumerate(family, 1), 2)
+            if not commute(e1, e2))
 
 
 def invert(endo: AffineEndo) -> AffineEndo:

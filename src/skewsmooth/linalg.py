@@ -176,6 +176,8 @@ def solve_affine(field, rows, rhs) -> AffineSolutionSet:
     """Solve A x = rhs exactly, returning the full affine solution set."""
     if not rows:
         raise ValueError("empty system; pass explicit trivial rows instead")
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     ncols = len(rows[0])
     aug = _sparse(rows, ncols)
     for row, b in zip(aug, rhs):

@@ -3,7 +3,7 @@
 The twist for generator k sends every other generator to a forced image
 and x_k to a_kk x_k - b_kk, with (a_kk, b_kk) unknown.  Every equation the
 procedure solves is a coefficient of one closed form, the residue of a
-relation under a diagonal-affine map (``_relation_residue``), so a change of
+relation under a diagonal-affine map (``_residue_forms``), so a change of
 generators by x_g -> s_g x_g + t_g changes no verdict.  The pipeline: check
 the overlaps, screen for the third-generator tail obstruction, check the
 equations free of the unknowns, solve the per-generator 2-unknown affine
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import Ordering, Presentation
-from .endos import AffineEndo, _shift_defect, commute, respects_relations
+from .endos import AffineEndo, _shift_defect, noncommuting_pairs, respects_relations
 from .errors import NonDiagonalTailError, ZeroSlopeError
 from .scalars import QQ
 
@@ -69,31 +69,32 @@ def _forced_image(pres: Presentation, k: int, g: int):
     return pres.field.one / akg, -(pres.b(k, g) / akg)
 
 
-def _relation_residue(pres: Presentation, i: int, j: int, image_i, image_j):
-    """Coefficients on x_i, x_j and 1 of the image of relation (i, j),
-    x_i x_j - a x_j x_i = b x_i + c x_j + e, under x_i -> s_i x_i + t_i,
-    x_j -> s_j x_j + t_j, with ``image_g`` = (s_g, t_g).
-
-    Rewriting a x_j x_i by the relation cancels the x_i x_j terms; with
-    u = 1 - a what is left is the normal form of the residue.
-    """
-    (si, ti), (sj, tj) = image_i, image_j
-    u = 1 - pres.a(i, j)
-    b, c, e = pres.b(i, j), pres.c(i, j), pres.e(i, j)
-    return (si * (b * (sj - 1) + u * tj),
-            sj * (c * (si - 1) + u * ti),
-            e * (si * sj - 1) + u * ti * tj - b * ti - c * tj)
+def _residue_forms(pres: Presentation, i: int, j: int, k: int, image):
+    """The coefficients on x_k, x_g and 1 of the image of relation (i, j),
+    x_i x_j - a x_j x_i = b x_i + c x_j + e, under x_k -> A x_k - B (k is i
+    or j) and x_g -> s x_g + t on the other letter, ``image`` = (s, t), as
+    rows (ca, cb, rhs) of value ca A + cb B - rhs.  With u = 1 - a and own
+    and other the tail coefficients on x_k and x_g, the rows are
+    (own (s - 1) + u t, 0, 0), (other s, -u s, other s) and
+    (e s, own - u t, e + other t)."""
+    s, t = image
+    u, e = 1 - pres.a(i, j), pres.e(i, j)
+    own, other = (pres.b(i, j), pres.c(i, j)) if k == i else (pres.c(i, j), pres.b(i, j))
+    ut, other_s = u * t, other * s
+    return ((own * (s - 1) + ut, pres.field.zero, pres.field.zero),
+            (other_s, -u * s, other_s),
+            (e * s, own - ut, e + other * t))
 
 
 def assemble_constant_checks(pres: Presentation) -> list:
     """The twist equations free of the diagonal unknowns.
 
     First the residue of the twist for x_k on every relation (i, j) without
-    x_k, at x_i, x_j and 1; these read only forced images.  Then, for k < j,
-    the commutation of the twists for x_k and x_j on each third generator
-    g: the ``_shift_defect`` t_j (s_k - 1) - t_k (s_j - 1) of the images
-    (s, t) of x_g.  Report order: k, then the relation or j, then the
-    monomial or g.
+    x_k, at x_i, x_j and 1: the ``_residue_forms`` in the image of x_i at
+    its forced image (A, B) = (s_i, -t_i).  Then, for k < j, the
+    commutation of the twists for x_k and x_j on each third generator g:
+    the ``_shift_defect`` t_j (s_k - 1) - t_k (s_j - 1) of the images (s, t)
+    of x_g.  Report order: k, then the relation or j, then the monomial or g.
     """
     _require_spag(pres)
     n = pres.n
@@ -103,8 +104,10 @@ def assemble_constant_checks(pres: Presentation) -> list:
     for k in range(1, n + 1):
         for i, j in pres.pairs:
             if k not in (i, j):
-                residue = _relation_residue(pres, i, j, images[k][i], images[k][j])
-                for at, r in zip((f"x_{i}", f"x_{j}", "1"), residue):
+                s, t = images[k][i]
+                forms = _residue_forms(pres, i, j, i, images[k][j])
+                for at, (ca, cb, rhs) in zip((f"x_{i}", f"x_{j}", "1"), forms):
+                    r = ca * s - cb * t - rhs
                     checks.append(EquationCheck(
                         f"twist for x_{k} on relation ({i}, {j}) at {at}", r, not r))
     for k, j in combinations(range(1, n + 1), 2):
@@ -135,32 +138,18 @@ class NuSystemSolution(NamedTuple):
 
 
 def _diagonal_rows(pres: Presentation, k: int):
-    """The twist equations in (a_kk, b_kk), one per nonzero coefficient of
-    the residue on each relation between x_k and another generator g.
-
-    The residue is affine in (A, B) = (a_kk, b_kk), since x_k -> A x_k - B;
-    a row holds its partial derivatives and minus its constant, so that its
-    value ca A + cb B - rhs is the coefficient itself.  With (s, t) the
-    image of x_g, u = 1 - a, and own and other the tail coefficients on x_k
-    and x_g, the row at x_g is (other s, -u s) = other s and the row at 1
-    is (e s, own - u t) = e + other t.  The coefficient at x_k vanishes for
-    every (A, B), since the image of x_g is forced.  The commutation with
-    the twist for x_g on x_k is the row at x_g divided by s: no row of its
-    own.
-    """
-    rows = []
+    """The twist equations in (a_kk, b_kk): the nonzero ``_residue_forms``
+    at x_g and 1 in the image of x_k of each relation between x_k and
+    another generator x_g, at the forced image of x_g, which makes the form
+    at x_k zero.  The commutation with the twist for x_g on x_k is the row
+    at x_g divided by s: no row of its own."""
     for g in range(1, pres.n + 1):
-        if g == k:
-            continue
-        i, j = (g, k) if g < k else (k, g)
-        own, other = (pres.c(i, j), pres.b(i, j)) if g < k else (pres.b(i, j), pres.c(i, j))
-        u, e = 1 - pres.a(i, j), pres.e(i, j)
-        s, t = _forced_image(pres, k, g)
-        for at, co, rhs in ((f"x_{g}", (other * s, -u * s), other * s),
-                            ("1", (e * s, own - u * t), e + other * t)):
-            if co[0] or co[1] or rhs:
-                rows.append((f"relation ({i}, {j}) at {at}", co, rhs))
-    return rows
+        if g != k:
+            i, j = (g, k) if g < k else (k, g)
+            forms = _residue_forms(pres, i, j, k, _forced_image(pres, k, g))
+            for at, (ca, cb, rhs) in zip((f"x_{g}", "1"), forms[1:]):
+                if ca or cb or rhs:
+                    yield f"relation ({i}, {j}) at {at}", (ca, cb), rhs
 
 
 def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
@@ -174,14 +163,13 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     """
     _require_spag(pres)
     field = pres.field
-    rows = _diagonal_rows(pres, k)
+    rows = tuple(_diagonal_rows(pres, k))
     zero = field.zero
     # no rows: x_k is unconstrained, and one zero row keeps the system well-posed
     sol = linalg.solve_affine(field, [co for _, co, _ in rows] or [(zero, zero)],
                               [rhs for _, _, rhs in rows] or [zero])
-    rowdata = tuple(rows)
     if sol.is_empty:
-        return NuSystemSolution(k, SolutionStatus.EMPTY, None, sol, rowdata)
+        return NuSystemSolution(k, SolutionStatus.EMPTY, None, sol, rows)
     u0, v0 = sol.particular
     du, dv = next(((du, dv) for du, dv in sol.homogeneous if du), (None, None))
     if du is not None:
@@ -189,9 +177,9 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     elif u0:
         witness = (u0, v0)
     else:
-        return NuSystemSolution(k, SolutionStatus.EMPTY, None, sol, rowdata)
+        return NuSystemSolution(k, SolutionStatus.EMPTY, None, sol, rows)
     status = SolutionStatus.UNIQUE if not sol.homogeneous else SolutionStatus.PARAMETRIC
-    result = NuSystemSolution(k, status, witness, sol, rowdata)
+    result = NuSystemSolution(k, status, witness, sol, rows)
     if not result.contains(*witness):
         raise AssertionError(f"witness for k={k} fails substitution; solver bug")
     return result
@@ -262,11 +250,8 @@ def decide(pres: Presentation) -> SmoothnessVerdict:
     # its inverse, which ascending order requires to be nonzero
     family = tuple(forced_nu(pres, s.k, *s.witness) for s in solutions)
     # defense in depth: certify the witness, never assume the equation set
-    problems = []
-    for i in range(pres.n):
-        for j in range(i + 1, pres.n):
-            if not commute(family[i], family[j]):
-                problems.append(f"witness twists for x_{i + 1} and x_{j + 1} do not commute")
+    problems = [f"witness twists for x_{i} and x_{j} do not commute"
+                for i, j in noncommuting_pairs(family)]
     for k, nu in enumerate(family, start=1):
         report = respects_relations(nu, pres)
         for fail in report.failures():

@@ -735,7 +735,8 @@ class TestOneSortPerIndexSet:
         with patch.object(calculus, "_closed_form_products", uncounted):
             co = integral_form_coefficients(ctx)
         assert (co.a, co.abar, co.closed_form_checks) == two_sort_table(ctx)
-        # the reversed-set sorts of the cross-check store what basis_sort would
+        # basis_sort is the one writer of the memo, the cross-check's sorts
+        # of reversed sets included, and stores what the bubble sort gives
         for word, got in ctx._sort_cache.items():
             assert got == naive_basis_sort(pres, word), word
         assert calls == [complement + subset for k in range(1, pres.n)

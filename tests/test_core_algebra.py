@@ -12,7 +12,7 @@ from skewsmooth.algebra import (NcPoly, Ordering, Presentation,
                                 degree_truncation, relabel)
 from skewsmooth.catalog import from_display
 from skewsmooth.errors import MismatchedArityError
-from skewsmooth.scalars import QQ
+from skewsmooth.scalars import QQ, PrimeField
 
 from helpers import (naive_normal_form, random_poly, random_skew_presentation,
                      random_word)
@@ -221,6 +221,18 @@ def test_relabel_reverses_convention():
     assert flipped.a(1, 2) == F(1, 4)
     assert flipped.a(1, 3) == F(5, 3)
     assert flipped.a(2, 3) == F(2, 1)
+
+
+def test_scale_by_a_multiple_of_p_stores_no_zero():
+    """Over F_5 the plain int 5 is zero, so scaling by it, or by 10, gives
+    the zero polynomial; an int that p does not divide scales as the field
+    element would."""
+    x1 = Presentation.commutative(PrimeField(5), 2).gen(1)
+    for c in (5, 10, -5):
+        scaled = x1.scale(c)
+        assert not scaled and scaled == x1.scale(0) and scaled.degree() == -1
+    assert x1.scale(7) == x1.scale(PrimeField(5).coerce(2))
+    assert x1.scale(7).terms == {(1, 0): PrimeField(5).coerce(2)}
 
 
 def test_relabel_moves_generator_names():

@@ -6,7 +6,7 @@ import pytest
 from skewsmooth.algebra import Ordering, PairRule, Presentation
 from skewsmooth.catalog import from_display, three_dim_class
 from skewsmooth.endos import (AffineEndo, _univariate_image, apply_endo, commute, compose,
-                              identity_endo, invert, respects_relations)
+                              identity_endo, invert, noncommuting_pairs, respects_relations)
 from skewsmooth.errors import ZeroSlopeError
 from skewsmooth.scalars import QQ, PrimeField
 
@@ -106,6 +106,12 @@ class TestCommute:
     def test_matching_shifts(self):
         # b2 (a1 - 1) == b1 (a2 - 1)
         assert commute(endo((3, 2)), endo((5, 4)))
+
+    def test_noncommuting_pairs_of_a_family(self):
+        # x -> 2x and x -> 3x commute; no other pair does
+        family = [endo((2, 0)), endo((3, 0)), endo((1, 1)), endo((3, 2))]
+        assert list(noncommuting_pairs(family)) == [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        assert list(noncommuting_pairs(family[:2])) == []
 
 
 def test_invert_roundtrip():

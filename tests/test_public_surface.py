@@ -176,6 +176,14 @@ VALIDATION = [
      IndexRangeError, "need max_degree >= 0 and samples >= 1, not 2 and 0"),
     (lambda: verify_integrability(_identity_context(2), -1, 3),
      IndexRangeError, "need max_degree >= 0 and samples >= 1, not -1 and 3"),
+    (lambda: _identity_context(2).dx(0), IndexRangeError, "no differential dx_0 for n = 2"),
+    (lambda: _identity_context(2).dx(3), IndexRangeError, "no differential dx_3 for n = 2"),
+    (lambda: _identity_context(2).composite((0,)),
+     IndexRangeError, "no composite twist for (0,) at n = 2"),
+    (lambda: _identity_context(2).composite([2, 3]),
+     IndexRangeError, "no composite twist for (2, 3) at n = 2"),
+    (lambda: _identity_context(2).left_act(_commutative(2).gen(1), DiffForm(1, {(3,): 1})),
+     IndexRangeError, "no composite twist for (3,) at n = 2"),
     # catalog
     (lambda: three_dim_class("6"), ValueError, "unknown class label '6'"),
     (lambda: diffusion_class_instances("Z"), ValueError, "unknown diffusion class 'Z'"),
@@ -197,6 +205,9 @@ VALIDATION = [
      "cannot check a 3-generator endomorphism against a 2-generator presentation"),
     (lambda: respects_relations(identity_endo(QQ, 2), _commutative(3)), MismatchedArityError,
      "cannot check a 2-generator endomorphism against a 3-generator presentation"),
+    (lambda: _SHIFT.power_image(0, 2), IndexRangeError, "no power image (x_0)^2 for n = 2"),
+    (lambda: _SHIFT.power_image(3, 1), IndexRangeError, "no power image (x_3)^1 for n = 2"),
+    (lambda: _SHIFT.power_image(1, -1), IndexRangeError, "no power image (x_1)^-1 for n = 2"),
     # linalg
     (lambda: linalg.nullspace(QQ, []), ValueError, "ncols required for an empty matrix"),
     (lambda: linalg.solve_affine(QQ, [], []),
@@ -210,6 +221,10 @@ VALIDATION = [
      ValueError, "row 1 has 2 entries, not 3"),
     (lambda: linalg.rank(QQ, [[F(1)], [F(2), F(3)]]),
      ValueError, "row 1 has 2 entries, not 1"),
+    (lambda: linalg.solve_affine(QQ, [[F(1), F(0)], [F(0), F(1)]], [F(1)]),
+     ValueError, "2 rows but 1 right-hand sides"),
+    (lambda: linalg.solve_affine(QQ, [[F(1), F(0)]], [F(1), F(2)]),
+     ValueError, "1 rows but 2 right-hand sides"),
     # scalars
     (lambda: PrimeField(7).coerce(1.5), TypeError, "cannot coerce 1.5 into F_7"),
     (lambda: field_from_name("Fp:seven"),

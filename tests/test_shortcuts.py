@@ -10,12 +10,14 @@ the refusal and pickling in one base class."""
 import ast
 import copy
 import importlib
+import itertools
 import os
 import pathlib
 import pickle
 import pkgutil
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,33 @@ class TestContextTables:
         for bound in (1, 4, 6):
             assert list(ctx._monomials(bound)) == _monomials_up_to(3, bound)
             assert ctx._monomials(bound) is ctx._monomials(bound)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 8)),
+                     st.tuples(st.just(10), st.integers(0, 2))))
+    def test_monomials_match_the_sorted_product(self, shape):
+        n, bound = shape
+        want = sorted((m for m in itertools.product(range(bound + 1), repeat=n)
+                       if sum(m) <= bound), key=lambda m: (sum(m), m))
+        assert _monomials_up_to(n, bound) == want
+
+    def test_integral_forms_are_built_once_per_context(self, tmp_path, capsys):
+        """A ``calculus --verify-integrability 2`` call builds the table once:
+        the normalization check and the sampling both read the context's."""
+        path = tmp_path / "class-2b.alg"
+        pres = three_dim_class("2b", beta=3, b=7)
+        path.write_text(dsl.emit(dsl.AlgebraFile("class-2b", "skew", pres.field, 3, pres)))
+        contexts = []
+
+        def counting(ctx):
+            contexts.append(ctx)
+            return integral_form_coefficients(ctx)
+
+        with patch.object(calculus, "integral_form_coefficients", counting):
+            assert cli.main(["calculus", str(path), "--max-degree", "4",
+                             "--verify-integrability", "2", "--json"]) == 0
+        assert '"integrability"' in capsys.readouterr().out
+        assert len(contexts) == 1
 
     def test_two_contexts_share_no_table(self):
         pres = three_dim_class("2b", beta=3, b=7)

@@ -19,7 +19,7 @@ from skewsmooth.smoothness import (SolutionStatus, Verdict, assemble_constant_ch
                                    classify_3d, decide, encode_ore_extension, forced_nu,
                                    solve_diagonal_unknowns,
                                    THREE_DIM_CLASSES, _diagonal_rows, _display_form,
-                                   _relation_residue)
+                                   _residue_forms)
 
 from helpers import naive_classify_3d, random_nonzero_rational, substitute
 
@@ -168,8 +168,9 @@ def _coefficient(pres, residue, g):
 @settings(max_examples=300, deadline=None)
 @given(diagonal_presentations(), st.data())
 def test_relation_residue_matches_rewriting(pres, data):
-    """The closed-form residue of every relation under a diagonal-affine map
-    equals the normal form the rewriting engine computes, coefficient by
+    """The closed-form residue of every relation under a diagonal-affine map,
+    read as forms in the image of either letter and evaluated there, equals
+    the normal form the rewriting engine computes, coefficient by
     coefficient, and the engine's residue has no other monomial."""
     field, n = pres.field, pres.n
     slopes = tuple(field.coerce(data.draw(st.sampled_from(SLOPES))) for _ in range(n))
@@ -177,11 +178,14 @@ def test_relation_residue_matches_rewriting(pres, data):
     report = respects_relations(AffineEndo(slopes, shifts), pres)
     for check in report.checks:
         i, j = check.pair
-        closed = _relation_residue(pres, i, j, (slopes[i - 1], shifts[i - 1]),
-                                   (slopes[j - 1], shifts[j - 1]))
-        engine = tuple(_coefficient(pres, check.residue, g) for g in (i, j, 0))
-        assert closed == engine, check.pair
-        assert len(check.residue.terms) == sum(1 for r in engine if r)
+        engine = {g: _coefficient(pres, check.residue, g) for g in (i, j, 0)}
+        for k, g in ((i, j), (j, i)):
+            # x_k -> A x_k - B at (A, B) = (s_k, -t_k); the forms are at x_k, x_g and 1
+            forms = _residue_forms(pres, i, j, k, (slopes[g - 1], shifts[g - 1]))
+            closed = tuple(ca * slopes[k - 1] - cb * shifts[k - 1] - rhs
+                           for ca, cb, rhs in forms)
+            assert closed == (engine[k], engine[g], engine[0]), (check.pair, k)
+        assert len(check.residue.terms) == sum(1 for r in engine.values() if r)
 
 
 @settings(max_examples=300, deadline=None)
