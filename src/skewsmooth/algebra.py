@@ -39,7 +39,7 @@ __all__ = [
     "PairRule",
     "Presentation",
     "OverlapCheck",
-    "OverlapReport",
+    "CheckReport",
     "degree_truncation",
     "relabel",
 ]
@@ -137,7 +137,9 @@ class OverlapCheck(NamedTuple):
     discrepancy: NcPoly
 
 
-class OverlapReport(NamedTuple):
+class CheckReport(NamedTuple):
+    """Per-item checks (overlaps, relations); passes when every item does."""
+
     checks: tuple
 
     @property
@@ -591,7 +593,7 @@ class Presentation:
             out = self.multiply(out, p)
         return out
 
-    def check_pbw_overlaps(self) -> OverlapReport:
+    def check_pbw_overlaps(self) -> CheckReport:
         """Diamond criterion on all triples i < j < k.
 
         The fully inverted three-letter word is reduced by its two possible
@@ -614,7 +616,7 @@ class Presentation:
                 reducts.append(_poly(total))
             diff = reducts[0] - reducts[1]
             checks.append(OverlapCheck(i, j, k, not diff, diff))
-        return OverlapReport(tuple(checks))
+        return CheckReport(tuple(checks))
 
     def format_poly(self, p: NcPoly) -> str:
         bits = []

@@ -374,22 +374,14 @@ class ClosedFormCheck(NamedTuple):
 
 class IntegralFormCoefficients(NamedTuple):
     """Scalars A[(k, S)] and Abar[(k, T)] such that the barred complement form
-    wedge the unbarred form recovers the volume form at every level."""
+    wedge the unbarred form recovers the volume form at every level, and
+    those forms: ``pairs[k]`` holds (barred(n - k, C), unbarred(k, S)) for
+    each k-subset S with complement C, in ``complementary_pairs`` order."""
 
     a: dict
     abar: dict
     closed_form_checks: tuple
-
-    # The tables hold nonzero scalars keyed by increasing k-subsets, so the
-    # forms are built unchecked; a subset the table lacks raises KeyError.
-
-    def unbarred(self, ctx: CalculusContext, k: int, subset) -> DiffForm:
-        subset = tuple(subset)
-        return DiffForm._trusted(k, {subset: ctx.pres.scalar(self.a[(k, subset)])})
-
-    def barred(self, ctx: CalculusContext, k: int, subset) -> DiffForm:
-        subset = tuple(subset)
-        return DiffForm._trusted(k, {subset: ctx.pres.scalar(self.abar[(k, subset)])})
+    pairs: dict
 
 
 def _closed_form_products(ctx: CalculusContext, subset, complement):
@@ -439,16 +431,22 @@ def integral_form_coefficients(ctx: CalculusContext) -> IntegralFormCoefficients
     a: dict = {}
     abar: dict = {}
     checks = []
+    pairs: dict = {}
     for k in range(1, n):
+        level = []
         for subset, complement in complementary_pairs(n, k):
             sign, _ = ctx.basis_sort(complement + subset)
-            a[(k, subset)], abar[(n - k, complement)] = (
-                (one, one / sign) if 2 * k <= n else (one / sign, one))
+            a_s, abar_c = (one, one / sign) if 2 * k <= n else (one / sign, one)
+            a[(k, subset)], abar[(n - k, complement)] = a_s, abar_c
             a_cf, abar_cf = _closed_form_products(ctx, subset, complement)
             checks.append(ClosedFormCheck(
                 k, subset, a_cf, abar_cf, a_cf * abar_cf * sign == one,
-                a_cf == a[(k, subset)] and abar_cf == abar[(n - k, complement)]))
-    return IntegralFormCoefficients(a, abar, tuple(checks))
+                a_cf == a_s and abar_cf == abar_c))
+            # nonzero scalars on increasing index sets: the forms pass the check
+            level.append((DiffForm._trusted(n - k, {complement: ctx.pres.scalar(abar_c)}),
+                          DiffForm._trusted(k, {subset: ctx.pres.scalar(a_s)})))
+        pairs[k] = tuple(level)
+    return IntegralFormCoefficients(a, abar, tuple(checks), pairs)
 
 
 class IntegrabilityReport(NamedTuple):
@@ -497,27 +495,22 @@ def verify_integrability(ctx: CalculusContext, max_degree: int, samples: int,
     if max_degree < 0 or samples < 1:
         raise IndexRangeError(f"the integrability checks need max_degree >= 0 and "
                               f"samples >= 1, not {max_degree} and {samples}")
-    coefficients = ctx.integral_forms
+    pairs = ctx.integral_forms.pairs
     rng = random.Random(seed)
     n = ctx.n
     failures = []
     for k in range(1, n):
-        right = [(coefficients.barred(ctx, n - k, complement),
-                  coefficients.unbarred(ctx, k, subset))
-                 for subset, complement in complementary_pairs(n, k)]
-        left = [(coefficients.unbarred(ctx, n - k, complement),
-                 coefficients.barred(ctx, k, subset))
-                for complement, subset in complementary_pairs(n, n - k)]
         for s in range(samples):
             w = random_form(ctx, k, max_degree, rng)
             lhs: dict = {}
-            for bar, unb in right:
+            for bar, unb in pairs[k]:
                 coeff = ctx.pi_omega(ctx.wedge(bar, w))
                 linalg.add_into(lhs, ctx.right_mul(unb, coeff).components)
             if lhs != w.components:
                 failures.append((k, s, "right-coefficient side"))
             lhs = {}
-            for unb, bar in left:
+            # pairs[n - k] holds (barred(k, T), unbarred(n - k, C)) per T
+            for bar, unb in pairs[n - k]:
                 coeff = ctx.pi_omega(ctx.wedge(w, unb))
                 moved = apply_endo(ctx.nu_omega_inverse, coeff, ctx.pres)
                 linalg.add_into(lhs, ctx.left_act(moved, bar).components)

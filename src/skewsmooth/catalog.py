@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .algebra import Presentation
 from .diffusion import DIFFUSION_LABELS, DiffusionPresentation, DiffusionType
+from .errors import ZeroQuadCoeffError
 from .scalars import QQ
 from .smoothness import THREE_DIM_CLASSES, Verdict
 
@@ -44,6 +45,9 @@ def from_display(field, alpha, beta, gamma, lam=None, mu=None, nu=None,
     lam_t, lam_e = split(lam)
     mu_t, mu_e = split(mu)
     nu_t, nu_e = split(nu)
+    if not beta:
+        # Presentation.skew rejects a zero alpha or gamma; beta is inverted first
+        raise ZeroQuadCoeffError("pair (1, 3): the quad coefficient 1/beta needs beta != 0")
     binv = field.one / beta
     # z x - beta x z = mu  become  x z - (1/beta) z x = -(1/beta) mu
     relations = {

@@ -176,10 +176,8 @@ def _cmd_calculus(args) -> int:
     connected = calc.kernel_is_scalars(kernel, pres.n)
     coeffs = ctx.integral_forms
     omega = ctx.volume_form()
-    normalization_ok = all(
-        ctx.wedge(coeffs.barred(ctx, pres.n - k, complement),
-                  coeffs.unbarred(ctx, k, subset)) == omega
-        for k in range(1, pres.n) for subset, complement in calc.complementary_pairs(pres.n, k))
+    normalization_ok = all(ctx.wedge(bar, unb) == omega
+                           for level in coeffs.pairs.values() for bar, unb in level)
     mismatches = [
         {"degree": ch.degree, "subset": list(ch.subset),
          "product_normalizes": ch.product_normalizes}

@@ -63,6 +63,7 @@ class DiffusionPresentation(Frozen):
 
     def __init__(self, n: int, dtype: DiffusionType, lambdas: dict, x: tuple = (),
                  field=QQ):
+        dtype = DiffusionType(dtype)
         lams = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -298,6 +299,7 @@ def verify_commutation(n_max: int, samples: int = 20, seed: int = 0,
     if n_max < 1 or samples < 1:
         raise IndexRangeError(f"the commutation checks need n_max >= 1 and "
                               f"samples >= 1, not {n_max} and {samples}")
+    dtype = DiffusionType(dtype)
     rng = random.Random(seed)
     type1 = dtype is DiffusionType.TYPE1
     found = [None, None]        # the counterexamples of the right and left laws

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .algebra import NcPoly, Presentation, _poly
+from .algebra import CheckReport, NcPoly, Presentation, _poly
 from .errors import IndexRangeError, MismatchedArityError, ZeroSlopeError
 from .frozen import Frozen
 from .linalg import add_into
@@ -25,7 +25,6 @@ __all__ = [
     "noncommuting_pairs",
     "invert",
     "RelationCheck",
-    "RelationReport",
     "respects_relations",
 ]
 
@@ -160,18 +159,7 @@ class RelationCheck(NamedTuple):
     residue: NcPoly
 
 
-class RelationReport(NamedTuple):
-    checks: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-
-def respects_relations(endo: AffineEndo, pres: Presentation) -> RelationReport:
+def respects_relations(endo: AffineEndo, pres: Presentation) -> CheckReport:
     """Per relation, the normal form of endo(LHS - RHS); PASS iff all zero.
     Each term's normal form is added into one residue map."""
     if endo.n != pres.n:
@@ -193,4 +181,4 @@ def respects_relations(endo: AffineEndo, pres: Presentation) -> RelationReport:
                     pres.product(*(images[g] for g in word))
                 add_into(residue, image.terms, -coeff)
         checks.append(RelationCheck((i, j), not residue, _poly(residue)))
-    return RelationReport(tuple(checks))
+    return CheckReport(tuple(checks))

@@ -20,7 +20,8 @@ from typing import NamedTuple
 from . import linalg
 from .algebra import Ordering, Presentation
 from .endos import AffineEndo, _shift_defect, noncommuting_pairs, respects_relations
-from .errors import NonDiagonalTailError, ZeroSlopeError
+from .errors import (IndexRangeError, MismatchedArityError, NonDiagonalTailError,
+                     ZeroSlopeError)
 from .scalars import QQ
 
 __all__ = [
@@ -152,6 +153,11 @@ def _diagonal_rows(pres: Presentation, k: int):
                     yield f"relation ({i}, {j}) at {at}", (ca, cb), rhs
 
 
+def _require_generator(pres: Presentation, k: int):
+    if not 1 <= k <= pres.n:
+        raise IndexRangeError(f"no twist for generator {k} at n = {pres.n}")
+
+
 def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     """Exact solution of the affine system in (a_kk, b_kk), intersected with
     the open condition a_kk != 0.
@@ -162,6 +168,7 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
     solution, and u0 = 0 leaves the set EMPTY.
     """
     _require_spag(pres)
+    _require_generator(pres, k)
     field = pres.field
     rows = tuple(_diagonal_rows(pres, k))
     zero = field.zero
@@ -188,6 +195,7 @@ def solve_diagonal_unknowns(pres: Presentation, k: int) -> NuSystemSolution:
 def forced_nu(pres: Presentation, k: int, a_kk, b_kk) -> AffineEndo:
     """The twist for generator k: forced off-diagonal images plus the solved
     diagonal (a_kk, b_kk), meaning x_k -> a_kk x_k - b_kk."""
+    _require_generator(pres, k)
     slopes, shifts = zip(*((a_kk, -b_kk) if g == k else _forced_image(pres, k, g)
                            for g in range(1, pres.n + 1)))
     return AffineEndo(slopes, shifts)
@@ -275,6 +283,9 @@ def encode_ore_extension(n: int, b, a, c, field=QQ) -> Presentation:
     an Ore extension: its ordered monomials are not a basis, and ``decide``
     answers INCONCLUSIVE for it at its PBW gate.
     """
+    if not len(b) == len(a) == len(c) == n:
+        raise MismatchedArityError(f"sigma and delta need n = {n} values each in b, a "
+                                   f"and c, not {len(b)}, {len(a)} and {len(c)}")
     b = [field.coerce(v) for v in b]
     a = [field.coerce(v) for v in a]
     c = [field.coerce(v) for v in c]

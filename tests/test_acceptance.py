@@ -152,10 +152,12 @@ def test_criterion_4_integral_form_normalization(capsys):
             co = integral_form_coefficients(ctx)
             omega = ctx.volume_form()
             for k in range(1, n):
-                for subset in combinations(range(1, n + 1), k):
+                subsets = list(combinations(range(1, n + 1), k))
+                assert len(co.pairs[k]) == len(subsets)
+                for subset, (bar, unb) in zip(subsets, co.pairs[k]):
                     complement = tuple(g for g in range(1, n + 1) if g not in subset)
-                    assert ctx.wedge(co.barred(ctx, n - k, complement),
-                                     co.unbarred(ctx, k, subset)) == omega
+                    assert (set(bar.components), set(unb.components)) == ({complement}, {subset})
+                    assert ctx.wedge(bar, unb) == omega
     # tabulated level-two values for the (2, 3, 5) instance
     pres = three_dim_class("1", alpha=2, beta=3, gamma=5)
     verdict = decide(pres)

@@ -593,12 +593,31 @@ class TestIntegralForms:
                 ctx = quasi_commutative_context(rng, n)
                 co = integral_form_coefficients(ctx)
                 omega = ctx.volume_form()
-                for k in range(1, n):
-                    for subset in combinations(range(1, n + 1), k):
-                        complement = tuple(g for g in range(1, n + 1) if g not in subset)
-                        wedge = ctx.wedge(co.barred(ctx, n - k, complement),
-                                          co.unbarred(ctx, k, subset))
-                        assert wedge == omega, (n, subset)
+                for level in co.pairs.values():
+                    for bar, unb in level:
+                        assert ctx.wedge(bar, unb) == omega, (n, unb)
+
+    def test_pairs_hold_each_subset_once_with_its_complement(self):
+        """pairs[k] lists every k-subset S once, in lexicographic order, as
+        (Abar on the complement, A on S), and each pair wedges to omega."""
+        rng = random.Random(34)
+        contexts = [reference_context()] + [quasi_commutative_context(rng, n)
+                                            for n in (2, 3, 4, 5)]
+        for ctx in contexts:
+            n, one = ctx.n, ctx.pres.one()
+            co = integral_form_coefficients(ctx)
+            omega = ctx.volume_form()
+            assert list(co.pairs) == list(range(1, n))
+            for k, level in co.pairs.items():
+                subsets = list(combinations(range(1, n + 1), k))
+                assert len(level) == len(subsets) == comb(n, k)
+                for subset, (bar, unb) in zip(subsets, level):
+                    complement = tuple(sorted(set(range(1, n + 1)) - set(subset)))
+                    assert (bar.degree, unb.degree) == (n - k, k)
+                    assert bar.components == {complement: one.scale(
+                        co.abar[(n - k, complement)])}
+                    assert unb.components == {subset: one.scale(co.a[(k, subset)])}
+                    assert ctx.wedge(bar, unb) == omega, (n, subset)
 
     def test_closed_form_crosscheck_is_recorded(self):
         ctx = reference_context()
@@ -774,9 +793,7 @@ class TestUncheckedBuilders:
             built.append(ctx.d(f))
         built.append(random_form(ctx, k, 2, rng))
         co = integral_form_coefficients(ctx)
-        for level in range(1, n):
-            for subset in combinations(range(1, n + 1), level):
-                built += [co.barred(ctx, level, subset), co.unbarred(ctx, level, list(subset))]
+        built += [form for level in co.pairs.values() for pair in level for form in pair]
         for result in built:
             assert bad_index_words(result) == []
             assert DiffForm(result.degree, dict(result.components)) == result
@@ -789,29 +806,48 @@ class TestUncheckedBuilders:
         assert bad_index_words(DiffForm._trusted(2, {(2, 1): NcPoly({(0, 0): F(1)}),
                                                     (1, 2): NcPoly.zero()})) == \
             [((2, 1), NcPoly({(0, 0): F(1)})), ((1, 2), NcPoly.zero())]
-        # the table forms are built unchecked, but only for subsets it holds
+        # the table's forms are built unchecked, yet the check accepts them
         ctx = reference_context()
         co = integral_form_coefficients(ctx)
-        for build, k, subset in ((co.barred, 2, (2, 1)), (co.barred, 1, (4,)),
-                                 (co.unbarred, 3, (1, 2, 3)), (co.unbarred, 2, (1,))):
-            with pytest.raises(KeyError):
-                build(ctx, k, subset)
+        for level in co.pairs.values():
+            for form in (f for pair in level for f in pair):
+                assert bad_index_words(form) == []
+                assert DiffForm(form.degree, dict(form.components)) == form
 
 
 class TestIntegrability:
     def test_basis_forms_reproduce(self):
         ctx = reference_context()
         co = integral_form_coefficients(ctx)
-        n = 3
         for k in (1, 2):
             for subset in combinations(range(1, 4), k):
                 w = DiffForm(k, {subset: ctx.pres.one()})
                 lhs = ctx.zero_form(k)
-                for other in combinations(range(1, 4), k):
-                    complement = tuple(g for g in range(1, 4) if g not in other)
-                    coeff = ctx.pi_omega(ctx.wedge(co.barred(ctx, n - k, complement), w))
-                    lhs = lhs + ctx.right_mul(co.unbarred(ctx, k, other), coeff)
+                for bar, unb in co.pairs[k]:
+                    lhs = lhs + ctx.right_mul(unb, ctx.pi_omega(ctx.wedge(bar, w)))
                 assert lhs == w
+
+    def test_both_sides_wedge_the_tables_own_pairs(self):
+        """Degree k's right side wedges each barred form of pairs[k] on the
+        left of the sample, its left side each unbarred form of pairs[n - k]
+        on the right, in table order: the very objects the table holds."""
+        ctx = reference_context()
+        pairs = ctx.integral_forms.pairs
+        calls = []
+        wedge = ctx.wedge
+
+        def recording(f, g):
+            calls.append((f, g))
+            return wedge(f, g)
+
+        ctx.wedge = recording
+        samples, n = 2, ctx.n
+        assert verify_integrability(ctx, 1, samples, seed=3).all_pass
+        expected = [side for k in range(1, n) for _ in range(samples) for side in
+                    [(0, bar) for bar, _ in pairs[k]] + [(1, unb) for _, unb in pairs[n - k]]]
+        assert len(calls) == len(expected) == samples * 2 * (2 ** n - 2)
+        for call, (position, form) in zip(calls, expected):
+            assert call[position] is form
 
     def test_zero_form(self):
         ctx = reference_context()

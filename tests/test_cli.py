@@ -239,14 +239,19 @@ def test_calculus_builds_the_kernel_once(files, capsys, monkeypatch):
 @pytest.mark.parametrize("key", [(1, (1,)), (1, (2,)), (1, (3,)),
                                  (2, (1, 2)), (2, (1, 3)), (2, (2, 3))])
 def test_calculus_normalization_wedges_the_table(files, capsys, monkeypatch, key):
-    """One wrong Abar entry in the coefficient table makes the normalization
-    check, which wedges the table's forms, report false."""
+    """One wrong barred form (Abar[key] doubled) among the table's pairs makes
+    the normalization check, which wedges those pairs, report false."""
     from skewsmooth import calculus
     original = calculus.integral_form_coefficients
+    level, subset = key
 
     def corrupted(ctx):
         coeffs = original(ctx)
-        return coeffs._replace(abar={**coeffs.abar, key: coeffs.abar[key] * 2})
+        k = ctx.n - level
+        doubled = tuple((bar + bar if subset in bar.components else bar, unb)
+                        for bar, unb in coeffs.pairs[k])
+        assert sum(new[0] is not old[0] for new, old in zip(doubled, coeffs.pairs[k])) == 1
+        return coeffs._replace(pairs={**coeffs.pairs, k: doubled})
 
     monkeypatch.setattr(calculus, "integral_form_coefficients", corrupted)
     code, out, _ = run(capsys, "calculus", files["reference3"], "--max-degree", "1", "--json")

@@ -67,6 +67,19 @@ class TestEncoding:
         with pytest.raises(MismatchedArityError, match="not pairs i != j in 1..2"):
             DiffusionPresentation(2, dtype, {(1, 2): 2, key: 5}, (0, 0))
 
+    @pytest.mark.parametrize("dtype", list(DiffusionType))
+    def test_a_dtype_string_builds_that_type(self, dtype):
+        """The string names the type as the member does: "type1" keeps its
+        x scalars and encodes on two generators, not as type 2 on four."""
+        lambdas = {(1, 2): 2, (2, 1): 1}
+        by_name = DiffusionPresentation(2, dtype.value, lambdas, (3, 5))
+        by_member = DiffusionPresentation(2, dtype, lambdas, (3, 5))
+        assert by_name.dtype is dtype
+        assert by_name.x == by_member.x == ((F(3), F(5)) if dtype is DiffusionType.TYPE1 else ())
+        pres = encode_presentation(by_name)
+        assert pres.n == (2 if dtype is DiffusionType.TYPE1 else 4)
+        assert pres.normal_form((1, 2)) == encode_presentation(by_member).normal_form((1, 2))
+
     def test_type2_central_generators(self):
         dp = simple_dp(2, 3, dtype=DiffusionType.TYPE2)
         pres = encode_presentation(dp)
@@ -380,6 +393,14 @@ class TestJointCommutation:
                     assert report == want, (n_max, samples, side)
                     if want.counterexample:     # the JSON key order too
                         assert list(report.counterexample) == list(want.counterexample)
+
+    @pytest.mark.parametrize("dtype", list(DiffusionType))
+    def test_a_dtype_string_checks_that_type(self, dtype):
+        by_name = verify_commutation(3, 4, 0, dtype.value)
+        assert all(report.dtype is dtype for report in by_name)
+        assert by_name == verify_commutation(3, 4, 0, dtype)
+        assert by_name == tuple(naive_commutation(side, 3, 4, 0, dtype, QQ)
+                                for side in ("right", "left"))
 
     @pytest.mark.parametrize("dtype", list(DiffusionType))
     def test_each_wrapper_is_its_element_of_the_joint_call(self, dtype):

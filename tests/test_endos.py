@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from skewsmooth.algebra import Ordering, PairRule, Presentation
+from skewsmooth.algebra import CheckReport, Ordering, PairRule, Presentation
 from skewsmooth.catalog import from_display, three_dim_class
 from skewsmooth.endos import (AffineEndo, _univariate_image, apply_endo, commute, compose,
                               identity_endo, invert, noncommuting_pairs, respects_relations)
@@ -174,6 +174,18 @@ class TestRespectsRelations:
                     expected = expected - pres.product(*(images[g] for g in word)).scale(coeff)
                 assert check.residue == expected and all(check.residue.terms.values())
                 assert check.passed is (not expected)
+
+    def test_overlap_and_relation_checks_share_one_report_type(self):
+        """Both per-item checks return ``algebra.CheckReport``, whose verdict
+        and failures read each item's ``passed``."""
+        pres = three_dim_class("5e", a=1)
+        nu_x = AffineEndo((F(1), F(1), F(1)), (F(0), F(0), F(1)))
+        overlaps, relations = pres.check_pbw_overlaps(), respects_relations(nu_x, pres)
+        assert type(overlaps) is type(relations) is CheckReport
+        for report in (overlaps, relations):
+            assert not report.all_pass
+            assert report.failures() == [c for c in report.checks if not c.passed] != []
+        assert CheckReport(()).all_pass and CheckReport(()).failures() == []
 
     def test_algebra_map_property(self):
         pres = from_display(QQ, 2, 3, 5)

@@ -18,14 +18,15 @@ import skewsmooth
 from skewsmooth import linalg
 from skewsmooth.algebra import Ordering, PairRule, Presentation, degree_truncation, relabel
 from skewsmooth.calculus import CalculusContext, DiffForm, verify_integrability
-from skewsmooth.catalog import diffusion_class_instances, three_dim_class
+from skewsmooth.catalog import diffusion_class_instances, from_display, three_dim_class
 from skewsmooth.diffusion import (DiffusionPresentation, DiffusionType, SigmaCoefficients,
-                                  classify_diffusion_3)
+                                  classify_diffusion_3, verify_commutation)
 from skewsmooth.endos import AffineEndo, apply_endo, compose, identity_endo, respects_relations
 from skewsmooth.errors import (BadCharacteristicError, IndexRangeError, MismatchedArityError,
                                NonDiagonalTailError, ZeroQuadCoeffError)
 from skewsmooth.scalars import QQ, PrimeField, field_from_name
-from skewsmooth.smoothness import assemble_constant_checks, classify_3d
+from skewsmooth.smoothness import (assemble_constant_checks, classify_3d, encode_ore_extension,
+                                   forced_nu, solve_diagonal_unknowns)
 
 
 @pytest.mark.parametrize("name", [info.name for info in
@@ -186,8 +187,15 @@ VALIDATION = [
      IndexRangeError, "no composite twist for (3,) at n = 2"),
     # catalog
     (lambda: three_dim_class("6"), ValueError, "unknown class label '6'"),
+    (lambda: from_display(QQ, 2, 0, 5),
+     ZeroQuadCoeffError, "pair (1, 3): the quad coefficient 1/beta"),
+    (lambda: three_dim_class("2b", beta=0, b=1), ZeroQuadCoeffError, "1/beta needs beta != 0"),
     (lambda: diffusion_class_instances("Z"), ValueError, "unknown diffusion class 'Z'"),
     # diffusion
+    (lambda: DiffusionPresentation(2, "bogus", {(1, 2): 1}),
+     ValueError, "'bogus' is not a valid DiffusionType"),
+    (lambda: verify_commutation(2, 2, 0, "type3"),
+     ValueError, "'type3' is not a valid DiffusionType"),
     (lambda: classify_diffusion_3(_diffusion(2, DiffusionType.TYPE1)),
      IndexRangeError, "classification needs exactly three generators"),
     (lambda: classify_diffusion_3(_diffusion(3, DiffusionType.TYPE2)),
@@ -238,6 +246,14 @@ VALIDATION = [
      NonDiagonalTailError, "solver requires linear tails"),
     (lambda: classify_3d(_commutative(2)),
      NonDiagonalTailError, "classify_3d requires exactly three generators"),
+    (lambda: solve_diagonal_unknowns(_commutative(3), 4),
+     IndexRangeError, "no twist for generator 4 at n = 3"),
+    (lambda: forced_nu(_commutative(3), 0, 1, 0),
+     IndexRangeError, "no twist for generator 0 at n = 3"),
+    (lambda: encode_ore_extension(2, [1], [0, 0], [0, 0]),
+     MismatchedArityError, "need n = 2 values each in b, a and c, not 1, 2 and 2"),
+    (lambda: encode_ore_extension(2, [1, 1, 1], [0, 0, 0], [0, 0, 0]),
+     MismatchedArityError, "need n = 2 values each in b, a and c, not 3, 3 and 3"),
 ]
 
 
