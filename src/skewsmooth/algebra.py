@@ -351,9 +351,14 @@ class Presentation:
     def scalar(self, c) -> NcPoly:
         return NcPoly({(0,) * self.n: self.field.coerce(c)})
 
+    def _check_generator(self, g) -> None:
+        if not isinstance(g, int):
+            raise MismatchedArityError(f"generator {g!r} is not an integer")
+        if not 1 <= g <= self.n:
+            raise MismatchedArityError(f"generator {g} out of range (n={self.n})")
+
     def gen(self, i: int) -> NcPoly:
-        if not (1 <= i <= self.n):
-            raise MismatchedArityError(f"generator {i} out of range")
+        self._check_generator(i)
         exps = [0] * self.n
         exps[i - 1] = 1
         return NcPoly({tuple(exps): self._one})
@@ -361,7 +366,12 @@ class Presentation:
     def _check_exponents(self, monomials) -> None:
         n = self.n
         for exps in monomials:
-            if len(exps) != n or exps and min(exps) < 0:
+            try:
+                # the entries sum to an int only if each of them is one
+                bad = len(exps) != n or exps and (min(exps) < 0 or sum(exps).__class__ is not int)
+            except TypeError:
+                bad = True
+            if bad:
                 raise MismatchedArityError(f"bad exponent vector {exps}")
 
     def mono(self, exps, coeff=None) -> NcPoly:
@@ -413,10 +423,16 @@ class Presentation:
     # with the rest of m added back as an exponent shift, and m . x_c = m +
     # e_c for central c.  The floor is never before the lead (the first
     # non-central letter of a normal word), since every non-central letter
-    # is at or after it; with no tails at all the floor of g is g.  Missing
-    # memo entries are computed from an explicit work stack, so the depth
-    # of a rewrite is bounded by the heap and not by the interpreter's
-    # recursion limit.
+    # is at or after it; with no tails at all the floor of g is g.
+    #
+    # One fold step adds each term's product into the step's output as soon
+    # as it is known: m + e_g when m . x_g is already normal (no non-central
+    # letter of m after g), else the memo entry of the core, each of its
+    # monomials shifted by the rest of m on the way in.  A term whose entry
+    # is missing is set aside with its key.  The fold then computes the
+    # missing entries from an explicit work stack, so the depth of a rewrite
+    # is bounded by the heap and not by the interpreter's recursion limit,
+    # and resumes the step on the set-aside terms alone.
     #
     # multiply(p, q) with a constant factor c on either side is the other
     # factor scaled by c.  Otherwise it folds p through the words of q's
@@ -445,52 +461,55 @@ class Presentation:
         self._branch_table[(u, v)] = out
         return out
 
-    def _step(self, terms: dict, g: int, missing: list):
-        """terms . x_g as a new {monomial: coeff}, or None (with the missing
-        memo keys appended to ``missing``) when some product is not memoised
-        yet."""
+    def _step(self, terms: dict, g: int, out: dict, missing: list) -> dict:
+        """Add terms . x_g into ``out``, each term's product as soon as it is
+        known.  Returns the terms whose memo entry is missing (a dict, empty
+        when there are none), with their keys appended to ``missing``; those
+        terms are not in ``out``."""
         gi = g - 1
         if g in self.central:
-            out = {}
+            # never resumed, so ``out`` starts empty and the products differ
             for m, c in terms.items():
                 e = list(m)
                 e[gi] += 1
                 out[tuple(e)] = c
-            return out
+            return {}
         mask = self._core_masks[g]
         memo = self._memo
         after = self._after[g]
-        # (coeff, memo entry, shift), or (coeff, None, product) when m . x_g
-        # is already normal
-        images = []
+        one = self._one
+        left = {}
+        # linalg.add_into inlined, for a normal product and for a memo entry:
+        # the call and the `is one` skips pay on the rewrite hot path
         for m, c in terms.items():
             for i in after:
                 if m[i]:
                     break
             else:
+                # m . x_g is already normal
                 e = list(m)
                 e[gi] += 1
-                images.append((c, None, tuple(e)))
+                r = tuple(e)
+                s = out.get(r)
+                if s is None:
+                    out[r] = c
+                else:
+                    s = s + c
+                    if s:
+                        out[r] = s
+                    else:
+                        del out[r]
                 continue
             core = tuple(map(mul, m, mask))
             img = memo.get((core, g))
             if img is None:
                 missing.append((core, g))
-            else:
-                images.append((c, img, None if core == m else tuple(map(sub, m, core))))
-        if len(images) < len(terms):
-            return None
-        one = self._one
-        out: dict = {}
-        # linalg.add_into inlined: the `is one` skips pay on the rewrite hot path
-        for c, img, shift in images:
-            if img is None:
-                entries = ((shift, one),)
-            elif shift is None:
-                entries = img.items()
-            else:
-                entries = zip([tuple(map(add, r, shift)) for r in img], img.values())
-            for r, rc in entries:
+                left[m] = c
+                continue
+            shift = None if core == m else tuple(map(sub, m, core))
+            for r, rc in img.items():
+                if shift is not None:
+                    r = tuple(map(add, r, shift))
                 v = c if rc is one else rc if c is one else c * rc
                 s = out.get(r)
                 if s is None:
@@ -501,27 +520,29 @@ class Presentation:
                         out[r] = s
                     else:
                         del out[r]
-        return out
+        return left
 
     def _attempt(self, key, missing: list):
         """The memo entry core . x_g for a wrong-order key, or None when it
         waits for other entries (appended to ``missing``)."""
         core, g = key
-        h = next(i for i in self._scan if core[i]) + 1
+        for i in self._scan:
+            if core[i]:
+                break
         e = list(core)
-        e[h - 1] -= 1
+        e[i] -= 1
         rest = tuple(e)
         out: dict = {}
         waiting = False
-        for coeff, word in self._branches(h, g):
+        for coeff, word in self._branches(i + 1, g):
             terms = {rest: coeff}
             for letter in word:
-                terms = self._step(terms, letter, missing)
-                if terms is None:
+                step: dict = {}
+                if self._step(terms, letter, step, missing):
+                    waiting = True  # the other branches still report their keys
                     break
-            if terms is None:
-                waiting = True      # the other branches still report their keys
-            elif not waiting:
+                terms = step
+            if not waiting:
                 add_into(out, terms)
         return None if waiting else out
 
@@ -542,13 +563,16 @@ class Presentation:
                 stack.pop()
 
     def _fold(self, terms: dict, word) -> dict:
-        """terms . x_{w_1} ... x_{w_k}, one letter at a time."""
+        """terms . x_{w_1} ... x_{w_k}, one letter at a time.  A step that
+        misses the memo keeps what it added, and after the missing entries
+        are solved it runs again on the terms that missed only."""
         for g in word:
+            out: dict = {}
             missing: list = []
-            out = self._step(terms, g, missing)
-            if out is None:
+            left = self._step(terms, g, out, missing)
+            if left:
                 self._solve(missing)
-                out = self._step(terms, g, missing)
+                self._step(left, g, out, missing)
             terms = out
         return terms
 
@@ -557,8 +581,7 @@ class Presentation:
         tuple of generator indices; its terms are a new dict, shared with no
         memo entry."""
         for g in word:
-            if not (1 <= g <= self.n):
-                raise MismatchedArityError(f"generator {g} out of range (n={self.n})")
+            self._check_generator(g)
         return _poly(self._fold({(0,) * self.n: self._one}, word))
 
     def multiply(self, p: NcPoly, q: NcPoly) -> NcPoly:

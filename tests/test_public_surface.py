@@ -16,7 +16,7 @@ import pytest
 
 import skewsmooth
 from skewsmooth import linalg
-from skewsmooth.algebra import Ordering, PairRule, Presentation, degree_truncation, relabel
+from skewsmooth.algebra import NcPoly, Ordering, PairRule, Presentation, degree_truncation, relabel
 from skewsmooth.calculus import CalculusContext, DiffForm, verify_integrability
 from skewsmooth.catalog import diffusion_class_instances, from_display, three_dim_class
 from skewsmooth.diffusion import (DiffusionPresentation, DiffusionType, SigmaCoefficients,
@@ -151,6 +151,17 @@ VALIDATION = [
     (lambda: _plane(2, central=(1,)),
      MismatchedArityError, "central pair (1, 2) must be plainly commutative"),
     (lambda: _commutative(2).gen(3), MismatchedArityError, "generator 3 out of range"),
+    (lambda: _commutative(2).gen("1"), MismatchedArityError, "generator '1' is not an integer"),
+    (lambda: _commutative(3).normal_form((0,)),
+     MismatchedArityError, "generator 0 out of range (n=3)"),
+    (lambda: _commutative(3).normal_form((2, 1.0)),
+     MismatchedArityError, "generator 1.0 is not an integer"),
+    (lambda: _commutative(3).mono((1.0, 0, 0)),
+     MismatchedArityError, "bad exponent vector (1.0, 0, 0)"),
+    (lambda: _commutative(3).poly({(1.5, 0, 0): 1}),
+     MismatchedArityError, "bad exponent vector (1.5, 0, 0)"),
+    (lambda: _commutative(3).multiply(_commutative(3).gen(2), NcPoly({(0, 2.5, 0): QQ.one})),
+     MismatchedArityError, "bad exponent vector (0, 2.5, 0)"),
     (lambda: degree_truncation(_commutative(2).one(), -1),
      ValueError, "max_degree must be >= 0"),
     (lambda: relabel(_commutative(2), {1: 1, 2: 1}, Ordering.ASCENDING),

@@ -50,6 +50,9 @@ NON_PBW = [lambda: three_dim_class("5e", a=1), lambda: three_dim_class("5e", a=7
     if (label, idx) not in (("C_II", 0), ("D", 1))]
 
 
+KINDS = ("skew", "type1", "type2", "non-pbw")
+
+
 def build(kind: str, rng: random.Random) -> Presentation:
     if kind == "skew":
         return random_skew_presentation(rng, rng.randint(2, 4))
@@ -136,12 +139,9 @@ def test_non_pbw_cases_fail_the_diamond():
         assert not make().check_pbw_overlaps().all_pass
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["skew", "type1", "type2", "non-pbw"]),
-       st.integers(min_value=0, max_value=2 ** 30))
-def test_normal_form_and_multiply_match_the_oracle(kind, seed):
-    rng = random.Random(seed)
-    pres = build(kind, rng)
+def match_the_oracle(pres: Presentation, rng: random.Random):
+    """Normal forms and products of words and polynomials drawn from
+    ``rng`` against the oracle."""
     for _ in range(3):
         word = random_word(rng, pres.n, 6)
         assert pres.normal_form(word).terms == naive_normal_form(pres, word)
@@ -159,6 +159,48 @@ def test_normal_form_and_multiply_match_the_oracle(kind, seed):
     q = random_poly(pres, rng, max_degree=3)
     assert pres.multiply(p, q).terms == naive_product(pres, p, q)
     assert_cores_drop_floor_and_central(pres)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=2 ** 30))
+def test_normal_form_and_multiply_match_the_oracle(kind, seed):
+    rng = random.Random(seed)
+    match_the_oracle(build(kind, rng), rng)
+
+
+def test_oracle_draws_resume_a_step_after_a_memo_miss(monkeypatch):
+    # A fold step adds each product into its output as soon as it is known,
+    # and resumes only the terms whose memo entry was missing once the work
+    # stack has solved them.  The oracle test checks that resume only if its
+    # draws make a step miss after other terms went into the output, on PBW
+    # and non-PBW presentations alike.
+    step, solve = Presentation._step, Presentation._solve
+    last, resumed = [False], [0]
+
+    def spy_step(self, terms, g, out, missing):
+        left = step(self, terms, g, out, missing)
+        last[0] = bool(left and out)
+        return left
+
+    def spy_solve(self, keys):
+        # the fold calls the solver right after a step that missed
+        resumed[0] += last[0]
+        solve(self, keys)
+
+    covered = set()
+    for kind in KINDS:
+        for seed in range(10):
+            pbw = build(kind, random.Random(seed)).check_pbw_overlaps().all_pass
+            rng = random.Random(seed)
+            pres = build(kind, rng)
+            resumed[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Presentation, "_step", spy_step)
+                patch.setattr(Presentation, "_solve", spy_solve)
+                match_the_oracle(pres, rng)
+            if resumed[0]:
+                covered.add(pbw)
+    assert covered == {True, False}
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,7 +243,7 @@ def monomials_up_to(n: int, degree: int):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("kind", ["skew", "type1", "type2", "non-pbw"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_multiply_shares_prefixes_exactly(kind, seed):
     # q holds every monomial of degree <= 3, the constant one included, so
     # most words of q share a prefix with an earlier one

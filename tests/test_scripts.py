@@ -5,7 +5,8 @@ traceback or an unbounded run;
 three-generator classes; ``scripts/json_corpus.py`` writes exactly the files
 of the checked-in manifest, byte for byte; ``scripts/stage_times.py`` prints
 one row per stage, alone and against a second checkout, and refuses a
-stage that ``verify-identities`` does not call."""
+stage that ``verify-identities`` does not call; ``scripts/ab_jobs.py`` runs
+one tree against itself with every output matching."""
 
 import hashlib
 import importlib.util
@@ -102,6 +103,14 @@ def test_stage_times_rejects_a_stage_the_command_does_not_call(monkeypatch, caps
     assert stage_times.main(["--rounds", "1"]) == 1
     assert capsys.readouterr().err == \
         "error: verify-identities does not call right law alone\n"
+
+
+def test_ab_jobs_same_tree_outputs_match():
+    proc = run_script("ab_jobs.py", "src", "src", "--workload", "rewrite", "--rounds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("rewrite seed 0: ") and lines[0].endswith(" jobs x 1 rounds")
+    assert lines[-1].startswith("outputs: all ") and lines[-1].endswith(" jobs match")
 
 
 def test_catalog_table_has_no_mismatch():
