@@ -49,6 +49,7 @@ MALFORMED = (
     ("header-count", "kind: skew\nn: two\n"),
     ("header-count-range", "kind: skew\nn: 21\n"),
     ("header-missing-n", "kind: skew\n"),
+    ("header-duplicate", "kind: skew\nn: 3\n  n: 2\n"),
     ("skew-no-equals", _SKEW + "x1*x2 - 2*x2*x1\n"),
     ("skew-lhs", _SKEW + "x1*x2 + 2*x2*x1 = 0\n"),
     ("skew-pair-order", _SKEW + "x2*x1 - 2*x1*x2 = 0\n"),

@@ -6,11 +6,10 @@ consecutive seeds from 0 and prints the in-process CPU milliseconds per job
 of its three stages (the ladder check, the two joint commutation checks, the
 four determinant pairs) and of the whole CLI call, each the best of
 ``--rounds`` rounds.  The stages are the ``diffusion`` calls the command
-itself makes, timed inside it.  With ``--against PATH`` it times the ``src``
-of a second checkout too, in five alternating subprocesses per side, and
-prints both columns, the other checkout first:
+itself makes, timed inside it.  To compare two trees, time each job of the
+``identities`` workload on both with ``scripts/ab_jobs.py``.
 
-    PYTHONPATH=src python scripts/stage_times.py --against ../parent
+    PYTHONPATH=src python scripts/stage_times.py --rounds 30
 """
 
 from __future__ import annotations
@@ -18,16 +17,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
-import os
-import pathlib
-import subprocess
 import sys
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED, JOBS = 0, 16
-PROCESSES = 5       # with --against: subprocesses per checkout, alternating
 ARGV = ["verify-identities", "--n-max", "4", "--samples", "1"]
 # stage row -> the diffusion function that verify-identities calls for it
 STAGES = {"ladder check": "verify_pq_recurrences",
@@ -81,47 +74,23 @@ def time_stages(rounds: int) -> list:
     return best
 
 
-def _child(src: pathlib.Path, rounds: int) -> list:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--rounds", str(rounds), "--json"],
-                          env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{src}: {proc.stderr.strip()}")
-    return json.loads(proc.stdout)["ms/job"]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--against", type=pathlib.Path, default=None,
-                        help="a second checkout whose src to time as well")
-    parser.add_argument("--json", action="store_true",
-                        help="print each column's per-row list as JSON")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         sys.stderr.write("error: --rounds must be at least 1\n")
         return 1
     try:
-        if args.against is None:
-            columns = {"ms/job": time_stages(args.rounds)}
-        else:
-            sides = {"against": args.against.resolve() / "src", "this": ROOT / "src"}
-            columns = {name: [float("inf")] * len(ROWS) for name in sides}
-            for _ in range(PROCESSES):
-                for name, src in sides.items():
-                    columns[name] = list(map(min, columns[name], _child(src, args.rounds)))
+        best = time_stages(args.rounds)
     except RuntimeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if args.json:
-        sys.stdout.write(json.dumps(columns) + "\n")
-        return 0
     width = max(map(len, ROWS))
-    sys.stdout.write(f"{'stage':<{width}}" + "".join(f"  {c:>10}" for c in columns) + "\n")
-    for r, row in enumerate(ROWS):
-        sys.stdout.write(f"{row:<{width}}"
-                         + "".join(f"  {col[r]:>10.3f}" for col in columns.values()) + "\n")
+    sys.stdout.write(f"{'stage':<{width}}  {'ms/job':>10}\n")
+    for row, ms in zip(ROWS, best):
+        sys.stdout.write(f"{row:<{width}}  {ms:>10.3f}\n")
     return 0
 
 

@@ -6,9 +6,11 @@ A presentation stores, for each generator pair i < j, the relation
     x_i x_j  -  quad * x_j x_i  =  tail        (tail: scalar combination of
                                                 normal-ordered words)
 
-together with a monomial-order convention.  ASCENDING presentations normalize
-words to x_1^{l_1} ... x_n^{l_n} (the skew-polynomial convention); DESCENDING
-presentations normalize to x_n^{l_n} ... x_1^{l_1} (the diffusion convention).
+together with a monomial-order convention.  ``_flip`` turns a relation
+round, so a pair is accepted and read in either order.  ASCENDING
+presentations normalize words to x_1^{l_1} ... x_n^{l_n} (the skew-polynomial
+convention); DESCENDING presentations normalize to x_n^{l_n} ... x_1^{l_1}
+(the diffusion convention).
 
 Rewriting a wrong-order adjacent pair terminates: the swap branch fixes one
 inversion among non-central letters, a tail word either drops total degree or
@@ -123,10 +125,20 @@ def _poly(terms: dict) -> NcPoly:
 
 
 class PairRule(NamedTuple):
-    """Relation data for a pair i < j: x_i x_j - quad x_j x_i = tail."""
+    """Relation data for a pair (i, j): x_i x_j - quad x_j x_i = tail."""
 
     quad: object
     tail: tuple  # ((coeff, word), ...) with normal-ordered words of degree <= 2
+
+
+def _flip(rule: PairRule, i: int, j: int) -> PairRule:
+    """The relation of pair (i, j) turned round, solved for x_j x_i:
+    x_j x_i - (1/quad) x_i x_j = -tail/quad, tail terms in their order."""
+    if not rule.quad:
+        raise ZeroQuadCoeffError(
+            f"pair ({i}, {j}): orientation flip needs invertible quad coefficient")
+    inv = 1 / rule.quad
+    return PairRule(inv, tuple((-(c * inv), w) for c, w in rule.tail))
 
 
 class OverlapCheck(NamedTuple):
@@ -160,9 +172,12 @@ def _signed_sum(bits: list) -> str:
 class Presentation:
     """An n-generator quasi-commutation presentation with an order convention.
 
-    Generators are 1-based.  ``pairs`` maps (i, j) with i < j to a PairRule;
-    missing pairs default to the commutative rule (quad 1, no tail).  Central
-    generators must carry exactly the commutative rule against everything.
+    Generators are 1-based.  ``pairs`` maps a pair (i, j) to a PairRule in
+    either orientation; a rule given as (j, i) with j > i, such as the
+    (3, 1) of ``smoothness.DISPLAY_PAIRS``, is stored as its ``_flip``
+    under (i, j), so ``self.pairs`` holds i < j only.  Missing pairs
+    default to the commutative rule (quad 1, no tail).  Central generators
+    must carry exactly the commutative rule against everything.
     """
 
     def __init__(self, field, n: int, ordering: Ordering = Ordering.ASCENDING,
@@ -194,6 +209,11 @@ class Presentation:
         pairs = dict(pairs or {})
         for i, j in combinations(range(1, n + 1), 2):
             rule = pairs.pop((i, j), None)
+            back = pairs.pop((j, i), None)
+            if back is not None:
+                if rule is not None:
+                    raise MismatchedArityError(f"pair ({i}, {j}) given in both orientations")
+                rule = _flip(back, j, i)
             if rule is None:
                 rule = PairRule(self._one, ())
             else:
@@ -205,6 +225,7 @@ class Presentation:
         if pairs:
             raise MismatchedArityError(f"pair keys out of range: {sorted(pairs)}")
         self.pairs = full
+        self._flips: dict = {}          # pair (j, i), j > i -> the flip of (i, j)
         self._memo: dict = {}           # (core monomial, generator) -> {monomial: coeff}
         self._branch_table: dict = {}   # wrong-order pair (u, v) -> rewrite branches
         self._tails: dict = {}          # pair (i, j) -> (linear tail tuple, constant)
@@ -273,8 +294,8 @@ class Presentation:
         """ASCENDING presentation from spag data.
 
         ``relations`` maps (i, j) to (a_ij, tail, e_ij) where ``tail`` maps a
-        generator index to its linear coefficient.  Unspecified pairs default
-        to a = 1 with zero tails.
+        generator index to its linear coefficient; either orientation of a
+        pair is accepted.  Unspecified pairs default to a = 1 with zero tails.
         """
         pairs = {}
         for (i, j), (a, tail, e) in (relations or {}).items():
@@ -296,8 +317,18 @@ class Presentation:
 
     # -- spag accessors -----------------------------------------------------
 
+    def _rule(self, i: int, j: int) -> PairRule:
+        """The relation x_i x_j - quad x_j x_i = tail for any i != j in 1..n;
+        a flip is built once per pair."""
+        rule = self.pairs.get((i, j)) or self._flips.get((i, j))
+        if rule is None:
+            if not 1 <= j < i <= self.n:
+                raise MismatchedArityError(f"no relation for pair ({i}, {j}) at n = {self.n}")
+            rule = self._flips[(i, j)] = _flip(self.pairs[(j, i)], j, i)
+        return rule
+
     def a(self, i: int, j: int):
-        return self.pairs[(i, j)].quad
+        return self._rule(i, j).quad
 
     def _tail(self, i: int, j: int):
         """Linear tail of the pair as a dense tuple, plus the constant term;
@@ -306,7 +337,7 @@ class Presentation:
         if got is None:
             vec = [self.field.zero] * self.n
             const = self.field.zero
-            for coeff, word in self.pairs[(i, j)].tail:
+            for coeff, word in self._rule(i, j).tail:
                 if len(word) == 0:
                     const = const + coeff
                 elif len(word) == 1:
@@ -450,13 +481,8 @@ class Presentation:
         if out is not None:
             return out
         one = self._one
-        if self.ordering is Ordering.ASCENDING:
-            rule = self.pairs[(v, u)]
-            inv = one / rule.quad
-            raw = [(inv, (v, u))] + [(-(t * inv), w) for t, w in rule.tail]
-        else:
-            rule = self.pairs[(u, v)]
-            raw = [(rule.quad, (v, u))] + list(rule.tail)
+        rule = self._rule(u, v)
+        raw = ((rule.quad, (v, u)), *rule.tail)
         out = tuple((one if c == one else c, w) for c, w in raw if c)
         self._branch_table[(u, v)] = out
         return out
@@ -685,28 +711,19 @@ def relabel(pres: Presentation, mapping: Mapping[int, int],
     """Rebuild a presentation under a generator bijection and order convention.
 
     Generator ``mapping[g]`` takes the name of g.  Only linear-tailed
-    presentations are supported.  Relations whose pair orientation flips are
-    re-solved for the new leading product, which needs the quad coefficient
-    to be invertible.
+    presentations are supported.  Each relation keeps its orientation under
+    the mapped keys, and the constructor stores the ``_flip`` of each key
+    that comes out descending (as it does for the (3, 1) of
+    ``smoothness.DISPLAY_PAIRS``), which needs an invertible quad coefficient.
     """
     if sorted(mapping) != list(range(1, pres.n + 1)) or \
             sorted(mapping.values()) != list(range(1, pres.n + 1)):
         raise MismatchedArityError("mapping must be a bijection on 1..n")
     if not pres.is_linear_tailed:
         raise MismatchedArityError("relabel supports linear tails only")
-    pairs = {}
-    for (i, j), rule in pres.pairs.items():
-        u, v = mapping[i], mapping[j]
-        if u < v:
-            tail = tuple((c, tuple(mapping[g] for g in w)) for c, w in rule.tail)
-            pairs[(u, v)] = PairRule(rule.quad, tail)
-        else:
-            if not rule.quad:
-                raise ZeroQuadCoeffError(
-                    f"pair ({i}, {j}): orientation flip needs invertible quad coefficient")
-            inv = pres.field.one / rule.quad
-            tail = tuple((-(c * inv), tuple(mapping[g] for g in w)) for c, w in rule.tail)
-            pairs[(v, u)] = PairRule(inv, tail)
+    pairs = {(mapping[i], mapping[j]): PairRule(
+                 rule.quad, tuple((c, tuple(mapping[g] for g in w)) for c, w in rule.tail))
+             for (i, j), rule in pres.pairs.items()}
     central = frozenset(mapping[g] for g in pres.central)
     names = [pres.names[g - 1] for g in sorted(mapping, key=mapping.get)]
     return Presentation(pres.field, pres.n, ordering, pairs, central=central, names=names)

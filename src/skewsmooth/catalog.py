@@ -3,8 +3,9 @@ the nine three-generator diffusion families, with the expected verdicts.
 
 Class representatives are built from the rows of
 ``smoothness.THREE_DIM_CLASSES``, which also states the display convention
-that ``from_display`` takes; the result is the ascending presentation on
-generators x, y, z = 1, 2, 3.
+that ``from_display`` takes: the relations of ``smoothness.DISPLAY_PAIRS``,
+each passed in its written order.  The result is the ascending presentation
+on generators x, y, z = 1, 2, 3.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .algebra import Presentation
 from .diffusion import DIFFUSION_LABELS, DiffusionPresentation, DiffusionType
 from .errors import ZeroQuadCoeffError
 from .scalars import QQ
-from .smoothness import THREE_DIM_CLASSES, Verdict
+from .smoothness import DISPLAY_PAIRS, THREE_DIM_CLASSES, Verdict
 
 __all__ = [
     "from_display",
@@ -31,30 +32,12 @@ def from_display(field, alpha, beta, gamma, lam=None, mu=None, nu=None,
                  names=("x", "y", "z")) -> Presentation:
     """Presentation from the display of ``smoothness.THREE_DIM_CLASSES``;
     lam/mu/nu map {0: const, 1..3: linear}."""
-    alpha = field.coerce(alpha)
-    beta = field.coerce(beta)
-    gamma = field.coerce(gamma)
-    lam = {k: field.coerce(v) for k, v in (lam or {}).items()}
-    mu = {k: field.coerce(v) for k, v in (mu or {}).items()}
-    nu = {k: field.coerce(v) for k, v in (nu or {}).items()}
-
-    def split(vec):
-        tail = {g: c for g, c in vec.items() if g != 0 and c}
-        return tail, vec.get(0, field.zero)
-
-    lam_t, lam_e = split(lam)
-    mu_t, mu_e = split(mu)
-    nu_t, nu_e = split(nu)
-    if not beta:
+    if not field.coerce(beta):
         # Presentation.skew rejects a zero alpha or gamma; beta is inverted first
         raise ZeroQuadCoeffError("pair (1, 3): the quad coefficient 1/beta needs beta != 0")
-    binv = field.one / beta
-    # z x - beta x z = mu  become  x z - (1/beta) z x = -(1/beta) mu
-    relations = {
-        (2, 3): (alpha, lam_t, lam_e),
-        (1, 2): (gamma, nu_t, nu_e),
-        (1, 3): (binv, {g: -(binv * c) for g, c in mu_t.items()}, -(binv * mu_e)),
-    }
+    relations = {pair: (quad, {g: c for g, c in vec.items() if g}, vec.get(0, 0))
+                 for pair, quad, vec in zip(DISPLAY_PAIRS, (alpha, beta, gamma),
+                                            (lam or {}, mu or {}, nu or {}))}
     return Presentation.skew(field, 3, relations, names=names)
 
 

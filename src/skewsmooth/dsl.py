@@ -1,7 +1,8 @@
 """Line-oriented text format for presentations.
 
 Header lines (``key: value``) give the name, kind (skew, diffusion1,
-diffusion2), field (``Q`` or ``Fp:<prime>``), and generator count ``n``.
+diffusion2), field (``Q`` or ``Fp:<prime>``), and generator count ``n``,
+each at most once.
 
 The skew body lists relations, one pair per line, in the fixed shape
 
@@ -158,14 +159,19 @@ def parse(text: str) -> AlgebraFile:
     kind = "skew"
     field = QQ
     n = None
+    seen: set = set()
     body: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        col = len(raw) - len(raw.lstrip()) + 1
         m = _HEADER_RE.match(line)
         if m and not body:
             key, value = m.group("key"), m.group("value")
+            if key in seen:
+                raise DuplicatePairError(f"header {key!r} defined twice", lineno, col)
+            seen.add(key)
             if key == "name":
                 name = value
             elif key == "kind":
@@ -183,7 +189,7 @@ def parse(text: str) -> AlgebraFile:
                     raise PresentationSyntaxError(
                         f"generator count must be between 1 and {MAX_GENERATORS}", lineno, 1)
             continue
-        body.append((lineno, line, len(raw) - len(raw.lstrip()) + 1))
+        body.append((lineno, line, col))
     if n is None:
         raise PresentationSyntaxError("missing 'n:' header", 1, 1)
 

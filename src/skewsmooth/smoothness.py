@@ -63,11 +63,9 @@ def _require_spag(pres: Presentation):
 
 
 def _forced_image(pres: Presentation, k: int, g: int):
-    """(slope, shift) of the image of x_g, g != k, under the twist for x_k."""
-    if g < k:
-        return pres.a(g, k), pres.c(g, k)
-    akg = pres.a(k, g)
-    return pres.field.one / akg, -(pres.b(k, g) / akg)
+    """(slope, shift) of the image of x_g, g != k, under the twist for x_k,
+    read from the relation written with x_g first."""
+    return pres.a(g, k), pres.c(g, k)
 
 
 def _residue_forms(pres: Presentation, i: int, j: int, k: int, image):
@@ -291,17 +289,17 @@ def encode_ore_extension(n: int, b, a, c, field=QQ) -> Presentation:
     c = [field.coerce(v) for v in c]
     if any(not v for v in b):
         raise ZeroSlopeError("sigma slopes b_i must be nonzero")
-    relations = {}
     y = n + 1
-    for i in range(1, n + 1):
-        bi, ai, ci = b[i - 1], a[i - 1], c[i - 1]
-        # y x_i = b_i x_i y + a_i y + c_i x_i  =>
-        # x_i y - (1/b_i) y x_i = -(c_i/b_i) x_i - (a_i/b_i) y
-        relations[(i, y)] = (field.one / bi, {i: -(ci / bi), y: -(ai / bi)}, field.zero)
+    # y x_i = b_i x_i y + a_i y + c_i x_i, written with y first
+    relations = {(y, i): (b[i - 1], {i: c[i - 1], y: a[i - 1]}, field.zero)
+                 for i in range(1, n + 1)}
     return Presentation.skew(field, n + 1, relations)
 
 
 # -- syntactic three-generator classifier ------------------------------------
+
+# The pairs of the display below, each in the order it is written there.
+DISPLAY_PAIRS = ((2, 3), (3, 1), (1, 2))
 
 # The fifteen three-generator classes, in first-match order.  The order
 # matters because the shapes overlap: 2d and 3b at b = 0 are class 1, and 2e
@@ -310,9 +308,10 @@ def encode_ore_extension(n: int, b, a, c, field=QQ) -> Presentation:
 #
 #     y z - alpha z y = lam,   z x - beta x z = mu,   x y - gamma y x = nu
 #
-# on generators x, y, z = 1, 2, 3, where lam/mu/nu map {0: constant, 1..3:
-# coefficient of x, y, z} and an omitted entry is 0.  A slot holds a constant
-# or a parameter name; a name in two slots binds one value.
+# on generators x, y, z = 1, 2, 3, the relations of ``DISPLAY_PAIRS`` in
+# turn, where lam/mu/nu map {0: constant, 1..3: coefficient of x, y, z} and
+# an omitted entry is 0.  A slot holds a constant or a parameter name; a name
+# in two slots binds one value.
 THREE_DIM_CLASSES = (
     ("1", ("alpha", "beta", "gamma", {}, {}, {}), ()),
     ("2a", (1, "beta", 1, {3: 1}, {2: 1}, {1: 1}), ("beta",)),
@@ -341,19 +340,11 @@ class Classification(NamedTuple):
 
 def _display_form(pres: Presentation):
     """The display (alpha, beta, gamma, lam, mu, nu) of ``THREE_DIM_CLASSES``,
-    with lam/mu/nu dense vectors indexed 0 (constant), 1..3."""
-    field = pres.field
-    alpha = pres.a(2, 3)
-    t23, e23 = pres.tail_vector(2, 3)
-    lam = [e23] + t23
-    gamma = pres.a(1, 2)
-    t12, e12 = pres.tail_vector(1, 2)
-    nu = [e12] + t12
-    a13 = pres.a(1, 3)
-    beta = field.one / a13
-    t13, e13 = pres.tail_vector(1, 3)
-    mu = [-(beta * e13)] + [-(beta * v) for v in t13]
-    return alpha, beta, gamma, lam, mu, nu
+    with lam/mu/nu dense vectors indexed 0 (constant), 1..3, read from the
+    relations of ``DISPLAY_PAIRS``."""
+    quads = tuple(pres.a(i, j) for i, j in DISPLAY_PAIRS)
+    tails = tuple([e, *vec] for vec, e in (pres.tail_vector(i, j) for i, j in DISPLAY_PAIRS))
+    return quads + tails
 
 
 def _positions(shape):

@@ -2,20 +2,21 @@ import ast
 import pathlib
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewsmooth
-from skewsmooth.algebra import (NcPoly, Ordering, Presentation,
+from skewsmooth.algebra import (NcPoly, Ordering, PairRule, Presentation,
                                 degree_truncation, relabel)
 from skewsmooth.catalog import from_display
 from skewsmooth.errors import MismatchedArityError
 from skewsmooth.scalars import QQ, PrimeField
 
-from helpers import (naive_normal_form, random_poly, random_skew_presentation,
-                     random_word)
+from helpers import (naive_normal_form, naive_tail_vector, random_poly,
+                     random_skew_presentation, random_word)
 
 
 def two_gen(a, b=0, c=0, e=0):
@@ -207,6 +208,45 @@ def test_central_generators_commute():
         p = random_poly(pres, rng)
         g = pres.gen(3)
         assert pres.multiply(g, p) == pres.multiply(p, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=2, max_value=4),
+       st.sampled_from(list(Ordering)))
+def test_every_relation_reads_in_either_orientation(seed, n, ordering):
+    """Pair (j, i) reads as the stored relation of (i, j) solved for x_j x_i
+    by hand, x_j x_i - (1/a) x_i x_j = -tail/a; a presentation built from
+    those reversed relations is the same one, and so is a relabelling
+    undone, which moves each relation with its letters."""
+    rng = random.Random(seed)
+    pres = random_skew_presentation(rng, n)     # nonzero quads, linear tails
+    if ordering is Ordering.DESCENDING:
+        pres = Presentation(QQ, n, ordering, pres.pairs)
+    reversed_rules, reversed_spag = {}, {}
+    for i, j in combinations(range(1, n + 1), 2):
+        inv = 1 / pres.pairs[(i, j)].quad
+        vec, e = naive_tail_vector(pres, i, j)
+        back = [-(v * inv) for v in vec]
+        assert pres.a(j, i) == inv
+        assert (pres.b(j, i), pres.c(j, i), pres.e(j, i)) == (back[j - 1], back[i - 1], -(e * inv))
+        assert pres.tail_vector(j, i) == (back, -(e * inv))
+        reversed_rules[(j, i)] = PairRule(inv, tuple(
+            (-(c * inv), word) for c, word in pres.pairs[(i, j)].tail))
+        reversed_spag[(j, i)] = (inv, dict(enumerate(back, start=1)), -(e * inv))
+    assert Presentation(QQ, n, ordering, reversed_rules) == pres
+    if ordering is Ordering.ASCENDING:
+        assert Presentation.skew(QQ, n, reversed_spag) == pres
+    images = rng.sample(range(1, n + 1), n)
+    perm = dict(zip(range(1, n + 1), images))
+    moved = relabel(pres, perm, ordering)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                vec, e = pres.tail_vector(i, j)
+                assert moved.a(perm[i], perm[j]) == pres.a(i, j)
+                assert moved.tail_vector(perm[i], perm[j]) == \
+                    ([vec[g - 1] for g in sorted(perm, key=perm.get)], e)
+    assert relabel(moved, {v: g for g, v in perm.items()}, ordering) == pres
 
 
 def test_relabel_reverses_convention():

@@ -126,6 +126,19 @@ def test_duplicate_pair():
         parse("kind: skew\nn: 2\nx1*x2 - 2*x2*x1 = 0\nx1*x2 - 3*x2*x1 = 0\n")
 
 
+@pytest.mark.parametrize("text, key, line, column", [
+    ("name: a\nn: 2\n  name: b\n", "name", 3, 3),
+    ("kind: skew\nkind: diffusion1\nn: 2\n", "kind", 2, 1),
+    ("field: Q\nfield: Fp:7\nn: 2\n", "field", 2, 1),
+    ("n: 3\nkind: skew\nn: 2\n", "n", 3, 1),
+], ids=["name", "kind", "field", "n"])
+def test_duplicate_header(text, key, line, column):
+    with pytest.raises(DuplicatePairError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}, column {column}: header '{key}' defined twice"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_characteristic_two_rejected():
     with pytest.raises(BadCharacteristicError):
         parse("kind: skew\nfield: Fp:2\nn: 2\n")

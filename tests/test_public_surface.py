@@ -139,6 +139,12 @@ VALIDATION = [
      MismatchedArityError, "names length differs from generator count"),
     (lambda: Presentation(QQ, 2, pairs={(1, 3): _rule()}),
      MismatchedArityError, "pair keys out of range: [(1, 3)]"),
+    (lambda: Presentation(QQ, 2, pairs={(1, 2): _rule(2), (2, 1): _rule(3)}),
+     MismatchedArityError, "pair (1, 2) given in both orientations"),
+    (lambda: _commutative(3).a(1, 1), MismatchedArityError, "no relation for pair (1, 1) at n = 3"),
+    (lambda: _commutative(3).c(0, 2), MismatchedArityError, "no relation for pair (0, 2) at n = 3"),
+    (lambda: _commutative(3).tail_vector(2, 4),
+     MismatchedArityError, "no relation for pair (2, 4) at n = 3"),
     (lambda: Presentation(QQ, 3, Ordering.ASCENDING, {}, central={0, 5}),
      MismatchedArityError, "central generators out of range: [0, 5]"),
     (lambda: _plane(0), ZeroQuadCoeffError, "ascending rewriting needs an invertible quad"),
