@@ -236,8 +236,7 @@ def test_every_relation_reads_in_either_orientation(seed, n, ordering):
     assert Presentation(QQ, n, ordering, reversed_rules) == pres
     if ordering is Ordering.ASCENDING:
         assert Presentation.skew(QQ, n, reversed_spag) == pres
-    images = rng.sample(range(1, n + 1), n)
-    perm = dict(zip(range(1, n + 1), images))
+    perm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
     moved = relabel(pres, perm, ordering)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -251,7 +250,6 @@ def test_every_relation_reads_in_either_orientation(seed, n, ordering):
 
 def test_relabel_reverses_convention():
     # a descending quasi-commutative presentation relabelled to ascending
-    from skewsmooth.algebra import PairRule
     pres = Presentation(QQ, 3, Ordering.DESCENDING, {
         (1, 2): PairRule(F(1, 2), ()),
         (1, 3): PairRule(F(3, 5), ()),
